@@ -192,10 +192,11 @@ var fabricSendNames = map[string]bool{
 	"SendEager":   true,
 	"SendControl": true,
 	"SendData":    true,
+	"SendDataV":   true,
 }
 
 // isFabricSend reports whether call is a transport send: a
-// SendEager/SendControl/SendData method on a type declared in (or
+// SendEager/SendControl/SendData/SendDataV method on a type declared in (or
 // implementing the Rail interface of) a package named "fabric".
 func isFabricSend(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)

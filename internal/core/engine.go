@@ -35,7 +35,11 @@
 //     cores, paying the 3 µs offload cost (Fig 7 / equation (1)).
 //   - Rendezvous: larger messages handshake (RTS/CTS), then the split
 //     strategy distributes chunks over the rails so all DMAs finish
-//     together (Fig 1c/2/8).
+//     together (Fig 1c/2/8). A chunk is posted as header + an alias of
+//     the caller's buffer (sendChunk) and, on fabrics with a placer,
+//     lands in the posted receive buffer straight from the transport
+//     reader (placeChunk): no intermediate copy, which is what the
+//     handshake is for.
 //
 // Matching is by (source, tag) in completion order; concurrent messages
 // on one (source, tag) pair may overtake each other — use distinct tags
@@ -393,6 +397,11 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	}
 	e.pm = pioman.New(env, node, e.sched, pcfg)
 	e.pm.Start(e.handle)
+	if dn, ok := node.(fabric.DirectNode); ok && cfg.DirectProgress {
+		// Rendezvous chunks land in the posted buffer straight from the
+		// transport reader; everything else still arrives through dispatch.
+		dn.SetPlacer(e.placeChunk)
+	}
 	e.healthQ = node.Health().Subscribe()
 	env.Go(fmt.Sprintf("nmad-health-%d", node.ID()), e.healthLoop)
 	return e, nil
@@ -473,6 +482,9 @@ func (e *Engine) Stop() {
 		if on, ok := e.node.(fabric.ObservableNode); ok {
 			on.SetTelemetry(nil)
 		}
+	}
+	if dn, ok := e.node.(fabric.DirectNode); ok && e.cfg.DirectProgress {
+		dn.SetPlacer(nil)
 	}
 	e.pm.Stop()
 	e.sched.Shutdown()

@@ -361,10 +361,8 @@ func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
 		e.noteAcked(u.req, -1)
 	}
 	for _, nu := range newUnits {
-		frame := wire.EncodeData(uint8(nu.rail), e.origin(), u.req.Tag, u.key.id, nu.off,
-			u.req.Data[nu.off:nu.off+nu.size], len(u.req.Data))
 		e.trace(trace.Resent, u.key.id, nu.rail, nu.size, "chunk failover")
-		e.node.Rail(nu.rail).SendData(ctx, u.to, frame, nil)
+		e.sendChunk(ctx, u.req, nu.rail, nu.off, nu.size, nil)
 	}
 }
 

@@ -89,7 +89,10 @@ func (r *gateRail) SendControl(ctx rt.Ctx, to int, data []byte, cpu, recv time.D
 	r.send(to, data)
 }
 func (r *gateRail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
-	r.send(to, data)
+	r.SendDataV(ctx, to, data, nil, done)
+}
+func (r *gateRail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
+	r.send(to, append(head[:len(head):len(head)], body...))
 	if done != nil {
 		done.Fire()
 	}

@@ -14,8 +14,10 @@ import (
 // posted receive buffer (rendezvous) or into a temporary buffer
 // (unexpected striped eager). It lives in the flow shard of its
 // (sender, tag) pair; the shard lock guards everything but the byte
-// copies, which claim disjoint ranges and run outside the lock so
-// several workers can copy chunks of one large message in parallel.
+// writes, which claim disjoint ranges and run outside the lock so
+// several writers — transport readers placing bodies straight from the
+// ring or socket, workers copying contiguous frames — fill one large
+// message in parallel.
 type partial struct {
 	re      *wire.Reassembly
 	req     *RecvRequest // nil while unexpected
@@ -25,11 +27,36 @@ type partial struct {
 	rdv     bool // announced via RTS (a CTS was sent)
 	ctsRail int  // rail the CTS travelled on (replayed if it dies)
 
-	inflight []wire.Span // ranges being copied outside the shard lock
+	inflight []wire.Span // ranges being written outside the shard lock
+	// parked holds replays whose missing bytes overlapped an in-flight
+	// range. They are acknowledged on arrival (the bytes are in receiver
+	// memory) and delivered again when a range is released: the write may
+	// have aborted — a placement lost with its rail — or covered only
+	// part of what the replay carries.
+	parked []parkedChunk
+}
+
+// parkedChunk is one contiguous chunk frame kept for re-delivery.
+type parkedChunk struct {
+	h       wire.Header
+	payload []byte
+}
+
+// claim marks [off, end) in flight when it is an exclusive fresh range:
+// entirely missing and touched by no other writer. The claimant writes
+// pa.buf[off:end] outside the shard lock, then releases the range and
+// Marks it (or, aborting, only releases it).
+func (pa *partial) claim(off, end int) bool {
+	gaps := pa.re.Missing(off, end-off)
+	if len(gaps) != 1 || gaps[0] != (wire.Span{Off: off, End: end}) || pa.overlapsInflight(off, end) {
+		return false
+	}
+	pa.inflight = append(pa.inflight, wire.Span{Off: off, End: end})
+	return true
 }
 
 // overlapsInflight reports whether [off, end) touches a range another
-// worker is currently copying.
+// writer currently holds.
 func (pa *partial) overlapsInflight(off, end int) bool {
 	for _, r := range pa.inflight {
 		if off < r.End && r.Off < end {
@@ -39,14 +66,36 @@ func (pa *partial) overlapsInflight(off, end int) bool {
 	return false
 }
 
-// release removes one claimed range.
-func (pa *partial) release(off, end int) {
+// release removes one claimed range and hands back the parked replays,
+// which the caller delivers again (deliverChunk) once it has dropped the
+// shard lock.
+func (pa *partial) release(off, end int) []parkedChunk {
 	for i, r := range pa.inflight {
 		if r.Off == off && r.End == end {
 			pa.inflight = append(pa.inflight[:i], pa.inflight[i+1:]...)
-			return
+			break
 		}
 	}
+	parked := pa.parked
+	pa.parked = nil
+	return parked
+}
+
+// InflightClaims reports how many byte ranges of partially received
+// messages a writer holds right now (tests and diagnostics). It returns
+// to 0 when traffic quiesces: a claim outliving its writer would make
+// every replay of that range park forever.
+func (e *Engine) InflightClaims() int {
+	n := 0
+	for i := range e.flows {
+		s := &e.flows[i]
+		s.mu.Lock()
+		for _, pa := range s.partials {
+			n += len(pa.inflight)
+		}
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Irecv posts a receive. It never blocks; matching happens against
@@ -118,8 +167,9 @@ func (e *Engine) sendCTS(to, rail int, tag uint32, msgID uint64) {
 	prof := e.node.Rail(rail).Profile()
 	cts := wire.EncodeControl(wire.KindCTS, uint8(rail), uint32(to), tag, msgID, 0)
 	e.traceFrom(to, trace.CTSSent, msgID, rail, 0, "")
-	e.env.Go(fmt.Sprintf("cts-%d", msgID), func(ctx rt.Ctx) {
+	e.env.Go("cts", func(ctx rt.Ctx) {
 		e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
+		e.settle(ctx, rail)
 	})
 }
 
@@ -268,17 +318,75 @@ func (e *Engine) deliverEager(from, origin int, p wire.Packet) {
 	e.stats.unexpected.Add(1)
 }
 
-// deliverChunk routes a striped chunk into its reassembly, creating an
-// unexpected one on first contact if no rendezvous pre-registered it.
+// placeChunk is the engine's fabric.Placer: a transport reader holding
+// the head of a head+body frame asks where the body goes. A rendezvous
+// chunk whose range can be claimed in the posted receive buffer is
+// placed there — the reader fills req.Buf straight from the ring or
+// socket, the only copy on the receive side — and committed by the
+// returned func: Mark, complete the request if that was the last byte,
+// acknowledge the unit from a pool worker (the reader never blocks on a
+// rail send). Everything else is declined and arrives as a contiguous
+// frame through dispatch: chunks of unknown messages (late replays,
+// unexpected striped eager), duplicate or partially covered ranges,
+// ranges another writer holds.
 //
-// The byte copy of a fresh, uncontended range runs OUTSIDE the shard
-// lock: the range is claimed (inflight), copied, then committed — so
+// An aborted placement (the frame was lost with its rail mid-body) only
+// releases its claim: nothing was marked, the sender's unacknowledged
+// unit is replayed, and whatever the lost frame already wrote into
+// req.Buf is harmless — the replay rewrites the same bytes from the
+// sender's one buffer. Replays parked while the claim was held are
+// delivered again on either outcome.
+func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, func(ok bool)) {
+	h, rest, err := wire.DecodeHeader(head)
+	if err != nil || h.Kind != wire.KindData || len(rest) != 0 || h.ChunkLen != uint64(n) {
+		return nil, nil
+	}
+	off, end := int(h.Offset), int(h.Offset)+n
+	s := e.flow(from, h.Tag)
+	s.mu.Lock()
+	pa := s.partials[pkey{from, h.MsgID}]
+	ok := pa != nil && off >= 0 && end <= pa.re.Total() && pa.claim(off, end)
+	s.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
+	return pa.buf[off:end], func(filled bool) {
+		s.mu.Lock()
+		parked := pa.release(off, end)
+		var req *RecvRequest
+		if filled {
+			pa.re.Mark(off, n)
+			req = e.retire(s, pa, from, h)
+		}
+		s.mu.Unlock()
+		if req != nil {
+			e.completeRecv(req, pa, h)
+		}
+		for _, p := range parked {
+			e.deliverChunk(from, p.h, p.payload)
+		}
+		if filled {
+			e.pool.Submit(progress.ChunkKey(from, h.Tag, h.Offset), progress.Task{
+				Name: "ack",
+				Run:  func(ctx rt.Ctx) { e.ackUnit(ctx, from, h.MsgID, h.Offset, rail) },
+			})
+		}
+	}
+}
+
+// deliverChunk routes a contiguous chunk frame into its reassembly,
+// creating an unexpected one on first contact if no rendezvous
+// pre-registered it. It is the path of every chunk the placer did not
+// take (and of all chunks on fabrics without one).
+//
+// The byte copy of a claimed range runs OUTSIDE the shard lock, so
 // chunks of one large message arriving on different rails are copied
 // into the receive buffer by several workers at once. Overlapping
 // ranges (failover replays, which re-split a lost chunk's range) copy
 // only their still-missing, unclaimed bytes under the lock; the
 // overlapped bytes are identical on every copy, all originating from
-// the sender's one buffer.
+// the sender's one buffer. A replay whose missing bytes touch a range in
+// flight is parked until a range is released (see partial.parked).
 func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 	k := key{from, h.Tag}
 	pk := pkey{from, h.MsgID}
@@ -319,42 +427,70 @@ func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 		}
 		return
 	}
-	if gaps := pa.re.Missing(off, len(payload)); len(gaps) == 1 &&
-		gaps[0] == (wire.Span{Off: off, End: end}) && !pa.overlapsInflight(off, end) {
+	var parked []parkedChunk
+	if pa.claim(off, end) {
 		// Exclusive fresh range: the parallel striped copy.
-		pa.inflight = append(pa.inflight, wire.Span{Off: off, End: end})
 		s.mu.Unlock()
 		copy(pa.buf[off:end], payload)
 		s.mu.Lock()
-		pa.release(off, end)
+		parked = pa.release(off, end)
 		pa.re.Mark(off, len(payload))
 	} else {
 		// Duplicate or partially covered range: copy only the missing
-		// bytes another worker is not already writing, under the lock.
-		for _, g := range gaps {
+		// bytes no other writer holds, under the lock.
+		park := false
+		for _, g := range pa.re.Missing(off, len(payload)) {
 			if pa.overlapsInflight(g.Off, g.End) {
-				continue // identical bytes already being written
+				park = true // the overlapped bytes are being written; retry on release
+				continue
 			}
 			copy(pa.buf[g.Off:g.End], payload[g.Off-off:g.End-off])
 			pa.re.Mark(g.Off, g.End-g.Off)
 		}
+		if park {
+			pa.parked = append(pa.parked, parkedChunk{h, payload})
+		}
 	}
+	req := e.retire(s, pa, from, h)
+	s.mu.Unlock()
+	if req != nil {
+		e.completeRecv(req, pa, h)
+	}
+	for _, p := range parked {
+		e.deliverChunk(from, p.h, p.payload)
+	}
+}
+
+// retire removes a fully received partial from its shard. The caller
+// holds s.mu and, once it released the lock, completes the returned
+// receive with completeRecv; nil means bytes are still missing or the
+// message was queued as unexpected.
+func (e *Engine) retire(s *flowShard, pa *partial, from int, h wire.Header) *RecvRequest {
 	if !pa.re.Done() {
-		s.mu.Unlock()
-		return
+		return nil
 	}
-	delete(s.partials, pk)
+	delete(s.partials, pkey{from, h.MsgID})
 	e.seen.Mark(from, h.MsgID)
-	req := pa.req
-	if req == nil {
+	if pa.req == nil {
+		k := key{from, h.Tag}
+		if q := s.recvs[k]; len(q) > 0 {
+			// A receive posted while the unexpected message was still
+			// arriving: Irecv found nothing complete to match, so the
+			// match happens here, in completion order.
+			pa.req, s.recvs[k] = q[0], q[1:]
+			s.matched++
+			return pa.req
+		}
 		// Completed with no posted receive: queue as unexpected.
 		s.unexpect[k] = append(s.unexpect[k], &message{msgID: h.MsgID, origin: int(h.Origin), data: pa.buf})
 		s.unexpected++
-		s.mu.Unlock()
 		e.stats.unexpected.Add(1)
-		return
 	}
-	s.mu.Unlock()
+	return pa.req
+}
+
+// completeRecv finishes the receive a retired partial was matched to.
+func (e *Engine) completeRecv(req *RecvRequest, pa *partial, h wire.Header) {
 	if req.Buf != nil && len(pa.buf) > 0 && &req.Buf[0] == &pa.buf[0] {
 		// Rendezvous path: bytes already in place.
 		e.traceFrom(int(h.Origin), trace.Delivered, h.MsgID, -1, pa.re.Received(), "rendezvous")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -146,5 +147,137 @@ func TestRdvLargerThanBufferViaRTS(t *testing.T) {
 	env.Run()
 	if rerr == nil {
 		t.Fatal("oversized RTS matched a small buffer without error")
+	}
+}
+
+// The placer's claim discipline, step by step: a placed chunk holds its
+// range against replays (which are declined, copied around it and
+// parked); when the placement aborts — its rail died mid-body — the
+// range is released unmarked and the parked replay fills what it can;
+// the rest arrives by a fresh placement. Nothing hangs, nothing is
+// marked twice, and no claim is left behind.
+func TestPlacementAbortReleasesClaimAndDeliversParkedReplay(t *testing.T) {
+	env, eng := pair(t, Config{})
+	const total, id, tag = 128 << 10, 0xD1, 5
+	payload := make([]byte, total)
+	rand.New(rand.NewSource(4)).Read(payload)
+	buf := make([]byte, total)
+	head := func(off, n int) []byte { return wire.EncodeDataHeader(nil, 0, 0, tag, id, off, n, total) }
+	chunk := func(off, n int) []byte { return wire.EncodeData(0, 0, tag, id, off, payload[off:off+n], total) }
+	var n int
+	var rerr error
+	env.Go("app", func(ctx rt.Ctx) {
+		rx := eng[1]
+		rr := rx.Irecv(0, tag, buf)
+		inject(rx, 0, wire.EncodeControl(wire.KindRTS, 0, 0, tag, id, total))
+		ctx.Sleep(time.Millisecond)
+
+		if d, _ := rx.placeChunk(0, 0, wire.EncodeDataHeader(nil, 0, 0, tag, id+1, 0, 8, 8), 8); d != nil {
+			t.Error("chunk of an unannounced message was placed")
+		}
+		dst, done := rx.placeChunk(0, 0, head(0, 64<<10), 64<<10)
+		if len(dst) != 64<<10 || &dst[0] != &buf[0] {
+			t.Fatal("fresh rendezvous chunk not placed at its offset in the posted buffer")
+		}
+		copy(dst, payload[:1000]) // as far as the doomed frame got
+
+		// The sender replans the lost unit; its re-split replay overlaps
+		// the range still claimed.
+		if d, _ := rx.placeChunk(0, 1, head(32<<10, 64<<10), 64<<10); d != nil {
+			t.Error("replay placed over a range in flight")
+		}
+		inject(rx, 1, chunk(32<<10, 64<<10)) // parks: its missing gap [32K,96K) touches the claim
+		inject(rx, 1, chunk(96<<10, 32<<10))
+		ctx.Sleep(time.Millisecond)
+		if rr.Done().Fired() || rx.InflightClaims() != 1 {
+			t.Errorf("before abort: done=%v claims=%d, want pending with 1 claim", rr.Done().Fired(), rx.InflightClaims())
+		}
+
+		done(false)
+		if rr.Done().Fired() || rx.InflightClaims() != 0 {
+			t.Errorf("after abort: done=%v claims=%d, want pending with no claim", rr.Done().Fired(), rx.InflightClaims())
+		}
+		if d, _ := rx.placeChunk(0, 1, head(0, 64<<10), 64<<10); d != nil {
+			t.Error("partially covered replay was placed: the parked replay did not fill [32K,64K)")
+		}
+		dst, done = rx.placeChunk(0, 1, head(0, 32<<10), 32<<10)
+		if dst == nil {
+			t.Fatal("released range not placeable again")
+		}
+		copy(dst, payload[:32<<10])
+		done(true)
+		n, rerr = rr.Wait(ctx)
+	})
+	env.Run()
+	if rerr != nil || n != total || !bytes.Equal(buf, payload) {
+		t.Fatalf("n=%d err=%v intact=%v", n, rerr, bytes.Equal(buf, payload))
+	}
+	if c := eng[1].InflightClaims(); c != 0 {
+		t.Fatalf("%d claims left behind", c)
+	}
+}
+
+// A receive posted while an unexpected striped message is still
+// arriving — Irecv finds a partial but nothing complete to match — is
+// matched when the last chunk lands instead of waiting forever beside a
+// message queued as unexpected.
+func TestRecvPostedMidUnexpectedStripedMessage(t *testing.T) {
+	env, eng := pair(t, Config{})
+	const total, id, tag = 64 << 10, 0xE1, 6
+	payload := make([]byte, total)
+	rand.New(rand.NewSource(5)).Read(payload)
+	buf := make([]byte, total)
+	chunk := func(off, n int) []byte { return wire.EncodeData(0, 0, tag, id, off, payload[off:off+n], total) }
+	var n int
+	var rerr error
+	env.Go("app", func(ctx rt.Ctx) {
+		rx := eng[1]
+		inject(rx, 0, chunk(0, total/2))
+		ctx.Sleep(time.Millisecond)
+		rr := rx.Irecv(0, tag, buf)
+		inject(rx, 1, chunk(total/2, total/2))
+		n, rerr = rr.Wait(ctx)
+	})
+	env.Run()
+	if rerr != nil || n != total || !bytes.Equal(buf, payload) {
+		t.Fatalf("n=%d err=%v intact=%v", n, rerr, bytes.Equal(buf, payload))
+	}
+	if st := eng[1].Stats(); st.Unexpected != 0 {
+		t.Fatalf("message also queued as unexpected: %+v", st)
+	}
+}
+
+// A replay that reaches past a range in flight is parked whole; when
+// that write commits, the replay is delivered again and fills the bytes
+// the committed range did not cover.
+func TestCommitDeliversParkedReplayPastItsRange(t *testing.T) {
+	env, eng := pair(t, Config{})
+	const total, id, tag = 128 << 10, 0xF1, 7
+	payload := make([]byte, total)
+	rand.New(rand.NewSource(6)).Read(payload)
+	buf := make([]byte, total)
+	var n int
+	var rerr error
+	env.Go("app", func(ctx rt.Ctx) {
+		rx := eng[1]
+		rr := rx.Irecv(0, tag, buf)
+		inject(rx, 0, wire.EncodeControl(wire.KindRTS, 0, 0, tag, id, total))
+		ctx.Sleep(time.Millisecond)
+		dst, done := rx.placeChunk(0, 0, wire.EncodeDataHeader(nil, 0, 0, tag, id, 0, 64<<10, total), 64<<10)
+		if dst == nil {
+			t.Fatal("fresh rendezvous chunk not placed")
+		}
+		inject(rx, 1, wire.EncodeData(1, 0, tag, id, 32<<10, payload[32<<10:], total))
+		ctx.Sleep(time.Millisecond)
+		if rr.Done().Fired() {
+			t.Error("receive completed with a range still in flight")
+		}
+		copy(dst, payload)
+		done(true)
+		n, rerr = rr.Wait(ctx)
+	})
+	env.Run()
+	if rerr != nil || n != total || !bytes.Equal(buf, payload) {
+		t.Fatalf("n=%d err=%v intact=%v", n, rerr, bytes.Equal(buf, payload))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/marcel"
 	"repro/internal/model"
 	"repro/internal/rt"
@@ -96,6 +97,7 @@ func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 		// remote completion reads as a lost message to an observer.
 		e.bumpEager(1, 0, 0, len(r.Data))
 		e.node.Rail(rail).SendEager(ctx, to, frame)
+		e.settle(ctx, rail)
 		e.noteEnqueued(r)
 		if r.chunkDone() {
 			e.noteCompleted(r)
@@ -163,16 +165,17 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest) {
 			e.noteDecision(r)
 		}
 		e.registerContainer(cid, to, rail, frame, group)
-		e.trace(trace.EagerSent, group[0].msgID, rail, total, fmt.Sprintf("%d packets aggregated", len(group)))
-		agg := 0
+		agg, note := 0, ""
 		if len(group) > 1 {
-			agg = len(group)
+			agg, note = len(group), "aggregated"
 		}
+		e.trace(trace.EagerSent, group[0].msgID, rail, total, note)
 		// Stats before the transport enqueue: the receiver's ack can fire
 		// RemoteDone before this worker resumes, and a counter that lags
 		// remote completion reads as a lost message to an observer.
 		e.bumpEager(len(group), agg, 0, total)
 		e.node.Rail(rail).SendEager(ctx, to, frame)
+		e.settle(ctx, rail)
 		for _, r := range group {
 			e.noteEnqueued(r)
 			if r.chunkDone() {
@@ -261,12 +264,35 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 			Name: fmt.Sprintf("eager-chunk-%d", r.msgID),
 			Run: func(tctx rt.Ctx) {
 				e.node.Rail(c.Rail).SendEager(tctx, to, frame)
+				e.settle(tctx, c.Rail)
 				if r.chunkDone() {
 					e.noteEnqueued(r) // the last offloaded copy was posted
 					e.noteCompleted(r)
 				}
 			},
 		})
+	}
+}
+
+// sendChunk posts bytes [off, off+size) of r as one head+body frame: a
+// freshly encoded chunk header and the payload aliased where it lies in
+// r.Data — first sends and failover replays alike assemble no frame.
+// done (may be nil) fires when the rail no longer reads the payload.
+func (e *Engine) sendChunk(ctx rt.Ctx, r *SendRequest, rail, off, size int, done rt.Event) {
+	head := wire.EncodeDataHeader(nil, uint8(rail), e.origin(), r.Tag, r.msgID, off, size, len(r.Data))
+	e.node.Rail(rail).SendDataV(ctx, r.To, head, r.Data[off:off+size], done)
+	e.settle(ctx, rail)
+}
+
+// settle closes the window between choosing a rail and registering the
+// unit posted on it: a rail that died in between was swept by replan
+// before the unit existed, the dead link swallowed the frame, and no
+// further health event would ever move it. Registration happens before
+// this check and the state flips before replan's sweep, so one of the
+// two always sees the unit.
+func (e *Engine) settle(ctx rt.Ctx, rail int) {
+	if e.node.Rail(rail).State() != fabric.RailUp {
+		e.replan(ctx)
 	}
 }
 
@@ -303,6 +329,7 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest) {
 	rts := wire.EncodeControl(wire.KindRTS, uint8(rail), e.origin(), r.Tag, r.msgID, uint64(len(r.Data)))
 	e.trace(trace.RTSSent, r.msgID, rail, len(r.Data), "")
 	e.node.Rail(rail).SendControl(ctx, r.To, rts, prof.SendOverhead, prof.RecvOverhead)
+	e.settle(ctx, rail)
 }
 
 // onCTS resumes a parked rendezvous: the strategy is invoked now — with
@@ -330,17 +357,14 @@ func (e *Engine) onCTS(peer int, msgID uint64) {
 	for _, c := range chunks {
 		e.registerChunk(r, r.To, c.Rail, c.Offset, c.Size)
 	}
-	e.trace(trace.Decision, msgID, -1, len(r.Data),
-		fmt.Sprintf("%s: %d chunks", e.cfg.Splitter.Name(), len(chunks)))
-	e.env.Go(fmt.Sprintf("rdv-send-%d", msgID), func(ctx rt.Ctx) {
+	e.trace(trace.Decision, msgID, -1, len(r.Data), e.cfg.Splitter.Name())
+	e.env.Go("rdv-send", func(ctx rt.Ctx) {
 		events := make([]rt.Event, 0, len(chunks))
 		for _, c := range chunks {
-			frame := wire.EncodeData(uint8(c.Rail), e.origin(), r.Tag, r.msgID, c.Offset,
-				r.Data[c.Offset:c.Offset+c.Size], len(r.Data))
 			done := e.env.NewEvent()
 			events = append(events, done)
 			e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
-			e.node.Rail(c.Rail).SendData(ctx, r.To, frame, done)
+			e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, done)
 		}
 		e.noteEnqueued(r) // every chunk DMA is posted
 		for _, ev := range events {

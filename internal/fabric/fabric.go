@@ -17,6 +17,19 @@
 // containers, control messages and DMA chunks, and consumes Delivery
 // items from the node's receive queue. Nothing in the engine may depend
 // on how the bytes actually travel.
+//
+// Direct placement. A rendezvous chunk travels as a small head (the
+// encoded chunk header) plus a body (the payload, aliased from the
+// sender's buffer by Rail.SendDataV); the link framing of the live
+// fabrics carries both lengths. A consumer that knows where payloads
+// belong installs a Placer next to its sink (DirectNode.SetPlacer): the
+// transport reader reads the head into a scratch buffer, asks the placer
+// for the body's destination and fills that slice straight from the ring
+// or socket — no frame-sized buffer, no second copy. Fabrics stay
+// ignorant of what the head says. Whatever the placer declines, every
+// body-less frame (eager containers, control messages, one-slice
+// SendData) and every fabric without a placer takes the contiguous path:
+// one Delivery whose Data is head followed by body.
 package fabric
 
 import (
@@ -164,8 +177,15 @@ type Rail interface {
 	SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration)
 	// SendData streams a rendezvous chunk. The calling actor is blocked
 	// only for the descriptor post; done (may be nil) fires when the
-	// transfer drains and the sender may reuse the buffer.
+	// transfer drains and the sender may reuse the buffer. It is
+	// SendDataV with no body.
 	SendData(ctx rt.Ctx, to int, data []byte, done rt.Event)
+	// SendDataV streams a rendezvous chunk given as head followed by
+	// body, gathering from both slices without coalescing them: the
+	// receiver sees one frame of len(head)+len(body) bytes. Both slices
+	// are aliased until done fires (done may be nil: the caller then
+	// keeps them untouched until the unit is acknowledged).
+	SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event)
 }
 
 // Node is one endpoint of the fabric: an indexed set of rails plus the
@@ -227,9 +247,33 @@ type Throttler interface {
 // RecvQ through it, in order, before any later delivery is handed over
 // — a distributed peer may have started sending before the consumer
 // existed. SetSink(nil) restores queue delivery.
+//
+// SetPlacer installs (or, with nil, removes) the placement hook consulted
+// for head+body frames; frames it declines, and all frames while none is
+// installed, reach the sink (or RecvQ) as contiguous deliveries.
 type DirectNode interface {
 	SetSink(fn func(*Delivery))
+	SetPlacer(fn Placer)
 }
+
+// Placer answers a transport reader's question "where does the body of
+// this frame go?". from and rail identify the link, head is the frame's
+// head (valid only during the call) and bodyLen the number of body bytes
+// that follow. It returns the destination — exactly bodyLen bytes the
+// reader may write until it calls done — or a nil dst to decline, in
+// which case the frame is delivered contiguously to the sink.
+//
+// The placer runs on the reader goroutine and must not block. For every
+// accepted placement the reader calls done exactly once: done(true)
+// after dst was filled completely, done(false) when the frame was lost
+// mid-body (read error, shutdown, killed rail) and dst holds garbage.
+// done must not block either.
+type Placer func(from, rail int, head []byte, bodyLen int) (dst []byte, done func(ok bool))
+
+// PlaceHeadMax bounds the head a reader offers to a Placer (it is read
+// into a per-link scratch buffer of this size); frames with a longer
+// head are delivered contiguously.
+const PlaceHeadMax = 64
 
 // Fabric is a set of nodes joined by parallel rails.
 type Fabric interface {

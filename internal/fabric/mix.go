@@ -190,6 +190,23 @@ func (n *mixNode) SetSink(fn func(*Delivery)) {
 	}
 }
 
+// SetPlacer implements DirectNode by installing the hook on every
+// sub-node, remapping the rail index into the combined space.
+func (n *mixNode) SetPlacer(fn Placer) {
+	n.mustHost()
+	for k, s := range n.m.subs {
+		dn := s.Node(n.id).(DirectNode) // checked by NewMix
+		if fn == nil {
+			dn.SetPlacer(nil)
+			continue
+		}
+		off := n.m.offsets[k]
+		dn.SetPlacer(func(from, rail int, head []byte, bodyLen int) ([]byte, func(bool)) {
+			return fn(from, rail+off, head, bodyLen)
+		})
+	}
+}
+
 // SetTelemetry implements ObservableNode by fanning the sink out to
 // every sub-node that reports transfers, remapping the rail index.
 func (n *mixNode) SetTelemetry(t Telemetry) {

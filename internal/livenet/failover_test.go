@@ -111,6 +111,11 @@ func TestChaosTCPRailDiesMidTransfer(t *testing.T) {
 	if out := eng0.OutstandingUnits(); out != 0 {
 		t.Fatalf("%d units still outstanding", out)
 	}
+	// The placement the dead connection cut short was aborted, not left
+	// claiming its range.
+	if c := eng1.InflightClaims(); c != 0 {
+		t.Fatalf("%d receive ranges still claimed after the transfer", c)
+	}
 }
 
 // A stream of eager messages survives a rail kill mid-stream: lost
@@ -184,6 +189,14 @@ func TestDroppedLinkReconnects(t *testing.T) {
 	for f.Err() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("severed connection left no diagnostic in Err")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Err may have been set by node 0's reader while node 1 still shows
+	// the original Up: wait for node 1's own re-dial before trusting Up.
+	for f.Node(1).Rail(1).Stats().Reconnects == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("severed connection was never re-dialed")
 		}
 		time.Sleep(time.Millisecond)
 	}

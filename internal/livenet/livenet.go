@@ -50,7 +50,12 @@ import (
 // maxFrame bounds a single length-prefixed frame (1 GiB).
 const maxFrame = 1 << 30
 
-// goodbye is the length-prefix sentinel a closing fabric writes on each
+// prefixSize is the link framing before every frame: the head and body
+// lengths, uint32 LE each (a one-slice frame is all head). Matches
+// shmnet's.
+const prefixSize = 8
+
+// goodbye is the head-length sentinel a closing fabric writes on each
 // connection so the peer can tell a graceful shutdown (no error) from a
 // process death (abrupt EOF, recorded in Err).
 const goodbye = 0xFFFFFFFF
@@ -554,12 +559,16 @@ func (f *Fabric) register(conn net.Conn, owner, peer, r int) {
 	}
 }
 
-// outFrame is one queued wire frame.
+// outFrame is one queued wire frame: head followed by body (nil for
+// one-slice frames), both aliased from the sender until done fires.
 type outFrame struct {
-	data []byte
-	done rt.Event
-	rail *Rail
+	head, body []byte
+	done       rt.Event
+	rail       *Rail
 }
+
+// size is the frame's wire length without the link prefix.
+func (of outFrame) size() int { return len(of.head) + len(of.body) }
 
 // finish retires the frame: accounting first, then the completion
 // event. wrote is the frame's full occupancy (throttle delay included);
@@ -567,7 +576,7 @@ type outFrame struct {
 // written is false on the shutdown drop paths, so only frames that
 // actually went to the wire count as rail traffic.
 func (of outFrame) finish(wrote, calib time.Duration, written bool) {
-	of.rail.noteWritten(len(of.data), wrote, calib, written)
+	of.rail.noteWritten(of.size(), wrote, calib, written)
 	if of.done != nil {
 		of.done.Fire()
 	}
@@ -582,11 +591,16 @@ type link struct {
 	peer  int // remote node of the connection
 	rail  int
 	dead  atomic.Bool // set by the first reader/writer observing death
+
+	// scratch holds the head of a frame offered to the placer; only the
+	// link's reader touches it.
+	scratch [fabric.PlaceHeadMax]byte
 }
 
-// writeLoop drains a link's queue onto its connection. Each frame is a
-// uint32 LE length prefix followed by the wire bytes (written with
-// writev, no copy). done events fire when the frame has been handed to
+// writeLoop drains a link's queue onto its connection. Each frame is the
+// length prefix, then head and body, gathered by one writev from their
+// own slices — a rendezvous chunk goes from the caller's buffer to the
+// socket uncopied. done events fire when the frame has been handed to
 // the kernel — the live equivalent of "the DMA drained". Per-frame
 // timestamps use internal/clock: two wall-clock reads per frame would
 // be pure overhead on the engine's busiest loop.
@@ -597,8 +611,9 @@ func (f *Fabric) writeLoop(l *link) {
 	for {
 		select {
 		case of := <-l.out:
-			var lenbuf [4]byte
-			binary.LittleEndian.PutUint32(lenbuf[:], uint32(len(of.data)))
+			var prefix [prefixSize]byte
+			binary.LittleEndian.PutUint32(prefix[0:], uint32(len(of.head)))
+			binary.LittleEndian.PutUint32(prefix[4:], uint32(len(of.body)))
 			start := clock.Now()
 			if th := of.rail.throttleFactor(); th > 1 {
 				// Chaos throttle: delay the frame BEFORE it reaches the
@@ -607,11 +622,11 @@ func (f *Fabric) writeLoop(l *link) {
 				// dying. The delay is the stretched transmission time plus
 				// a standing-queue term (throttleQueue), the bufferbloat a
 				// congested link shows even small frames.
-				exp := float64(len(of.data)+4)/of.rail.currentRate() + throttleQueue.Seconds()
+				exp := float64(of.size()+prefixSize)/of.rail.currentRate() + throttleQueue.Seconds()
 				time.Sleep(time.Duration(exp * (th - 1) * 1e9))
 			}
 			writeStart := clock.Now()
-			bufs := net.Buffers{lenbuf[:], of.data}
+			bufs := net.Buffers{prefix[:], of.head, of.body}
 			_, err := bufs.WriteTo(l.conn)
 			// The rate EWMA calibrates on the raw write only: folding the
 			// throttle sleep in would shrink the rate, stretch the next
@@ -624,7 +639,7 @@ func (f *Fabric) writeLoop(l *link) {
 			// with a bogus multi-GB/s sample on a dying connection.
 			of.finish(took, calib, err == nil)
 			if err == nil {
-				of.rail.node.observeWrite(l.peer, of.rail.index, len(of.data), took)
+				of.rail.node.observeWrite(l.peer, of.rail.index, of.size(), took)
 			}
 			if err != nil {
 				// Record the failure and kill the connection so both
@@ -639,17 +654,17 @@ func (f *Fabric) writeLoop(l *link) {
 		case <-f.closedCh:
 			// Drain pending frames, firing their events so no sender
 			// waits on a dead link. A sender racing Close may still
-			// enqueue after this drain sees the channel empty; send()
+			// enqueue after this drain sees the channel empty; SendDataV
 			// re-drains in that case.
 			drainLink(l)
 			// Best-effort goodbye so the peer records no error for a
 			// graceful shutdown (bounded: the fabric is going away).
-			var lenbuf [4]byte
-			binary.LittleEndian.PutUint32(lenbuf[:], goodbye)
+			var prefix [prefixSize]byte
+			binary.LittleEndian.PutUint32(prefix[:], goodbye)
 			//railvet:ignore hotclock shutdown-only branch; SetWriteDeadline needs an absolute wall-clock time
 			l.conn.SetWriteDeadline(time.Now().Add(250 * time.Millisecond))
 			//nolint:errcheck // best-effort goodbye on a closing fabric: the deadline bounds it and any error means the peer is gone anyway
-			l.conn.Write(lenbuf[:])
+			l.conn.Write(prefix[:])
 			return
 		}
 	}
@@ -668,47 +683,73 @@ func drainLink(l *link) {
 	}
 }
 
-// readLoop decodes length-prefixed frames from the link's connection
-// into deliveries for node (which received them from l.peer on l.rail).
-// Any read failure — including a goodbye-less EOF from a dying peer —
-// starts rail recovery.
+// readLoop decodes length-prefixed frames from the link's connection for
+// node (which received them from l.peer on l.rail). A frame with a body
+// is first offered to the node's placer: if it names a destination the
+// body is read from the socket straight into it and the placement is
+// committed; otherwise — no placer, body-less frame, placement declined
+// — head and body land in one fresh buffer delivered to the sink. Any
+// read failure — including a goodbye-less EOF from a dying peer — aborts
+// a placement under way and starts rail recovery.
 func (f *Fabric) readLoop(node *Node, l *link) {
 	defer f.wg.Done()
 	conn, peer, r := l.conn, l.peer, l.rail
-	var lenbuf [4]byte
+	var prefix [prefixSize]byte
+	lost := func(err error) {
+		if !f.closed.Load() {
+			// A clean FIN (io.EOF) while we are not closing means the
+			// peer died — the most common failure; record it so Err
+			// explains a hung run instead of returning nil.
+			f.fail(fmt.Errorf("livenet: node %d rail %d: connection lost: %w", peer, r, err))
+			f.linkDown(l, fmt.Sprintf("connection to node %d lost: %v", peer, err), true)
+		}
+	}
 	for {
-		if _, err := io.ReadFull(conn, lenbuf[:]); err != nil {
-			if !f.closed.Load() {
-				// A clean FIN (io.EOF) while we are not closing means
-				// the peer died — the most common failure; record it so
-				// Err explains a hung run instead of returning nil.
-				f.fail(fmt.Errorf("livenet: node %d rail %d: connection lost: %w", peer, r, err))
-				f.linkDown(l, fmt.Sprintf("connection to node %d lost: %v", peer, err), true)
-			}
+		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
+			lost(err)
 			return
 		}
-		n := binary.LittleEndian.Uint32(lenbuf[:])
-		if n == goodbye {
+		hn := binary.LittleEndian.Uint32(prefix[0:])
+		bn := binary.LittleEndian.Uint32(prefix[4:])
+		if hn == goodbye {
 			// Peer shut down gracefully: not an error, and not worth
 			// reconnect attempts — the rail is gone on purpose.
 			f.linkDown(l, fmt.Sprintf("node %d shut down", peer), false)
 			return
 		}
-		if n > maxFrame {
+		if uint64(hn)+uint64(bn) > maxFrame {
 			// Kill the connection so the peer's writer fails fast
 			// instead of filling a socket nobody drains.
-			f.fail(fmt.Errorf("livenet: frame of %d bytes exceeds limit", n))
+			f.fail(fmt.Errorf("livenet: frame of %d bytes exceeds limit", uint64(hn)+uint64(bn)))
 			conn.Close()
 			f.linkDown(l, "oversized frame", false)
 			return
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(conn, data); err != nil {
-			if !f.closed.Load() {
-				f.fail(fmt.Errorf("livenet: read: %w", err))
-				f.linkDown(l, fmt.Sprintf("read error: %v", err), true)
+		var head, dst []byte
+		var placed func(ok bool)
+		if place := node.placer.Load(); place != nil && bn > 0 && hn <= fabric.PlaceHeadMax {
+			head = l.scratch[:hn]
+			if _, err := io.ReadFull(conn, head); err != nil {
+				lost(err)
+				return
 			}
+			dst, placed = (*place)(peer, r, head, int(bn))
+		}
+		var data []byte
+		if dst == nil {
+			data = make([]byte, hn+bn)
+			dst = data[copy(data, head):]
+		}
+		if _, err := io.ReadFull(conn, dst); err != nil {
+			if placed != nil {
+				placed(false)
+			}
+			lost(err)
 			return
+		}
+		if placed != nil {
+			placed(true)
+			continue
 		}
 		node.deliver(&fabric.Delivery{
 			From:   peer,
@@ -897,9 +938,25 @@ type Node struct {
 
 	sinkMu sync.RWMutex
 	sink   func(*fabric.Delivery)
+	// placer is read once per frame by every connection reader; a pointer
+	// swap keeps SetPlacer from waiting behind a body still on the wire.
+	placer atomic.Pointer[fabric.Placer]
 
 	teleMu sync.RWMutex
 	tele   fabric.Telemetry
+}
+
+// SetPlacer installs (or, with nil, removes) the placement hook for
+// head+body frames (fabric.DirectNode). A placement already under way
+// still commits or aborts through the hook it started with. Panics on a
+// non-hosted node.
+func (n *Node) SetPlacer(fn fabric.Placer) {
+	n.mustHost()
+	if fn == nil {
+		n.placer.Store(nil)
+		return
+	}
+	n.placer.Store(&fn)
 }
 
 // SetTelemetry installs (or, with nil, detaches) the node's telemetry
@@ -1089,27 +1146,30 @@ func (r *Rail) Busy() bool {
 // rail's TCP link to `to` (blocking briefly if the link is backed up —
 // the live analogue of the PIO copy occupying the core).
 func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
-	r.send(to, data, nil)
+	r.SendDataV(ctx, to, data, nil, nil)
 }
 
 // SendControl transmits a control message. The modeled CPU costs are
 // ignored: real costs elapse on their own.
 func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration) {
-	r.send(to, data, nil)
+	r.SendDataV(ctx, to, data, nil, nil)
 }
 
 // SendData streams a rendezvous chunk; done fires when the frame has
 // been written to the socket and the sender may reuse the buffer.
 func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
-	r.send(to, data, done)
+	r.SendDataV(ctx, to, data, nil, done)
 }
 
-func (r *Rail) send(to int, data []byte, done rt.Event) {
-	if len(data) > maxFrame {
+// SendDataV queues head and body as one frame; the writer gathers them
+// with writev, so both stay aliased until done fires.
+func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
+	of := outFrame{head: head, body: body, done: done, rail: r}
+	if of.size() > maxFrame {
 		// Refuse at the source: a larger frame would be rejected by the
 		// receiver (or wrap the uint32 prefix past 4 GiB and desync the
 		// stream). Mirrors simnet's MaxMsg panic.
-		panic(fmt.Sprintf("livenet: frame of %d bytes exceeds the %d-byte limit", len(data), maxFrame))
+		panic(fmt.Sprintf("livenet: frame of %d bytes exceeds the %d-byte limit", of.size(), maxFrame))
 	}
 	r.mu.Lock()
 	l := r.links[to]
@@ -1119,12 +1179,12 @@ func (r *Rail) send(to int, data []byte, done rt.Event) {
 	}
 	// Messages/Bytes are counted when the frame is actually written
 	// (noteWritten), so traffic dropped at shutdown is not overstated.
-	r.pending += int64(len(data)) + 4
+	r.pending += int64(of.size()) + prefixSize
 	r.stats.LastStart = r.node.f.env.Now()
 	r.mu.Unlock()
 	f := r.node.f
 	select {
-	case l.out <- outFrame{data: data, done: done, rail: r}:
+	case l.out <- of:
 		// If the fabric closed while we enqueued, the writer's final
 		// drain may already have run and exited; reclaim anything
 		// stranded so completion events still fire.
@@ -1132,7 +1192,7 @@ func (r *Rail) send(to int, data []byte, done rt.Event) {
 			drainLink(l)
 		}
 	case <-f.closedCh:
-		outFrame{data: data, done: done, rail: r}.finish(0, 0, false)
+		of.finish(0, 0, false)
 	}
 }
 
@@ -1142,7 +1202,7 @@ func (r *Rail) send(to int, data []byte, done rt.Event) {
 // chaos-throttle delay and only feeds the busy-time counter.
 func (r *Rail) noteWritten(n int, took, calib time.Duration, written bool) {
 	r.mu.Lock()
-	r.pending -= int64(n) + 4
+	r.pending -= int64(n) + prefixSize
 	if r.pending < 0 {
 		r.pending = 0
 	}

@@ -83,13 +83,17 @@ func TestRawFrameCrossesTCP(t *testing.T) {
 		defer close(done)
 		got = f.Node(1).RecvQ().Pop(ctx).(*fabric.Delivery)
 	})
+	sent := env.NewEvent()
 	env.Go("send", func(ctx rt.Ctx) {
-		f.Node(0).Rail(1).SendEager(ctx, 1, payload)
+		f.Node(0).Rail(1).SendData(ctx, 1, payload, sent)
 	})
 	waitOrFatal(t, "raw frame", done)
 	if got.From != 0 || got.Rail != 1 || !bytes.Equal(got.Data, payload) {
 		t.Fatalf("delivery %+v", got)
 	}
+	// The writer accounts the frame after handing it over — the receiver
+	// can win that race; sent fires once the counters are in.
+	sent.Wait(nil)
 	st := f.Node(0).Rail(1).Stats()
 	if st.Messages != 1 || st.Bytes != uint64(len(payload)) {
 		t.Fatalf("sender stats %+v", st)

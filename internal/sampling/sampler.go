@@ -214,10 +214,13 @@ func (s *pingServer) measureEager(ctx rt.Ctx, r, n int) time.Duration {
 	return ctx.Now() - t0
 }
 
-// measureRdv returns the one-way duration of one rendezvous send of n
-// bytes on rail r: RTS, wait CTS, DMA the payload, completion at
-// delivery.
-func (s *pingServer) measureRdv(ctx rt.Ctx, r, n int) time.Duration {
+// measureRdv returns the one-way duration of one rendezvous send of
+// payload on rail r: RTS, wait CTS, DMA the payload, completion at
+// delivery. The timed region holds what the engine does per message and
+// nothing else: the payload is the caller's (allocated once per rail)
+// and travels head+body, exactly as Engine.sendChunk posts it.
+func (s *pingServer) measureRdv(ctx rt.Ctx, r int, payload []byte) time.Duration {
+	n := len(payload)
 	rail := s.f.Node(0).Rail(r)
 	prof := rail.Profile()
 	ctsID := s.id()
@@ -228,8 +231,8 @@ func (s *pingServer) measureRdv(ctx rt.Ctx, r, n int) time.Duration {
 	rts := wire.EncodeControl(wire.KindRTS, uint8(r), 0, 0, ctsID, uint64(n))
 	rail.SendControl(ctx, 1, rts, prof.SendOverhead, prof.RecvOverhead)
 	cts.Wait(ctx)
-	data := wire.EncodeData(uint8(r), 0, 0, dataID, 0, make([]byte, n), n)
-	rail.SendData(ctx, 1, data, nil)
+	head := wire.EncodeDataHeader(nil, uint8(r), 0, 0, dataID, 0, n, n)
+	rail.SendDataV(ctx, 1, head, payload, nil)
 	done.Wait(ctx)
 	return ctx.Now() - t0
 }
@@ -250,6 +253,7 @@ func (s *pingServer) sampleRail(ctx rt.Ctx, r int, cfg Config) (*RailProfile, er
 		cool(cfg.MinSize)
 	}
 	var eager, rdv []Sample
+	payload := make([]byte, cfg.MaxSize)
 	for _, n := range cfg.sizes() {
 		if prof.EagerMax == 0 || n <= prof.EagerMax {
 			best := time.Duration(1<<62 - 1)
@@ -263,7 +267,7 @@ func (s *pingServer) sampleRail(ctx rt.Ctx, r int, cfg Config) (*RailProfile, er
 		}
 		best := time.Duration(1<<62 - 1)
 		for it := 0; it < cfg.Iters; it++ {
-			if d := s.measureRdv(ctx, r, n); d < best {
+			if d := s.measureRdv(ctx, r, payload[:n]); d < best {
 				best = d
 			}
 			cool(n)

@@ -19,8 +19,13 @@ import (
 // livenet so a mixed cluster has one limit.
 const maxFrame = 1 << 30
 
-// goodbyeFrame is the length-prefix sentinel a closing link writes so
-// the peer can tell a graceful shutdown from a stalled producer.
+// prefixSize is the link framing before every frame: the head and body
+// lengths, uint32 LE each (a one-slice frame is all head). Matches
+// livenet's.
+const prefixSize = 8
+
+// goodbyeFrame is the head-length sentinel a closing link writes so the
+// peer can tell a graceful shutdown from a stalled producer.
 const goodbyeFrame = 0xFFFFFFFF
 
 // initialRate seeds the per-rail copy-throughput estimate (8 GiB/s — a
@@ -310,16 +315,20 @@ func (f *Fabric) Close() error {
 	return f.Err()
 }
 
-// outFrame is one queued wire frame.
+// outFrame is one queued wire frame: head followed by body (nil for
+// one-slice frames), both aliased from the sender until done fires.
 type outFrame struct {
-	data []byte
-	done rt.Event
-	rail *Rail
+	head, body []byte
+	done       rt.Event
+	rail       *Rail
 }
+
+// size is the frame's wire length without the link prefix.
+func (of outFrame) size() int { return len(of.head) + len(of.body) }
 
 // finish retires the frame: accounting first, then the completion event.
 func (of outFrame) finish(wrote, calib time.Duration, written bool) {
-	of.rail.noteWritten(len(of.data), wrote, calib, written)
+	of.rail.noteWritten(of.size(), wrote, calib, written)
 	if of.done != nil {
 		of.done.Fire()
 	}
@@ -332,12 +341,18 @@ type link struct {
 	rail  int
 	sendR *ring
 	recvR *ring
+
+	// scratch holds the head of a frame offered to the placer; only the
+	// link's reader touches it.
+	scratch [fabric.PlaceHeadMax]byte
 }
 
-// writeLoop drains a link's queue into its send ring. Each frame is a
-// uint32 LE length prefix followed by the wire bytes. done events fire
-// when the frame is fully in the ring — the shared-memory equivalent of
-// "the PIO copy finished". Per-frame timestamps use internal/clock:
+// writeLoop drains a link's queue into its send ring. Each frame is the
+// length prefix, then head and body copied from their own slices — a
+// rendezvous chunk goes from the caller's buffer into the ring with no
+// frame assembled in between. done events fire when the frame is fully
+// in the ring — the shared-memory equivalent of "the PIO copy
+// finished". Per-frame timestamps use internal/clock:
 // on the intra-host rail a frame IS a memcpy, so two wall-clock reads
 // per frame would be a measurable fraction of the frame itself.
 //
@@ -361,35 +376,35 @@ func (f *Fabric) writeLoop(n *Node, l *link) {
 				of.finish(0, 0, false)
 				continue
 			}
-			var lenbuf [4]byte
-			binary.LittleEndian.PutUint32(lenbuf[:], uint32(len(of.data)))
+			var prefix [prefixSize]byte
+			binary.LittleEndian.PutUint32(prefix[0:], uint32(len(of.head)))
+			binary.LittleEndian.PutUint32(prefix[4:], uint32(len(of.body)))
 			start := clock.Now()
 			if th := of.rail.throttleFactor(); th > 1 {
 				// Chaos throttle, mirroring livenet: stretch the frame's
 				// transmission before it reaches the ring, plus a
 				// standing-queue term so small frames feel it too.
-				exp := float64(len(of.data)+4)/of.rail.currentRate() + throttleQueue.Seconds()
+				exp := float64(of.size()+prefixSize)/of.rail.currentRate() + throttleQueue.Seconds()
 				time.Sleep(time.Duration(exp * (th - 1) * 1e9))
 			}
 			writeStart := clock.Now()
-			ok := l.sendR.write(lenbuf[:], abort)
-			if ok {
-				ok = l.sendR.write(of.data, abort)
-			}
+			ok := l.sendR.write(prefix[:], abort) &&
+				l.sendR.write(of.head, abort) &&
+				l.sendR.write(of.body, abort)
 			calib := clock.Since(writeStart)
 			took := clock.Since(start)
 			of.finish(took, calib, ok)
 			if ok {
-				n.observeWrite(l.peer, of.rail.index, len(of.data), took)
+				n.observeWrite(l.peer, of.rail.index, of.size(), took)
 			}
 		case <-f.closedCh:
 			// Drain pending frames, firing their events so no sender
 			// waits on a closing fabric; then say goodbye so the peer's
 			// reader (possibly in another process) stops cleanly.
 			drainLink(l)
-			var lenbuf [4]byte
-			binary.LittleEndian.PutUint32(lenbuf[:], goodbyeFrame)
-			l.sendR.write(lenbuf[:], func() bool { return true }) // best effort: never blocks
+			var prefix [prefixSize]byte
+			binary.LittleEndian.PutUint32(prefix[:], goodbyeFrame)
+			l.sendR.write(prefix[:], func() bool { return true }) // best effort: never blocks
 			l.sendR.status.Store(ringGoodbye)
 			nudge(l.sendR.dataWake) // a parked reader must see the goodbye
 			return
@@ -400,7 +415,7 @@ func (f *Fabric) writeLoop(n *Node, l *link) {
 // drainLink empties a closing link's queue, retiring every frame without
 // writing it so no completion event is lost at shutdown. A sender racing
 // Close may still enqueue after this drain sees the channel empty;
-// send() re-drains in that case.
+// SendDataV re-drains in that case.
 func drainLink(l *link) {
 	for {
 		select {
@@ -413,43 +428,67 @@ func drainLink(l *link) {
 }
 
 // readLoop decodes length-prefixed frames from the link's receive ring
-// into deliveries for node n (which received them from l.peer on
-// l.rail). Frames read while the rail is killed are discarded — the
-// chaos hook's message loss — and the kill/revive transitions are
-// reported to the health tracker (the peer process sees them through
-// the ring status word).
+// for node n (which received them from l.peer on l.rail). A frame with a
+// body is first offered to the node's placer: if it names a destination
+// the body is copied from the ring straight into it and the placement is
+// committed; otherwise — no placer, body-less frame, placement declined
+// — head and body land in one fresh buffer delivered to the sink.
+// Frames read while the rail is killed are discarded (a placed one is
+// aborted) — the chaos hook's message loss — and the kill/revive
+// transitions are reported to the health tracker (the peer process sees
+// them through the ring status word).
 func (f *Fabric) readLoop(n *Node, l *link) {
 	defer f.wg.Done()
 	abort := func() bool { return f.closed.Load() }
-	var lenbuf [4]byte
+	var prefix [prefixSize]byte
 	for {
-		if !l.recvR.read(lenbuf[:], abort) {
+		if !l.recvR.read(prefix[:], abort) {
 			if !f.closed.Load() {
 				// Goodbye: the peer shut down gracefully. Not an error.
 				n.health.Report(l.rail, fabric.RailDown, fmt.Sprintf("node %d shut down", l.peer))
 			}
 			return
 		}
-		sz := binary.LittleEndian.Uint32(lenbuf[:])
-		if sz == goodbyeFrame {
+		hn := binary.LittleEndian.Uint32(prefix[0:])
+		bn := binary.LittleEndian.Uint32(prefix[4:])
+		if hn == goodbyeFrame {
 			if !f.closed.Load() {
 				n.health.Report(l.rail, fabric.RailDown, fmt.Sprintf("node %d shut down", l.peer))
 			}
 			return
 		}
-		if sz > maxFrame {
-			f.fail(fmt.Errorf("shmnet: frame of %d bytes exceeds limit", sz))
+		if uint64(hn)+uint64(bn) > maxFrame {
+			f.fail(fmt.Errorf("shmnet: frame of %d bytes exceeds limit", uint64(hn)+uint64(bn)))
 			n.health.Report(l.rail, fabric.RailDown, "oversized frame")
 			return
 		}
-		data := make([]byte, sz)
-		if !l.recvR.read(data, abort) {
+		var head, dst []byte
+		var placed func(ok bool)
+		if place := n.placer.Load(); place != nil && bn > 0 && hn <= fabric.PlaceHeadMax {
+			head = l.scratch[:hn]
+			if !l.recvR.read(head, abort) {
+				return
+			}
+			dst, placed = (*place)(l.peer, l.rail, head, int(bn))
+		}
+		var data []byte
+		if dst == nil {
+			data = make([]byte, hn+bn)
+			dst = data[copy(data, head):]
+		}
+		if !l.recvR.read(dst, abort) {
+			if placed != nil {
+				placed(false)
+			}
 			return
 		}
 		if killed := l.recvR.status.Load() == ringKilled || f.railKilled(n.id, l.rail); killed {
 			// Discard: the rail is dead, this frame is the loss. Report
 			// Down once per kill episode (a remote FailRail reaches us
 			// only through the status word).
+			if placed != nil {
+				placed(false)
+			}
 			if n.downHint[l.rail].CompareAndSwap(false, true) {
 				n.health.Report(l.rail, fabric.RailDown, fmt.Sprintf("rail %d killed", l.rail))
 			}
@@ -462,6 +501,10 @@ func (f *Fabric) readLoop(n *Node, l *link) {
 			// except through the wire). Admin-pinned rails stay Down
 			// (Report respects the pin).
 			n.health.Report(l.rail, fabric.RailUp, "rail revived")
+		}
+		if placed != nil {
+			placed(true)
+			continue
 		}
 		n.deliver(&fabric.Delivery{
 			From:   l.peer,
@@ -583,9 +626,25 @@ type Node struct {
 
 	sinkMu sync.RWMutex
 	sink   func(*fabric.Delivery)
+	// placer is read once per frame by every ring reader; a pointer swap
+	// keeps SetPlacer from waiting behind a body still streaming in.
+	placer atomic.Pointer[fabric.Placer]
 
 	teleMu sync.RWMutex
 	tele   fabric.Telemetry
+}
+
+// SetPlacer installs (or, with nil, removes) the placement hook for
+// head+body frames (fabric.DirectNode). A placement already under way
+// still commits or aborts through the hook it started with. Panics on a
+// non-hosted node.
+func (n *Node) SetPlacer(fn fabric.Placer) {
+	n.mustHost()
+	if fn == nil {
+		n.placer.Store(nil)
+		return
+	}
+	n.placer.Store(&fn)
 }
 
 // SetTelemetry installs (or, with nil, detaches) the node's telemetry
@@ -765,24 +824,28 @@ func (r *Rail) Busy() bool {
 // SendEager transmits an eager container through the ring — the genuine
 // PIO copy of the paper.
 func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
-	r.send(to, data, nil)
+	r.SendDataV(ctx, to, data, nil, nil)
 }
 
 // SendControl transmits a control message. The modeled CPU costs are
 // ignored: real costs elapse on their own.
 func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration) {
-	r.send(to, data, nil)
+	r.SendDataV(ctx, to, data, nil, nil)
 }
 
 // SendData streams a rendezvous chunk; done fires when the frame is
 // fully in the ring and the sender may reuse the buffer.
 func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
-	r.send(to, data, done)
+	r.SendDataV(ctx, to, data, nil, done)
 }
 
-func (r *Rail) send(to int, data []byte, done rt.Event) {
-	if len(data) > maxFrame {
-		panic(fmt.Sprintf("shmnet: frame of %d bytes exceeds the %d-byte limit", len(data), maxFrame))
+// SendDataV queues head and body as one frame; the writer copies each
+// from its own slice into the ring, so both stay aliased until done
+// fires.
+func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
+	of := outFrame{head: head, body: body, done: done, rail: r}
+	if of.size() > maxFrame {
+		panic(fmt.Sprintf("shmnet: frame of %d bytes exceeds the %d-byte limit", of.size(), maxFrame))
 	}
 	r.mu.Lock()
 	l := r.links[to]
@@ -790,17 +853,17 @@ func (r *Rail) send(to int, data []byte, done rt.Event) {
 		r.mu.Unlock()
 		panic(fmt.Sprintf("shmnet: node %d has no rail-%d link to node %d", r.node.id, r.index, to))
 	}
-	r.pending += int64(len(data)) + 4
+	r.pending += int64(of.size()) + prefixSize
 	r.stats.LastStart = r.node.f.env.Now()
 	r.mu.Unlock()
 	f := r.node.f
 	select {
-	case l.out <- outFrame{data: data, done: done, rail: r}:
+	case l.out <- of:
 		if f.closed.Load() {
 			drainLink(l)
 		}
 	case <-f.closedCh:
-		outFrame{data: data, done: done, rail: r}.finish(0, 0, false)
+		of.finish(0, 0, false)
 	}
 }
 
@@ -810,7 +873,7 @@ func (r *Rail) send(to int, data []byte, done rt.Event) {
 // chaos-throttle delay and only feeds the busy-time counter.
 func (r *Rail) noteWritten(n int, took, calib time.Duration, written bool) {
 	r.mu.Lock()
-	r.pending -= int64(n) + 4
+	r.pending -= int64(n) + prefixSize
 	if r.pending < 0 {
 		r.pending = 0
 	}

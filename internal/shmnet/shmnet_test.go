@@ -77,13 +77,17 @@ func TestRawFrameCrossesRing(t *testing.T) {
 		defer close(done)
 		got = f.Node(1).RecvQ().Pop(ctx).(*fabric.Delivery)
 	})
+	sent := env.NewEvent()
 	env.Go("send", func(ctx rt.Ctx) {
-		f.Node(0).Rail(1).SendEager(ctx, 1, payload)
+		f.Node(0).Rail(1).SendData(ctx, 1, payload, sent)
 	})
 	waitOrFatal(t, "raw frame", done)
 	if got.From != 0 || got.Rail != 1 || !bytes.Equal(got.Data, payload) {
 		t.Fatalf("delivery %+v", got)
 	}
+	// The writer accounts the frame after handing it over — the receiver
+	// can win that race; sent fires once the counters are in.
+	sent.Wait(nil)
 	st := f.Node(0).Rail(1).Stats()
 	if st.Messages != 1 || st.Bytes != uint64(len(payload)) {
 		t.Fatalf("sender stats %+v", st)
@@ -231,6 +235,15 @@ func TestChaosShmRailDiesMidTransfer(t *testing.T) {
 	if st := f.Node(0).Rail(0).State(); st != fabric.RailDown {
 		t.Fatalf("killed rail state %v, want down", st)
 	}
+	// Everything the killed ring swallowed was replayed and acknowledged,
+	// and the placements it cut short were aborted, not left claiming
+	// their ranges.
+	if out := eng0.OutstandingUnits(); out != 0 {
+		t.Fatalf("%d units still outstanding", out)
+	}
+	if c := eng1.InflightClaims(); c != 0 {
+		t.Fatalf("%d receive ranges still claimed after the transfer", c)
+	}
 
 	// Revive: traffic flows over the lane again.
 	f.Node(0).Health().Enable(0)
@@ -323,7 +336,9 @@ func TestDistributedPairOverMmapRings(t *testing.T) {
 			t.Errorf("recv: n=%d err=%v", n, err)
 		}
 	})
+	acked := make(chan struct{})
 	envA.Go("send", func(ctx rt.Ctx) {
+		defer close(acked)
 		sr := eng0.Isend(1, 7, payload)
 		sr.RemoteDone().Wait(ctx)
 	})
@@ -331,6 +346,9 @@ func TestDistributedPairOverMmapRings(t *testing.T) {
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("payload corrupted across the mmap rings")
 	}
+	// The acks trail the receive; closing the fabrics under them would
+	// strand the sender on RemoteDone.
+	waitOrFatal(t, "remote completion", acked)
 }
 
 // A FailRail in one process must reach the peer process through the

@@ -389,6 +389,18 @@ func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost ti
 // delivery is cut-through, so the receiver sees the message at the same
 // instant.
 func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
+	r.SendDataV(ctx, to, data, nil, done)
+}
+
+// SendDataV is SendData for a frame given as head+body. The model has no
+// gather DMA to exercise: the two are coalesced into the one frame of
+// the same length a contiguous send would have carried, so every modeled
+// cost — and every paper figure — is unchanged.
+func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
+	data := head
+	if len(body) > 0 {
+		data = append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
+	}
 	c := r.node.cluster
 	p := r.prof
 	ctx.Sleep(c.d(p.SendOverhead))

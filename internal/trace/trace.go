@@ -29,10 +29,13 @@ type Kind int
 const (
 	// Submit: the application handed the message to the engine.
 	Submit Kind = iota + 1
-	// Decision: the strategy chose a schedule (Note describes it).
+	// Decision: the strategy chose a schedule (Note names the splitter or
+	// the probe; the chunks it produced follow as ChunkPosted events).
 	Decision
 	// EagerSent: an eager container left on Rail (Size = payload bytes,
-	// Note lists the aggregated packet count).
+	// Note is "aggregated" when several packets share it). Notes on the
+	// per-message path are constants: a tracer is always installed, so a
+	// formatted note would be built for every message and read by none.
 	EagerSent
 	// OffloadStart: a chunk was registered for a remote core (Fig 7).
 	OffloadStart

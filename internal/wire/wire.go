@@ -231,14 +231,23 @@ func EncodeAck(rail uint8, origin uint32, msgID, offset uint64) []byte {
 	return h.Encode(nil)
 }
 
-// EncodeData frames one chunk of a rendezvous transfer. Origin is the
-// sending node's id (the transfer's trace id node half).
-func EncodeData(rail uint8, origin, tag uint32, msgID uint64, offset int, chunk []byte, totalLen int) []byte {
+// EncodeDataHeader builds only the header of a chunk frame, appended to
+// dst: the head of a head+body send whose body is the chunk itself,
+// left where it lies. EncodeData(...) equals EncodeDataHeader(...)
+// followed by the chunk bytes. Origin is the sending node's id (the
+// transfer's trace id node half).
+func EncodeDataHeader(dst []byte, rail uint8, origin, tag uint32, msgID uint64, offset, chunkLen, totalLen int) []byte {
 	h := Header{
 		Kind: KindData, Rail: rail, Origin: origin, Tag: tag, MsgID: msgID,
-		Offset: uint64(offset), ChunkLen: uint64(len(chunk)), TotalLen: uint64(totalLen),
+		Offset: uint64(offset), ChunkLen: uint64(chunkLen), TotalLen: uint64(totalLen),
 	}
-	out := h.Encode(make([]byte, 0, HeaderSize+len(chunk)))
+	return h.Encode(dst)
+}
+
+// EncodeData frames one chunk of a rendezvous transfer as one contiguous
+// buffer (header, then a copy of the chunk).
+func EncodeData(rail uint8, origin, tag uint32, msgID uint64, offset int, chunk []byte, totalLen int) []byte {
+	out := EncodeDataHeader(make([]byte, 0, HeaderSize+len(chunk)), rail, origin, tag, msgID, offset, len(chunk), totalLen)
 	return append(out, chunk...)
 }
 

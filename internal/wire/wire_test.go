@@ -359,6 +359,37 @@ func TestPropertyEagerRoundTrip(t *testing.T) {
 	}
 }
 
+// Property: a chunk's head alone round-trips through DecodeHeader with
+// nothing left over, and the contiguous frame is exactly that head
+// followed by the chunk — so a head+body send and EncodeData put the
+// same bytes on the wire.
+func TestPropertyDataHeaderPlusChunkIsEncodeData(t *testing.T) {
+	f := func(seed int64, rail uint8, origin, tag uint32, msgID uint64, off32, total32 uint32) bool {
+		rng := rand.New(rand.NewSource(seed))
+		chunk := make([]byte, rng.Intn(2048))
+		rng.Read(chunk)
+		off, total := int(off32), int(off32)+len(chunk)+int(total32)
+		head := EncodeDataHeader(nil, rail, origin, tag, msgID, off, len(chunk), total)
+		h, rest, err := DecodeHeader(head)
+		if err != nil || len(rest) != 0 || len(head) != HeaderSize {
+			return false
+		}
+		want := Header{Kind: KindData, Rail: rail, Origin: origin, Tag: tag, MsgID: msgID,
+			Offset: uint64(off), ChunkLen: uint64(len(chunk)), TotalLen: uint64(total)}
+		if h != want {
+			return false
+		}
+		// Appending to a caller's prefix leaves the prefix alone.
+		if pre := EncodeDataHeader([]byte("pre"), rail, origin, tag, msgID, off, len(chunk), total); !bytes.Equal(pre[3:], head) {
+			return false
+		}
+		return bytes.Equal(EncodeData(rail, origin, tag, msgID, off, chunk, total), append(head, chunk...))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: reassembly from any permutation of any partition reconstructs
 // the original buffer.
 func TestPropertyReassemblyAnyPermutation(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/multirail"
 )
 
@@ -95,6 +96,59 @@ func TestConformanceSendRecvIntegrity(t *testing.T) {
 			exchange(t, c, 0, 2, 0x6180, 128<<10, 91)
 			exchange(t, c, 2, 1, 0x6181, 128<<10, 92)
 		}
+	})
+}
+
+// Direct placement of rendezvous chunks (live fabrics: the transport
+// reader fills the posted buffer; simulator: contiguous frames) keeps
+// the payload intact, and so does every way a placement can be refused.
+// The refusals are provoked with hand-built head+body chunk frames
+// injected below the engine, from node 0's rails to node 1:
+//
+//   - a chunk of a message nobody announced finds no partial (declined,
+//     contiguous fallback, reassembled as an unexpected striped message)
+//     while its sibling finds the partial the first one created;
+//   - a replay overlapping an already received range is declined as
+//     partially covered and copies only the missing bytes;
+//   - a replay of a completed message is dropped.
+func TestConformanceRendezvousPlacement(t *testing.T) {
+	forEachFabric(t, func(t *testing.T, c *multirail.Cluster) {
+		exchange(t, c, 0, 1, 0x6400, 1<<20, 31)
+		exchange(t, c, 1, 0, 0x6401, 3<<20, 32)
+
+		const n, tag, msgID = 192 << 10, 0x6402, 1 << 40
+		payload := make([]byte, n)
+		rand.New(rand.NewSource(33)).Read(payload)
+		buf := make([]byte, n)
+		rails := c.Rails()
+		inject := func(ctx multirail.Ctx, i, off, end int) {
+			rail := i % rails
+			head := wire.EncodeDataHeader(nil, uint8(rail), 0, tag, msgID, off, end-off, n)
+			c.FabricForTest().Node(0).Rail(rail).SendDataV(ctx, 1, head, payload[off:end], nil)
+		}
+		fail := make(chan string, 1)
+		c.Go("conf-place", func(ctx multirail.Ctx) {
+			inject(ctx, 0, 0, 64<<10)       // unknown message
+			inject(ctx, 1, 128<<10, n)      // sibling
+			inject(ctx, 2, 32<<10, 160<<10) // replay: overlaps both, completes the message
+			rr := c.Node(1).Irecv(0, tag, buf)
+			if got, err := rr.Wait(ctx); err != nil || got != n {
+				fail <- fmt.Sprintf("recv of injected chunks: n=%d err=%v", got, err)
+				return
+			}
+			inject(ctx, 0, 0, 64<<10) // late replay of the completed message
+			fail <- ""
+		})
+		c.Run()
+		if msg := <-fail; msg != "" {
+			t.Fatal(msg)
+		}
+		if !bytes.Equal(buf, payload) {
+			t.Fatal("payload reassembled from placed, declined and replayed chunks is corrupted")
+		}
+		// The late replay must not surface as a message of its own, and
+		// the flow keeps working.
+		exchange(t, c, 0, 1, tag, 1<<20, 34)
 	})
 }
 

@@ -26,12 +26,14 @@ func TestFlightRecorderStitchesMixedCluster(t *testing.T) {
 		rdvSize   = 200000 // above both: forced rendezvous
 	)
 	c, err := multirail.New(multirail.Config{
-		Live:        true,
-		Nodes:       3,
-		ShmRails:    1,
-		TCPRails:    1,
-		Splitter:    multirail.IsoSplit(), // stripe over both rail kinds
-		SamplingMax: 64 << 10,
+		Live:     true,
+		Nodes:    3,
+		ShmRails: 1,
+		TCPRails: 1,
+		Splitter: multirail.IsoSplit(), // stripe over both rail kinds
+		// Pinned thresholds (4 and 16 KiB, cap 32 KiB): live sampling can
+		// put the crossover below eagerSize on a busy host.
+		SamplingFrom: thresholdSampling(),
 	})
 	if err != nil {
 		t.Fatal(err)
