@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/metrics"
@@ -9,10 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// TestEagerSendAllocs is a regression ratchet on the eager send path:
-// one complete Isend/Irecv round trip of a small message, engine to
-// engine over the simulated fabric. The ceiling lives in ratchets.json
-// ("core/eager_round_trip") with ~8% slack above the last measurement —
+// TestEagerSendAllocs is a regression ratchet on the eager send path
+// as the simulator runs it: one complete Isend/Irecv round trip of a
+// small message, engine to engine over the simulated fabric — most of
+// the count is the simulator's own events, queues and actors, so it
+// cannot see the live path (TestLiveEagerRoundTripAllocs does). The
+// ceiling lives in ratchets.json ("core/eager_round_trip_sim") with ~8%
+// slack above the last measurement —
 // it exists to catch a new per-message heap escape (a closure capture,
 // a slice that stopped being reused, a map rebuilt per send), not to be
 // a tight benchmark. When the real cost drops, `railvet -ratchet`
@@ -51,5 +56,39 @@ func TestEagerSendAllocs(t *testing.T) {
 	roundTrip() // warm the plan cache and telemetry before measuring
 
 	allocs := testing.AllocsPerRun(50, roundTrip)
-	ratchet.Check(t, "core/eager_round_trip", allocs)
+	ratchet.Check(t, "core/eager_round_trip_sim", allocs)
+}
+
+// TestLiveEagerRoundTripAllocs ratchets what a message costs on the path
+// applications run: a warmed 512 B round trip (Irecv, Isend, Wait,
+// RemoteDone) between two engines over hosted shm rings and over
+// loopback TCP, two rails, production tracer stack. The budget is one
+// heap object per request — the SendRequest and the RecvRequest;
+// completions, the container's unit, work items, headers, frames and
+// every slice are embedded, borrowed or recycled (work.go). Entries
+// "core/eager_round_trip_shm" and "core/eager_round_trip_tcp".
+func TestLiveEagerRoundTripAllocs(t *testing.T) {
+	for _, fab := range liveFabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			env := rt.NewLive()
+			f, err := fab.build(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			eng := livePair(t, env, f)
+			payload := make([]byte, 512)
+			rand.New(rand.NewSource(16)).Read(payload)
+			buf := make([]byte, len(payload))
+			roundTrip := liveRoundTrip(t, eng, payload, buf)
+			for i := 0; i < 200; i++ {
+				roundTrip() // warm: ring pages, socket buffers, free lists, map buckets
+			}
+			allocs := testing.AllocsPerRun(2000, roundTrip)
+			if !bytes.Equal(buf, payload) {
+				t.Fatal("payload corrupted")
+			}
+			ratchet.Check(t, "core/eager_round_trip_"+fab.name, allocs)
+		})
+	}
 }

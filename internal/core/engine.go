@@ -196,6 +196,19 @@ type Engine struct {
 	unitMask uint32
 	units    []unitShard // sender state, sharded by (peer, unit id) hash
 
+	// What the live message path reuses instead of allocating (work.go).
+	workMu     sync.Mutex
+	workFree   *work // recycled work items, linked through next
+	workFreeN  int
+	scratchMu  sync.RWMutex
+	scratch    map[int]*destScratch // per-destination flush scratch
+	sendFrames fabric.FramePool     // eager container frames, recycled on ack
+	// recycle is set when the node's transport copies every frame off the
+	// sender's buffer (the live DirectNode fabrics): only then is a
+	// container's frame free again once its ack arrived. In-memory fabrics
+	// hand the receiver the sender's own slice.
+	recycle bool
+
 	stats engineCounters
 }
 
@@ -204,10 +217,10 @@ type Engine struct {
 // so one lock covers one flow's match decision.
 type flowShard struct {
 	mu        sync.Mutex
-	recvs     map[key][]*RecvRequest
-	unexpect  map[key][]*message
-	rdvQueued map[key][]*queuedRTS // RTS before matching Irecv
-	partials  map[pkey]*partial    // in-flight striped messages
+	recvs     queues[*RecvRequest]
+	unexpect  queues[*message]
+	rdvQueued queues[*queuedRTS] // RTS before matching Irecv
+	partials  map[pkey]*partial  // in-flight striped messages
 
 	// Per-shard counters (ShardStats).
 	matched    uint64
@@ -335,12 +348,13 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 		unitMask: uint32(shards - 1),
 		units:    make([]unitShard, shards),
 		seen:     progress.NewDedup(shards, seenCap),
+		scratch:  make(map[int]*destScratch),
 	}
 	for i := range e.flows {
 		s := &e.flows[i]
-		s.recvs = make(map[key][]*RecvRequest)
-		s.unexpect = make(map[key][]*message)
-		s.rdvQueued = make(map[key][]*queuedRTS)
+		s.recvs = newQueues[*RecvRequest]()
+		s.unexpect = newQueues[*message]()
+		s.rdvQueued = newQueues[*queuedRTS]()
 		s.partials = make(map[pkey]*partial)
 	}
 	for i := range e.units {
@@ -401,6 +415,7 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 		// Rendezvous chunks land in the posted buffer straight from the
 		// transport reader; everything else still arrives through dispatch.
 		dn.SetPlacer(e.placeChunk)
+		e.recycle = true
 	}
 	e.healthQ = node.Health().Subscribe()
 	env.Go(fmt.Sprintf("nmad-health-%d", node.ID()), e.healthLoop)
@@ -459,14 +474,10 @@ func (e *Engine) Stats() Stats {
 	for i := range e.flows {
 		s := &e.flows[i]
 		s.mu.Lock()
-		recvs := 0
-		for _, q := range s.recvs {
-			recvs += len(q)
-		}
 		st.Shards[i] = ShardStats{
 			Matched:    s.matched,
 			Unexpected: s.unexpected,
-			Recvs:      recvs,
+			Recvs:      s.recvs.count(),
 			Partials:   len(s.partials),
 		}
 		s.mu.Unlock()
@@ -505,19 +516,25 @@ func (e *Engine) newID() uint64 {
 // plan against what the wire currently delivers, not what it delivered
 // at launch. dest -1 (or telemetry off) keeps the static estimators.
 func (e *Engine) railViewsFor(dest int) []strategy.RailView {
-	views := make([]strategy.RailView, e.node.NumRails())
-	for i := range views {
+	return e.appendRailViews(make([]strategy.RailView, 0, e.node.NumRails()), dest)
+}
+
+// appendRailViews is railViewsFor into the caller's slice: the flush
+// path snapshots into its destination's scratch.
+func (e *Engine) appendRailViews(views []strategy.RailView, dest int) []strategy.RailView {
+	for i := 0; i < e.node.NumRails(); i++ {
 		est := strategy.Estimator(e.profiles[i])
 		if e.est != nil && dest >= 0 && dest < len(e.est) {
 			est = e.est[dest][i]
 		}
-		views[i] = strategy.RailView{
+		rail := e.node.Rail(i)
+		views = append(views, strategy.RailView{
 			Index:    i,
 			Est:      est,
-			IdleAt:   e.node.Rail(i).IdleAt(),
+			IdleAt:   rail.IdleAt(),
 			EagerMax: e.profiles[i].EagerMax,
-			Down:     e.node.Rail(i).State() != fabric.RailUp,
-		}
+			Down:     rail.State() != fabric.RailUp,
+		})
 	}
 	return views
 }
@@ -779,7 +796,11 @@ func (e *Engine) noteCompleted(r *SendRequest) {
 // its last unit) — called by the ack handler whose ackDone fired
 // RemoteDone.
 func (e *Engine) noteAcked(r *SendRequest, rail int) {
-	e.observeStage(stageSubmitAcked, e.env.Now()-r.submitAt)
+	now := e.env.Now()
+	e.observeStage(stageSubmitAcked, now-r.submitAt)
+	if e.histRdv != nil && r.rdvStart > 0 && now > r.rdvStart {
+		e.histRdv.Observe(now - r.rdvStart) // whole rendezvous, RTS to last ack
+	}
 	e.trace(trace.Acked, r.msgID, rail, len(r.Data), "")
 }
 

@@ -36,7 +36,8 @@ type ackKey struct {
 // unit is one transfer unit retained until acknowledged: an eager
 // container (frame kept verbatim — payloads are copied into the
 // container at encode time) or a data chunk (resent from the request's
-// buffer).
+// buffer). A container's unit is embedded in the first request riding it
+// (SendRequest.cont).
 type unit struct {
 	key      ackKey
 	to       int
@@ -44,8 +45,9 @@ type unit struct {
 	sentAt   time.Duration // post time, for the telemetry ack round trip
 	replayed bool          // failed over: its ack may belong to the original send
 
-	frame []byte         // eager container frame; nil marks a chunk
-	reqs  []*SendRequest // container: requests riding it
+	frame []byte           // eager container frame; nil marks a chunk
+	buf   *fabric.Delivery // the pooled buffer behind frame, if it is recycled (Engine.newFrame)
+	reqs  *SendRequest     // container: requests riding it, chained by contNext
 
 	req       *SendRequest // chunk: owning request
 	off, size int          // chunk location in req.Data
@@ -62,17 +64,22 @@ func (u *unit) bytes() int {
 func (u *unit) isChunk() bool { return u.frame == nil }
 
 // registerContainer records an eager container as outstanding until its
-// ack arrives.
-func (e *Engine) registerContainer(id uint64, to, rail int, frame []byte, reqs []*SendRequest) {
-	for _, r := range reqs {
+// ack arrives. The unit lives in reqs[0]; reqs is not retained.
+func (e *Engine) registerContainer(id uint64, to, rail int, buf *fabric.Delivery, frame []byte, reqs []*SendRequest) {
+	for i, r := range reqs {
 		r.addAcks(1)
+		if i+1 < len(reqs) {
+			r.contNext = reqs[i+1]
+		}
+	}
+	u := &reqs[0].cont
+	*u = unit{
+		key: ackKey{id, 0}, to: to, rail: rail, sentAt: e.env.Now(),
+		frame: frame, buf: buf, reqs: reqs[0],
 	}
 	us := e.unit(to, id)
 	us.mu.Lock()
-	us.outstanding[ackKey{id, 0}] = &unit{
-		key: ackKey{id, 0}, to: to, rail: rail, sentAt: e.env.Now(),
-		frame: frame, reqs: append([]*SendRequest(nil), reqs...),
-	}
+	us.outstanding[u.key] = u
 	us.mu.Unlock()
 }
 
@@ -91,6 +98,8 @@ func (e *Engine) registerChunk(req *SendRequest, to, rail, off, size int) {
 // onAck retires an acknowledged unit and advances the owning requests'
 // remote completion. from is the acknowledging node — the unit's
 // destination.
+//
+//railvet:hotpath
 func (e *Engine) onAck(from int, h wire.Header) {
 	k := ackKey{h.MsgID, h.Offset}
 	us := e.unit(from, h.MsgID)
@@ -118,7 +127,15 @@ func (e *Engine) onAck(from int, h wire.Header) {
 		}
 		return
 	}
-	for _, r := range u.reqs {
+	// The ack says the receiver holds the container, so the transport is
+	// done reading the frame — unless a replay of it may still sit in
+	// another rail's queue (the ack can be the original's): replayed
+	// units leave their frame to the GC. Nothing reads u.frame past this
+	// point; a stale replan gives up when it finds the unit retired.
+	if u.buf != nil && !u.replayed {
+		u.buf.Release()
+	}
+	for r := u.reqs; r != nil; r = r.contNext {
 		if r.ackDone() {
 			e.noteAcked(r, u.rail)
 		}
@@ -132,12 +149,20 @@ func (e *Engine) onAck(from int, h wire.Header) {
 // rail's congestion to every other rail's observations. A non-Up
 // arrival rail (it may be the one that just died) falls back to the
 // first healthy rail.
-func (e *Engine) ackUnit(ctx rt.Ctx, from int, id, offset uint64, arrival int) {
+//
+// The ack is encoded into hdr, the caller's scratch (fabrics copy short
+// heads at enqueue); nil allocates one.
+//
+//railvet:hotpath
+func (e *Engine) ackUnit(ctx rt.Ctx, from int, id, offset uint64, arrival int, hdr *[wire.HeaderSize]byte) {
 	rail := arrival
 	if rail < 0 || rail >= e.node.NumRails() || e.node.Rail(rail).State() != fabric.RailUp {
 		rail = e.ackRail()
 	}
-	e.node.Rail(rail).SendControl(ctx, from, wire.EncodeAck(uint8(rail), uint32(from), id, offset), 0, 0)
+	if hdr == nil {
+		hdr = new([wire.HeaderSize]byte)
+	}
+	e.node.Rail(rail).SendControl(ctx, from, wire.AppendAck(hdr[:0], uint8(rail), uint32(from), id, offset), 0, 0)
 }
 
 // ackRail picks the first Up rail (falling back to rail 0 when none is).
@@ -302,8 +327,7 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 	if len(fit) == 0 {
 		return
 	}
-	pick := strategy.SingleRail{}.Split(len(u.frame), e.env.Now(), fit)
-	rail := pick[0].Rail
+	rail := strategy.BestRail(len(u.frame), e.env.Now(), fit)
 	us := e.unit(u.to, u.key.id)
 	us.mu.Lock()
 	if us.outstanding[u.key] != u {
@@ -314,7 +338,7 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 	u.sentAt = e.env.Now() // the replay's round trip starts now
 	u.replayed = true
 	us.mu.Unlock()
-	for _, r := range u.reqs {
+	for r := u.reqs; r != nil; r = r.contNext {
 		r.failedOver.Store(true)
 	}
 	e.stats.failedOver.Add(1)
@@ -360,17 +384,17 @@ func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
 	if u.req.ackDone() {
 		e.noteAcked(u.req, -1)
 	}
+	var hdr [wire.HeaderSize]byte
 	for _, nu := range newUnits {
 		e.trace(trace.Resent, u.key.id, nu.rail, nu.size, "chunk failover")
-		e.sendChunk(ctx, u.req, nu.rail, nu.off, nu.size, nil)
+		e.sendChunk(ctx, u.req, nu.rail, nu.off, nu.size, nil, &hdr)
 	}
 }
 
 // resendRTS replays a rendezvous announcement whose rail died before
 // the CTS arrived. The receiver answers duplicates idempotently.
 func (e *Engine) resendRTS(ctx rt.Ctx, msgID uint64, p *pendingRdv, views []strategy.RailView) {
-	pick := strategy.SingleRail{}.Split(wire.HeaderSize, e.env.Now(), views)
-	rail := pick[0].Rail
+	rail := strategy.BestRail(wire.HeaderSize, e.env.Now(), views)
 	us := e.unit(p.req.To, msgID)
 	us.mu.Lock()
 	if us.rdvOut[msgID] != p {
@@ -389,8 +413,7 @@ func (e *Engine) resendRTS(ctx rt.Ctx, msgID uint64, p *pendingRdv, views []stra
 // resendCTS replays a clear-to-send whose rail died; a duplicate CTS is
 // ignored by the sender (rdvOut already cleared).
 func (e *Engine) resendCTS(ctx rt.Ctx, pk pkey, pa *partial, views []strategy.RailView) {
-	pick := strategy.SingleRail{}.Split(wire.HeaderSize, e.env.Now(), views)
-	rail := pick[0].Rail
+	rail := strategy.BestRail(wire.HeaderSize, e.env.Now(), views)
 	s := e.flow(pa.from, pa.tag)
 	s.mu.Lock()
 	if s.partials[pk] != pa {

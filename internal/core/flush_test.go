@@ -81,6 +81,9 @@ func (r *gateRail) send(to int, data []byte) {
 	if gate != nil {
 		gate(to) // the blocking rail write
 	}
+	if len(data) <= fabric.PlaceHeadMax {
+		data = append([]byte(nil), data...) // the Rail contract: short frames are copied
+	}
 	r.n.f.nodes[to].recvq.Push(&fabric.Delivery{From: r.n.id, Rail: r.idx, Data: data})
 }
 

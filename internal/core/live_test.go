@@ -1,0 +1,111 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/livenet"
+	"repro/internal/metrics"
+	"repro/internal/rt"
+	"repro/internal/shmnet"
+	"repro/internal/trace"
+)
+
+// liveFabrics are the two-rail live fabrics the allocation ratchets and
+// the round-trip bench run over.
+var liveFabrics = []struct {
+	name  string
+	build func(env *rt.LiveEnv) (fabric.Fabric, error)
+}{
+	{"shm", func(env *rt.LiveEnv) (fabric.Fabric, error) {
+		return shmnet.NewHosted(env, shmnet.Config{Rails: 2})
+	}},
+	{"tcp", func(env *rt.LiveEnv) (fabric.Fabric, error) {
+		return livenet.NewLoopback(env, livenet.Config{Rails: 2})
+	}},
+}
+
+// livePair builds two engines over f with the pinned liveProfiles and
+// the production tracing stack — Counts teed with a FlightRecorder,
+// installed as both Tracer and Flight, plus a metrics registry — so the
+// measured path is the one multirail.New runs.
+func livePair(tb testing.TB, env *rt.LiveEnv, f fabric.Fabric) [2]*Engine {
+	tb.Helper()
+	var eng [2]*Engine
+	for i := range eng {
+		flight := trace.NewFlightRecorder(0)
+		var err error
+		eng[i], err = NewEngine(env, f.Node(i), liveProfiles(tb), Config{
+			DirectProgress: true,
+			Metrics:        metrics.NewRegistry(),
+			Tracer:         trace.Tee(trace.NewCounts(), flight),
+			Flight:         flight,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(eng[i].Stop)
+	}
+	return eng
+}
+
+// liveRoundTrip returns the probe the live ratchets and the bench share:
+// post the receive, send, wait for delivery and for the remote
+// completion, on a fresh tag every time. Live events ignore their Ctx,
+// so the probe waits inline and adds no goroutine of its own.
+func liveRoundTrip(tb testing.TB, eng [2]*Engine, payload, buf []byte) func() {
+	tag := uint32(0)
+	return func() {
+		rr := eng[1].Irecv(0, tag, buf)
+		sr := eng[0].Isend(1, tag, payload)
+		if n, err := rr.Wait(nil); err != nil || n != len(payload) {
+			tb.Errorf("recv: n=%d err=%v", n, err)
+		}
+		sr.RemoteDone().Wait(nil)
+		tag++
+	}
+}
+
+// BenchmarkLiveEagerRoundTrip is the one-command profile target of the
+// live eager path:
+//
+//	go test -run '^$' -bench LiveEagerRoundTrip/shm/512 -benchtime 100000x \
+//	    -memprofile mem.out -memprofilerate 1 ./internal/core
+//	go tool pprof -sample_index=alloc_objects -top mem.out
+func BenchmarkLiveEagerRoundTrip(b *testing.B) {
+	for _, fab := range liveFabrics {
+		for _, size := range []int{512, 8 << 10} {
+			name := "512"
+			if size != 512 {
+				name = "8k"
+			}
+			b.Run(fab.name+"/"+name, func(b *testing.B) {
+				env := rt.NewLive()
+				f, err := fab.build(env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer f.Close()
+				eng := livePair(b, env, f)
+				payload := make([]byte, size)
+				rand.New(rand.NewSource(16)).Read(payload)
+				buf := make([]byte, size)
+				roundTrip := liveRoundTrip(b, eng, payload, buf)
+				for i := 0; i < 100; i++ {
+					roundTrip() // warm: ring pages, socket buffers, free lists
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					roundTrip()
+				}
+				b.StopTimer()
+				if !bytes.Equal(buf, payload) {
+					b.Fatal("payload corrupted")
+				}
+			})
+		}
+	}
+}

@@ -7,20 +7,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fabric"
-	"repro/internal/livenet"
-	"repro/internal/metrics"
 	"repro/internal/ratchet"
 	"repro/internal/rt"
 	"repro/internal/sampling"
-	"repro/internal/shmnet"
-	"repro/internal/trace"
 )
 
 // liveProfiles pins the regime split the way the benchmark does: sizes
 // up to 32 KiB go eager, larger ones rendezvous, identical on both
 // rails so a large message stripes into two chunks.
-func liveProfiles(t *testing.T) []*sampling.RailProfile {
+func liveProfiles(t testing.TB) []*sampling.RailProfile {
 	t.Helper()
 	eager, err := sampling.NewTable([]sampling.Sample{
 		{Size: 4, T: time.Microsecond}, {Size: 32 << 10, T: 10 * time.Microsecond}})
@@ -49,18 +44,7 @@ func liveProfiles(t *testing.T) []*sampling.RailProfile {
 // and fails it by a wide margin. The shm count is ratcheted as
 // "core/rdv_round_trip_1m".
 func TestRdvRoundTripAllocs(t *testing.T) {
-	fabrics := []struct {
-		name  string
-		build func(env *rt.LiveEnv) (fabric.Fabric, error)
-	}{
-		{"shm", func(env *rt.LiveEnv) (fabric.Fabric, error) {
-			return shmnet.NewHosted(env, shmnet.Config{Rails: 2})
-		}},
-		{"tcp", func(env *rt.LiveEnv) (fabric.Fabric, error) {
-			return livenet.NewLoopback(env, livenet.Config{Rails: 2})
-		}},
-	}
-	for _, fab := range fabrics {
+	for _, fab := range liveFabrics {
 		t.Run(fab.name, func(t *testing.T) {
 			env := rt.NewLive()
 			f, err := fab.build(env)
@@ -68,35 +52,11 @@ func TestRdvRoundTripAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			var eng [2]*Engine
-			for i := range eng {
-				flight := trace.NewFlightRecorder(0)
-				eng[i], err = NewEngine(env, f.Node(i), liveProfiles(t), Config{
-					DirectProgress: true,
-					Metrics:        metrics.NewRegistry(),
-					Tracer:         trace.Tee(trace.NewCounts(), flight),
-					Flight:         flight,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eng[i].Stop()
-			}
+			eng := livePair(t, env, f)
 			payload := make([]byte, 1<<20)
 			rand.New(rand.NewSource(12)).Read(payload)
 			buf := make([]byte, len(payload))
-			tag := uint32(0)
-			// Live events ignore their Ctx, so the probe waits inline and
-			// adds no goroutine or channel of its own to the count.
-			roundTrip := func() {
-				rr := eng[1].Irecv(0, tag, buf)
-				sr := eng[0].Isend(1, tag, payload)
-				if n, err := rr.Wait(nil); err != nil || n != len(payload) {
-					t.Errorf("recv: n=%d err=%v", n, err)
-				}
-				sr.RemoteDone().Wait(nil)
-				tag++
-			}
+			roundTrip := liveRoundTrip(t, eng, payload, buf)
 			roundTrip() // warm: ring pages, socket buffers, lazily grown queues
 			if !bytes.Equal(buf, payload) {
 				t.Fatal("payload corrupted")

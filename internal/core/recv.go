@@ -100,25 +100,25 @@ func (e *Engine) InflightClaims() int {
 
 // Irecv posts a receive. It never blocks; matching happens against
 // queued unexpected messages first. Only the shard of (from, tag) is
-// touched — receives for other flows proceed in parallel.
+// touched — receives for other flows proceed in parallel. The request
+// is the receive's one allocation.
+//
+//railvet:hotpath
 func (e *Engine) Irecv(from int, tag uint32, buf []byte) *RecvRequest {
-	req := &RecvRequest{From: from, Tag: tag, Buf: buf, done: e.env.NewEvent()}
+	req := &RecvRequest{From: from, Tag: tag, Buf: buf}
+	req.done = e.env.EventAt(&req.doneSlot)
 	k := key{from, tag}
 	s := e.flow(from, tag)
 	s.mu.Lock()
 	// 1. A complete unexpected message?
-	if q := s.unexpect[k]; len(q) > 0 {
-		m := q[0]
-		s.unexpect[k] = q[1:]
+	if m, ok := s.unexpect.pop(k); ok {
 		s.matched++
 		s.mu.Unlock()
 		e.deliverTo(req, m.origin, m.msgID, m.data)
 		return req
 	}
 	// 2. A rendezvous waiting for its buffer?
-	if q := s.rdvQueued[k]; len(q) > 0 {
-		rts := q[0]
-		s.rdvQueued[k] = q[1:]
+	if rts, ok := s.rdvQueued.pop(k); ok {
 		s.matched++
 		empty, err := e.attachRdv(s, req, rts.msgID, rts.total, rts.rail)
 		s.mu.Unlock()
@@ -133,7 +133,7 @@ func (e *Engine) Irecv(from int, tag uint32, buf []byte) *RecvRequest {
 		return req
 	}
 	// 3. Queue the receive.
-	s.recvs[k] = append(s.recvs[k], req)
+	s.recvs.push(k, req)
 	s.mu.Unlock()
 	return req
 }
@@ -202,7 +202,7 @@ func (e *Engine) handle(ctx rt.Ctx, d *fabric.Delivery) {
 				int(h.TotalLen), "eager container replay dropped")
 		}
 		if h.MsgID != 0 {
-			e.ackUnit(ctx, d.From, h.MsgID, 0, d.Rail)
+			e.ackUnit(ctx, d.From, h.MsgID, 0, d.Rail, nil)
 		}
 	case wire.KindData:
 		hdr, payload, err := wire.DecodeData(d.Data)
@@ -210,7 +210,7 @@ func (e *Engine) handle(ctx rt.Ctx, d *fabric.Delivery) {
 			return
 		}
 		e.deliverChunk(d.From, hdr, payload)
-		e.ackUnit(ctx, d.From, hdr.MsgID, hdr.Offset, d.Rail)
+		e.ackUnit(ctx, d.From, hdr.MsgID, hdr.Offset, d.Rail, nil)
 	case wire.KindRTS:
 		e.handleRTS(d.From, int(h.Rail), h)
 	case wire.KindCTS:
@@ -221,98 +221,100 @@ func (e *Engine) handle(ctx rt.Ctx, d *fabric.Delivery) {
 }
 
 // dispatch is the multicore progression path: it classifies one
-// delivery and hands the engine work to the progress pool. Eager
-// packets and RTS go to their flow's worker — same flow, same worker,
-// same order — so matching order is preserved per (source, tag); data
-// chunks spread across workers keyed by offset (reassembly accepts any
-// order — this is the parallel striped copy); CTS and acks go to the
-// owning unit's worker. dispatch runs on the transport's reader
-// goroutine (or a pioman detection actor) and never blocks.
+// delivery and hands the engine work to the progress pool as recycled
+// work items (work.go). Eager packets and RTS go to their flow's worker
+// — same flow, same worker, same order — so matching order is preserved
+// per (source, tag); data chunks spread across workers keyed by offset
+// (reassembly accepts any order — this is the parallel striped copy);
+// CTS and acks go to the owning unit's worker. dispatch runs on the
+// transport's reader goroutine (or a pioman detection actor) and never
+// blocks.
+//
+// It also decides what becomes of the frame: a control frame is released
+// as soon as its header is decoded; an eager container when its last
+// packet has been delivered (work.Do); a chunk frame never — a parked
+// replay may keep its payload.
+//
+//railvet:hotpath
 func (e *Engine) dispatch(d *fabric.Delivery) {
 	h, _, err := wire.DecodeHeader(d.Data)
 	if err != nil {
 		return
 	}
-	from := d.From
+	// Nothing of d may be read once its first item is queued: a worker may
+	// release the frame at any moment.
+	from, rail := d.From, d.Rail
 	switch h.Kind {
 	case wire.KindEager:
-		pkts, err := wire.DecodeEager(d.Data)
+		_, pkts, err := wire.ScanEager(d.Data)
 		if err != nil {
 			return
 		}
+		var own *work
 		if h.MsgID == 0 || e.seen.Mark(from, h.MsgID) {
-			origin := int(h.Origin)
-			for _, p := range pkts {
-				p := p
-				e.pool.Submit(progress.FlowKey(from, p.Tag), progress.Task{
-					Name: "eager",
-					Run:  func(rt.Ctx) { e.deliverEager(from, origin, p) },
-				})
+			for p, ok := pkts.Next(); ok; p, ok = pkts.Next() {
+				w := e.getWork(workEager, from, rail)
+				w.h.Origin, w.p = h.Origin, p
+				if own == nil {
+					own, w.frame = w, d
+					w.left.Store(int32(h.Count))
+				}
+				w.share = own
+				e.pool.SubmitWork(progress.FlowKey(from, p.Tag), w)
 			}
 		} else {
-			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, d.Rail,
+			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, rail,
 				int(h.TotalLen), "eager container replay dropped")
+		}
+		if own == nil {
+			d.Release() // dropped replay (or an empty container): nothing aliases it
 		}
 		if h.MsgID != 0 {
 			// The container is safely in receiver memory (its packets are
 			// queued on in-process workers), so it can no longer be lost
 			// to a dying rail: ack now, from a worker.
-			id, rail := h.MsgID, d.Rail
-			e.pool.Submit(progress.UnitKey(from, id), progress.Task{
-				Name: "ack",
-				Run:  func(ctx rt.Ctx) { e.ackUnit(ctx, from, id, 0, rail) },
-			})
+			e.submitWork(progress.UnitKey(from, h.MsgID), workAck, from, rail, wire.Header{MsgID: h.MsgID})
 		}
 	case wire.KindData:
 		hdr, payload, err := wire.DecodeData(d.Data)
 		if err != nil {
 			return
 		}
-		rail := d.Rail
-		e.pool.Submit(progress.ChunkKey(from, hdr.Tag, hdr.Offset), progress.Task{
-			Name: "chunk",
-			Run: func(ctx rt.Ctx) {
-				e.deliverChunk(from, hdr, payload)
-				e.ackUnit(ctx, from, hdr.MsgID, hdr.Offset, rail)
-			},
-		})
+		w := e.getWork(workChunk, from, rail)
+		w.h, w.p.Payload = hdr, payload
+		e.pool.SubmitWork(progress.ChunkKey(from, hdr.Tag, hdr.Offset), w)
 	case wire.KindRTS:
-		rail := int(h.Rail)
-		e.pool.Submit(progress.FlowKey(from, h.Tag), progress.Task{
-			Name: "rts",
-			Run:  func(rt.Ctx) { e.handleRTS(from, rail, h) },
-		})
+		d.Release()
+		e.submitWork(progress.FlowKey(from, h.Tag), workRTS, from, int(h.Rail), h)
 	case wire.KindCTS:
-		e.pool.Submit(progress.UnitKey(from, h.MsgID), progress.Task{
-			Name: "cts",
-			Run:  func(rt.Ctx) { e.onCTS(from, h.MsgID) },
-		})
+		d.Release()
+		e.submitWork(progress.UnitKey(from, h.MsgID), workCTS, from, rail, h)
 	case wire.KindAck:
-		e.pool.Submit(progress.UnitKey(from, h.MsgID), progress.Task{
-			Name: "onack",
-			Run:  func(rt.Ctx) { e.onAck(from, h) },
-		})
+		d.Release()
+		e.submitWork(progress.UnitKey(from, h.MsgID), workOnAck, from, rail, h)
 	}
 }
 
 // deliverEager matches one complete logical packet under its flow's
 // shard lock. origin is the submitting node from the container header
 // (the trace id's node half — equal to `from` on today's unrouted
-// fabrics, but the header is authoritative).
+// fabrics, but the header is authoritative). When it returns the payload
+// has been copied — into the posted buffer or into an unexpected message
+// — and the caller may release the container's frame.
+//
+//railvet:hotpath
 func (e *Engine) deliverEager(from, origin int, p wire.Packet) {
 	k := key{from, p.Tag}
 	s := e.flow(from, p.Tag)
 	s.mu.Lock()
-	if q := s.recvs[k]; len(q) > 0 {
-		req := q[0]
-		s.recvs[k] = q[1:]
+	if req, ok := s.recvs.pop(k); ok {
 		s.matched++
 		s.mu.Unlock()
 		e.deliverTo(req, origin, p.MsgID, p.Payload)
 		return
 	}
-	data := append([]byte(nil), p.Payload...) // the container may be reused
-	s.unexpect[k] = append(s.unexpect[k], &message{msgID: p.MsgID, origin: origin, data: data})
+	data := append([]byte(nil), p.Payload...) // the container's frame is recycled
+	s.unexpect.push(k, &message{msgID: p.MsgID, origin: origin, data: data})
 	s.unexpected++
 	s.mu.Unlock()
 	e.stats.unexpected.Add(1)
@@ -366,10 +368,7 @@ func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, func(ok
 			e.deliverChunk(from, p.h, p.payload)
 		}
 		if filled {
-			e.pool.Submit(progress.ChunkKey(from, h.Tag, h.Offset), progress.Task{
-				Name: "ack",
-				Run:  func(ctx rt.Ctx) { e.ackUnit(ctx, from, h.MsgID, h.Offset, rail) },
-			})
+			e.submitWork(progress.ChunkKey(from, h.Tag, h.Offset), workAck, from, rail, h)
 		}
 	}
 }
@@ -412,9 +411,8 @@ func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 			return
 		}
 		pa = &partial{re: re, from: from, tag: h.Tag, buf: buf}
-		if q := s.recvs[k]; len(q) > 0 {
-			pa.req = q[0]
-			s.recvs[k] = q[1:]
+		if req, ok := s.recvs.pop(k); ok {
+			pa.req = req
 			s.matched++
 		}
 		s.partials[pk] = pa
@@ -473,16 +471,16 @@ func (e *Engine) retire(s *flowShard, pa *partial, from int, h wire.Header) *Rec
 	e.seen.Mark(from, h.MsgID)
 	if pa.req == nil {
 		k := key{from, h.Tag}
-		if q := s.recvs[k]; len(q) > 0 {
+		if req, ok := s.recvs.pop(k); ok {
 			// A receive posted while the unexpected message was still
 			// arriving: Irecv found nothing complete to match, so the
 			// match happens here, in completion order.
-			pa.req, s.recvs[k] = q[0], q[1:]
+			pa.req = req
 			s.matched++
 			return pa.req
 		}
 		// Completed with no posted receive: queue as unexpected.
-		s.unexpect[k] = append(s.unexpect[k], &message{msgID: h.MsgID, origin: int(h.Origin), data: pa.buf})
+		s.unexpect.push(k, &message{msgID: h.MsgID, origin: int(h.Origin), data: pa.buf})
 		s.unexpected++
 		e.stats.unexpected.Add(1)
 	}
@@ -526,16 +524,14 @@ func (e *Engine) handleRTS(from, rail int, h wire.Header) {
 		e.sendCTS(from, rail, h.Tag, h.MsgID)
 		return
 	}
-	for _, qd := range s.rdvQueued[k] {
+	for _, qd := range s.rdvQueued.pending(k) {
 		if qd.msgID == h.MsgID {
 			qd.rail = rail // still unmatched: just note the fresher rail
 			s.mu.Unlock()
 			return
 		}
 	}
-	if q := s.recvs[k]; len(q) > 0 {
-		req := q[0]
-		s.recvs[k] = q[1:]
+	if req, ok := s.recvs.pop(k); ok {
 		s.matched++
 		empty, err := e.attachRdv(s, req, h.MsgID, int(h.TotalLen), rail)
 		s.mu.Unlock()
@@ -549,8 +545,7 @@ func (e *Engine) handleRTS(from, rail int, h wire.Header) {
 		e.sendCTS(from, rail, h.Tag, h.MsgID)
 		return
 	}
-	s.rdvQueued[k] = append(s.rdvQueued[k],
-		&queuedRTS{msgID: h.MsgID, total: int(h.TotalLen), rail: rail, from: from})
+	s.rdvQueued.push(k, &queuedRTS{msgID: h.MsgID, total: int(h.TotalLen), rail: rail, from: from})
 	s.mu.Unlock()
 }
 

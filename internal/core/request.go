@@ -12,6 +12,11 @@ import (
 // SendRequest tracks one Isend. Done fires when the payload has left the
 // host (every PIO copy posted or every DMA drained) and the buffer is
 // reusable.
+//
+// It is the one heap object an eager send costs: both completion events
+// and the container's transfer unit are embedded in it. Requests are
+// never recycled — callers read them after completion and the unit
+// tables point at them until the ack.
 type SendRequest struct {
 	// To, Tag and Data describe the message.
 	To   int
@@ -21,6 +26,17 @@ type SendRequest struct {
 	done  rt.Event
 	acked rt.Event
 	msgID uint64
+
+	// doneSlot and ackedSlot are where done and acked live on a live
+	// environment (rt.Env.EventAt); the simulator leaves them unused.
+	doneSlot, ackedSlot rt.LiveEvent
+
+	// cont is the eager container this request heads: the unit of a
+	// container is embedded in the first request riding it, and
+	// contNext chains the others. Chunk units (rendezvous, parallel
+	// eager) are separate objects.
+	cont     unit
+	contNext *SendRequest
 
 	// rdvStart is when the rendezvous handshake began (telemetry's
 	// whole-rendezvous clock); zero for eager sends. Written once by the
@@ -113,7 +129,8 @@ type RecvRequest struct {
 	// (fires Done with Err set).
 	Buf []byte
 
-	done rt.Event
+	done     rt.Event
+	doneSlot rt.LiveEvent // done's storage on a live environment
 
 	mu  sync.Mutex
 	n   int

@@ -281,3 +281,63 @@ func TestCommitDeliversParkedReplayPastItsRange(t *testing.T) {
 		t.Fatalf("n=%d err=%v intact=%v", n, rerr, bytes.Equal(buf, payload))
 	}
 }
+
+// The one case where an acknowledged container's frame must not be
+// recycled: the unit was replayed, the replay still sits unwritten in
+// the survivor rail's queue — aliasing the frame — and the ack that
+// retires the unit is the original's. The frame stays untouched (a later
+// send gets a different buffer), the replay goes out byte for byte, and
+// the receiver drops it as a duplicate. Without the !u.replayed guard in
+// onAck the poisoned (then overwritten) frame is what the replay writes.
+func TestAckOfOriginalDoesNotRecycleQueuedReplay(t *testing.T) {
+	poisonRecycled(t)
+	f, eng := stepPair(t, 2)
+	tx, rx := f.nodes[0], f.nodes[1]
+	payload := make([]byte, 512)
+	rand.New(rand.NewSource(8)).Read(payload)
+	buf := make([]byte, 512)
+
+	rr := eng[1].Irecv(0, 3, buf)
+	sr := eng[0].Isend(1, 3, payload)
+	// Both rails have equal profiles: the container takes rail 0.
+	original := tx.rails[0].step(t)
+	if n, err := rr.Wait(nil); err != nil || n != len(payload) || !bytes.Equal(buf, payload) {
+		t.Fatalf("first delivery: n=%d err=%v intact=%v", n, err, bytes.Equal(buf, payload))
+	}
+	rx.rails[0].queued(t, 1) // the ack is written, not yet delivered
+
+	// Rail 0 dies under the sender before the ack crosses: the unit is
+	// replayed onto rail 1, where the frame waits in the queue.
+	tx.health.Report(0, fabric.RailDown, "test")
+	tx.rails[1].queued(t, 1)
+	if st := eng[0].Stats(); st.FailedOver != 1 {
+		t.Fatalf("stats %+v, want one failed-over unit", st)
+	}
+
+	// The original's ack arrives and retires the unit.
+	rx.rails[0].step(t)
+	sr.RemoteDone().Wait(nil)
+	if out := eng[0].OutstandingUnits(); out != 0 {
+		t.Fatalf("%d units outstanding after the ack", out)
+	}
+
+	// Another send of the same size class must not land in the frame the
+	// queued replay aliases.
+	rr2 := eng[1].Irecv(0, 4, make([]byte, 512))
+	other := bytes.Repeat([]byte{0xEE}, 512)
+	eng[0].Isend(1, 4, other)
+	tx.rails[1].queued(t, 2)
+
+	if replay := tx.rails[1].step(t); !bytes.Equal(replay, original) {
+		t.Fatalf("the queued replay went out changed (starts % x, original % x): its frame was recycled under it", replay[:4], original[:4])
+	}
+	tx.rails[1].step(t)
+	if n, err := rr2.Wait(nil); err != nil || n != 512 {
+		t.Fatalf("second message: n=%d err=%v", n, err)
+	}
+	// The duplicate container was dropped, not delivered a second time.
+	rx.rails[1].queued(t, 2) // its re-ack and the second message's ack
+	if st := eng[1].Stats(); st.Unexpected != 0 {
+		t.Fatalf("replayed container delivered twice: %+v", st)
+	}
+}

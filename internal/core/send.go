@@ -17,9 +17,13 @@ import (
 // the caller's goroutine: the request joins its destination's submit
 // queue and a progress worker — activated like NewMadeleine's scheduler
 // when an eager packet is about to be emitted — plans and executes the
-// flush, aggregating whatever accumulated for that destination.
+// flush, aggregating whatever accumulated for that destination. The
+// request is the send's one allocation.
+//
+//railvet:hotpath
 func (e *Engine) Isend(to int, tag uint32, data []byte) *SendRequest {
-	req := &SendRequest{To: to, Tag: tag, Data: data, done: e.env.NewEvent(), acked: e.env.NewEvent()}
+	req := &SendRequest{To: to, Tag: tag, Data: data}
+	req.done, req.acked = e.env.EventAt(&req.doneSlot), e.env.EventAt(&req.ackedSlot)
 	req.msgID = e.newID()
 	req.submitAt = e.env.Now()
 	e.trace(trace.Submit, req.msgID, -1, len(data), "")
@@ -49,30 +53,37 @@ func (e *Engine) IsendV(to int, tag uint32, v wire.IOVec) *SendRequest {
 // their rendezvous handshakes. It runs with no queue or shard lock held
 // — a rail write that blocks inside stalls only this destination's
 // worker, never the callers and never other destinations (see the
-// slow-rail regression test).
+// slow-rail regression test). Flushes of one destination are serialised,
+// which is what lets every slice it needs come from the destination's
+// scratch.
+//
+//railvet:hotpath
 func (e *Engine) flushDest(ctx rt.Ctx, to int, batch []*SendRequest) {
+	sc := e.scratchFor(to)
 	thr := e.EagerThresholdTo(to)
-	var eagers []*SendRequest
+	eagers := sc.eagers[:0]
 	for _, r := range batch {
 		if len(r.Data) <= thr {
 			eagers = append(eagers, r)
 			continue
 		}
-		e.startRendezvous(ctx, r)
+		e.startRendezvous(ctx, r, sc)
 	}
 	if len(eagers) > 0 {
-		e.sendEagerBatch(ctx, to, eagers)
+		e.sendEagerBatch(ctx, to, eagers, sc)
 	}
+	clear(eagers) // scratch must not keep requests alive
+	sc.eagers = eagers[:0]
 }
 
 // sendEagerBatch emits a batch of eager packets for one destination
 // according to the configured policy.
-func (e *Engine) sendEagerBatch(ctx rt.Ctx, to int, batch []*SendRequest) {
+func (e *Engine) sendEagerBatch(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
 	switch e.cfg.Eager {
 	case PolicyGreedy:
 		e.sendEagerGreedy(ctx, to, batch)
 	default:
-		e.sendEagerAggregate(ctx, to, batch)
+		e.sendEagerAggregate(ctx, to, batch, sc)
 	}
 }
 
@@ -90,7 +101,7 @@ func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 		cid := e.newID()
 		frame := wire.EncodeEagerID(e.origin(), cid, uint8(rail), []wire.Packet{{Tag: r.Tag, MsgID: r.msgID, Payload: r.Data}})
 		r.addPending(1)
-		e.registerContainer(cid, to, rail, frame, []*SendRequest{r})
+		e.registerContainer(cid, to, rail, nil, frame, []*SendRequest{r})
 		e.trace(trace.EagerSent, r.msgID, rail, len(r.Data), "greedy")
 		// Stats before the transport enqueue: the receiver's ack can fire
 		// RemoteDone before this worker resumes, and a counter that lags
@@ -108,9 +119,12 @@ func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 // sendEagerAggregate is the paper's strategy: pack the batch into
 // containers on the fastest available rail; a single medium-sized packet
 // may instead be split across rails and submitted from parallel cores.
-func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest) {
+//
+//railvet:hotpath
+func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
 	now := e.env.Now()
-	rails := e.railViewsFor(to)
+	sc.views = e.appendRailViews(sc.views[:0], to)
+	rails := sc.views
 	if len(batch) == 1 && e.cfg.EagerParallel {
 		r := batch[0]
 		single, parallel := strategy.EagerCandidates(len(r.Data), now, rails, e.sched.NumIdle(), model.OffloadSyncCost)
@@ -134,37 +148,39 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest) {
 	// available network").
 	i := 0
 	for i < len(batch) {
-		var pkts []wire.Packet
-		var group []*SendRequest
-		total := 0
 		// Pick the rail for the first packet, then fill while it fits.
 		// Zero-length packets still travel as (empty) containers, so pick
 		// the rail as if they carried one byte.
-		first := batch[i]
-		pickSize := len(first.Data)
+		first := i
+		pickSize := len(batch[first].Data)
 		if pickSize == 0 {
 			pickSize = 1
 		}
-		rail := e.pickEagerRail(pickSize, now, rails)
+		rail := e.pickEagerRail(pickSize, now, rails, sc)
 		limit := e.profiles[rail].EagerMax
+		pkts := sc.pkts[:0]
+		total, size := 0, wire.HeaderSize
 		for i < len(batch) {
 			r := batch[i]
-			sz := wire.AggregateSize(append(pkts, wire.Packet{Payload: r.Data}))
+			sz := size + wire.EntrySize(len(r.Data))
 			if limit > 0 && sz > limit && len(pkts) > 0 {
 				break
 			}
 			pkts = append(pkts, wire.Packet{Tag: r.Tag, MsgID: r.msgID, Payload: r.Data})
-			group = append(group, r)
-			total += len(r.Data)
+			total, size = total+len(r.Data), sz
 			i++
 		}
+		group := batch[first:i]
 		cid := e.newID()
-		frame := wire.EncodeEagerID(e.origin(), cid, uint8(rail), pkts)
+		buf, frame := e.newFrame(size)
+		frame = wire.AppendEagerID(frame, e.origin(), cid, uint8(rail), pkts)
+		clear(pkts) // scratch must not keep payloads alive
+		sc.pkts = pkts[:0]
 		for _, r := range group {
 			r.addPending(1)
 			e.noteDecision(r)
 		}
-		e.registerContainer(cid, to, rail, frame, group)
+		e.registerContainer(cid, to, rail, buf, frame, group)
 		agg, note := 0, ""
 		if len(group) > 1 {
 			agg, note = len(group), "aggregated"
@@ -201,20 +217,21 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest) {
 // rail's contract. If no usable rail admits it (a health transition
 // raced the flush decision), the unfiltered pick stands: the container
 // is tolerated oversized, exactly as before rails were heterogeneous.
-func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailView) int {
-	fit := make([]strategy.RailView, 0, len(rails))
+func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailView, sc *destScratch) int {
+	fit := sc.fit[:0]
 	anyUp := false
-	//railvet:ignore railup size-prefilter only: anyUp tracks health and Split's internal Usable does the Up filtering, with the all-down fallback documented above
+	//railvet:ignore railup size-prefilter only: anyUp tracks health and BestRail applies the Usable rule itself, with the all-down fallback documented above
 	for _, v := range rails {
 		if v.EagerMax == 0 || n <= v.EagerMax {
 			fit = append(fit, v)
 			anyUp = anyUp || !v.Down
 		}
 	}
+	sc.fit = fit[:0]
 	if !anyUp {
 		fit = rails
 	}
-	best := strategy.SingleRail{}.Split(n, now, fit)[0].Rail
+	best := strategy.BestRail(n, now, fit)
 	pe := e.probeEvery()
 	if pe == 0 {
 		return best
@@ -278,8 +295,10 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 // freshly encoded chunk header and the payload aliased where it lies in
 // r.Data — first sends and failover replays alike assemble no frame.
 // done (may be nil) fires when the rail no longer reads the payload.
-func (e *Engine) sendChunk(ctx rt.Ctx, r *SendRequest, rail, off, size int, done rt.Event) {
-	head := wire.EncodeDataHeader(nil, uint8(rail), e.origin(), r.Tag, r.msgID, off, size, len(r.Data))
+// The header is encoded into hdr, the caller's scratch: fabrics copy a
+// short head at enqueue, so hdr is free again when sendChunk returns.
+func (e *Engine) sendChunk(ctx rt.Ctx, r *SendRequest, rail, off, size int, done rt.Event, hdr *[wire.HeaderSize]byte) {
+	head := wire.EncodeDataHeader(hdr[:0], uint8(rail), e.origin(), r.Tag, r.msgID, off, size, len(r.Data))
 	e.node.Rail(rail).SendDataV(ctx, r.To, head, r.Data[off:off+size], done)
 	e.settle(ctx, rail)
 }
@@ -306,27 +325,18 @@ func (e *Engine) bumpEager(sent, agg, par, bytes int) {
 // startRendezvous sends the RTS on the best small-message rail and parks
 // the request until the CTS arrives. The rail is remembered so the RTS
 // can be replayed if it dies before the CTS comes back.
-func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest) {
-	rails := e.railViewsFor(r.To)
-	pick := strategy.SingleRail{}.Split(wire.HeaderSize, e.env.Now(), rails)
-	rail := pick[0].Rail
+func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
+	sc.views = e.appendRailViews(sc.views[:0], r.To)
+	rail := strategy.BestRail(wire.HeaderSize, e.env.Now(), sc.views)
 	e.noteDecision(r)        // protocol decision: rendezvous, RTS on `rail`
-	r.rdvStart = e.env.Now() // whole-rendezvous clock (telemetry rdv plane)
-	if e.histRdv != nil {
-		start := r.rdvStart
-		r.acked.OnFire(func() {
-			if d := e.env.Now() - start; d > 0 {
-				e.histRdv.Observe(d)
-			}
-		})
-	}
+	r.rdvStart = e.env.Now() // whole-rendezvous clock (telemetry rdv plane, noteAcked's histogram)
 	us := e.unit(r.To, r.msgID)
 	us.mu.Lock()
 	us.rdvOut[r.msgID] = &pendingRdv{req: r, rail: rail}
 	us.mu.Unlock()
 	e.stats.rdvSent.Add(1)
 	prof := e.node.Rail(rail).Profile()
-	rts := wire.EncodeControl(wire.KindRTS, uint8(rail), e.origin(), r.Tag, r.msgID, uint64(len(r.Data)))
+	rts := wire.AppendControl(sc.hdr[:0], wire.KindRTS, uint8(rail), e.origin(), r.Tag, r.msgID, uint64(len(r.Data)))
 	e.trace(trace.RTSSent, r.msgID, rail, len(r.Data), "")
 	e.node.Rail(rail).SendControl(ctx, r.To, rts, prof.SendOverhead, prof.RecvOverhead)
 	e.settle(ctx, rail)
@@ -360,11 +370,12 @@ func (e *Engine) onCTS(peer int, msgID uint64) {
 	e.trace(trace.Decision, msgID, -1, len(r.Data), e.cfg.Splitter.Name())
 	e.env.Go("rdv-send", func(ctx rt.Ctx) {
 		events := make([]rt.Event, 0, len(chunks))
+		var hdr [wire.HeaderSize]byte
 		for _, c := range chunks {
 			done := e.env.NewEvent()
 			events = append(events, done)
 			e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
-			e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, done)
+			e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, done, &hdr)
 		}
 		e.noteEnqueued(r) // every chunk DMA is posted
 		for _, ev := range events {

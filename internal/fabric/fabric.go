@@ -30,6 +30,24 @@
 // body-less frame (eager containers, control messages, one-slice
 // SendData) and every fabric without a placer takes the contiguous path:
 // one Delivery whose Data is head followed by body.
+//
+// Ownership of small things. Two contracts keep the per-message path free
+// of allocations without the engine knowing how a fabric queues or reads:
+//
+//   - A head (or one-slice frame) of at most PlaceHeadMax bytes is copied
+//     when it is posted, by every Rail: acks, RTS/CTS and chunk headers are
+//     encoded into the sender's own scratch, which is free again the
+//     moment the send call returns. Longer heads — eager containers — and
+//     bodies stay aliased as documented on Rail.
+//   - Delivery.Release is optional and idempotent. The live transports take
+//     the buffer of a contiguous frame, and the Delivery beside it, from a
+//     per-node FramePool; a consumer that has copied out what it needs
+//     calls Release and the next frame of that size reuses both. A
+//     consumer that never calls it — a sink-only probe, RecvQ, the inline
+//     progression path, anything that parks the frame — keeps the frame
+//     for as long as it likes: it is garbage-collected like any other
+//     slice. Release on a delivery that did not come from a pool
+//     (simulated fabrics, literals, oversized frames) does nothing.
 package fabric
 
 import (
@@ -58,6 +76,12 @@ type Delivery struct {
 	CopyCPU time.Duration
 	// SentAt is the fabric time the message was posted (tracing).
 	SentAt time.Duration
+
+	// Recycling state of a frame that came from a FramePool (see Release);
+	// zero for every other delivery.
+	pool     *FramePool
+	class    uint8
+	released bool
 }
 
 // Stats aggregates per-rail traffic counters.
@@ -169,11 +193,13 @@ type Rail interface {
 	Stats() Stats
 	// SendEager transmits an eager (PIO) container. It may block the
 	// calling actor for the host-side cost; the payload is aliased until
-	// the message is handed to the wire.
+	// the message is handed to the wire (a frame of at most PlaceHeadMax
+	// bytes is copied before the call returns, as for every send).
 	SendEager(ctx rt.Ctx, to int, data []byte)
 	// SendControl transmits a small control message (RTS/CTS/Ack),
 	// charging the caller cpuCost and annotating the delivery with
-	// recvCost. Fabrics without modeled CPU costs ignore both.
+	// recvCost. Fabrics without modeled CPU costs ignore both. Control
+	// messages are header-sized, hence copied: data may be scratch.
 	SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration)
 	// SendData streams a rendezvous chunk. The calling actor is blocked
 	// only for the descriptor post; done (may be nil) fires when the
@@ -182,9 +208,11 @@ type Rail interface {
 	SendData(ctx rt.Ctx, to int, data []byte, done rt.Event)
 	// SendDataV streams a rendezvous chunk given as head followed by
 	// body, gathering from both slices without coalescing them: the
-	// receiver sees one frame of len(head)+len(body) bytes. Both slices
-	// are aliased until done fires (done may be nil: the caller then
-	// keeps them untouched until the unit is acknowledged).
+	// receiver sees one frame of len(head)+len(body) bytes. The body —
+	// and a head longer than PlaceHeadMax — are aliased until done fires
+	// (done may be nil: the caller then keeps them untouched until the
+	// unit is acknowledged); a shorter head is copied before the call
+	// returns.
 	SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event)
 }
 
@@ -272,7 +300,8 @@ type Placer func(from, rail int, head []byte, bodyLen int) (dst []byte, done fun
 
 // PlaceHeadMax bounds the head a reader offers to a Placer (it is read
 // into a per-link scratch buffer of this size); frames with a longer
-// head are delivered contiguously.
+// head are delivered contiguously. It is also the size up to which every
+// Rail copies a head at enqueue (see Head).
 const PlaceHeadMax = 64
 
 // Fabric is a set of nodes joined by parallel rails.

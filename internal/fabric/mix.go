@@ -68,6 +68,10 @@ func NewMix(local int, subs ...Fabric) (*Mix, error) {
 				})
 			}
 			mn.health = m.newMixHealth(i)
+			for r := 0; r < m.total; r++ {
+				sub, sr := m.SubFor(r)
+				mn.rails = append(mn.rails, mixRail{Rail: sub.Node(i).Rail(sr), idx: r})
+			}
 		}
 		m.nodes = append(m.nodes, mn)
 	}
@@ -147,6 +151,7 @@ type mixNode struct {
 	m      *Mix
 	id     int
 	hosted bool
+	rails  []Rail // combined rails, built once: Rail(i) is called per decision
 	recvq  rt.Queue
 	health *mixHealth
 
@@ -244,8 +249,7 @@ func (n *mixNode) NumRails() int { return n.m.total }
 // Rail returns the i-th combined rail.
 func (n *mixNode) Rail(i int) Rail {
 	n.mustHost()
-	sub, r := n.m.SubFor(i)
-	return mixRail{Rail: sub.Node(n.id).Rail(r), idx: i}
+	return n.rails[i]
 }
 
 // RecvQ returns the combined delivery queue.

@@ -121,6 +121,11 @@ func TestChaosTCPRailDiesMidTransfer(t *testing.T) {
 // A stream of eager messages survives a rail kill mid-stream: lost
 // containers are replayed on survivors and none delivers twice.
 func TestChaosTCPRailDiesMidEagerStream(t *testing.T) {
+	// Containers lost with the rail are replayed while their originals may
+	// still be acknowledged: a frame recycled under a replay, or a receive
+	// frame reused under a queued packet, shows as a corrupted flow.
+	fabric.SetRecyclePoison(true)
+	defer fabric.SetRecyclePoison(false)
 	env := rt.NewLive()
 	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 2})
 	if err != nil {
@@ -147,8 +152,9 @@ func TestChaosTCPRailDiesMidEagerStream(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = eng1.Irecv(0, uint32(i), bufs[i])
 		}
+		sends := make([]*core.SendRequest, flows)
 		for i := range payloads {
-			eng0.Isend(1, uint32(i), payloads[i])
+			sends[i] = eng0.Isend(1, uint32(i), payloads[i])
 			if i == flows/2 {
 				f.FailRail(0, 0) // mid-stream
 			}
@@ -158,12 +164,22 @@ func TestChaosTCPRailDiesMidEagerStream(t *testing.T) {
 				t.Errorf("flow %d: n=%d err=%v", i, n, err)
 			}
 		}
+		for _, s := range sends {
+			s.RemoteDone().Wait(ctx)
+		}
 	})
 	waitOrFatal(t, "eager stream failover", done)
 	for i := range payloads {
 		if !bytes.Equal(bufs[i], payloads[i]) {
 			t.Fatalf("flow %d corrupted", i)
 		}
+	}
+	// Quiescent: every container was acknowledged or replayed exactly once.
+	if out := eng0.OutstandingUnits(); out != 0 {
+		t.Fatalf("%d units still outstanding", out)
+	}
+	if c := eng1.InflightClaims(); c != 0 {
+		t.Fatalf("%d receive ranges still claimed", c)
 	}
 }
 

@@ -560,22 +560,24 @@ func (f *Fabric) register(conn net.Conn, owner, peer, r int) {
 }
 
 // outFrame is one queued wire frame: head followed by body (nil for
-// one-slice frames), both aliased from the sender until done fires.
+// one-slice frames). A short head travels by value (fabric.Head); a long
+// head and the body stay aliased from the sender until done fires.
 type outFrame struct {
-	head, body []byte
-	done       rt.Event
-	rail       *Rail
+	head fabric.Head
+	body []byte
+	done rt.Event
+	rail *Rail
 }
 
 // size is the frame's wire length without the link prefix.
-func (of outFrame) size() int { return len(of.head) + len(of.body) }
+func (of *outFrame) size() int { return of.head.Len() + len(of.body) }
 
 // finish retires the frame: accounting first, then the completion
 // event. wrote is the frame's full occupancy (throttle delay included);
 // calib is the raw write duration the throughput EWMA calibrates on.
 // written is false on the shutdown drop paths, so only frames that
 // actually went to the wire count as rail traffic.
-func (of outFrame) finish(wrote, calib time.Duration, written bool) {
+func (of *outFrame) finish(wrote, calib time.Duration, written bool) {
 	of.rail.noteWritten(of.size(), wrote, calib, written)
 	if of.done != nil {
 		of.done.Fire()
@@ -595,12 +597,21 @@ type link struct {
 	// scratch holds the head of a frame offered to the placer; only the
 	// link's reader touches it.
 	scratch [fabric.PlaceHeadMax]byte
+
+	// The writer's per-frame storage, owned by the link so that nothing
+	// escapes per frame: the frame being written (a short head's bytes live
+	// in it), the length prefix, and the gather list handed to writev.
+	cur    outFrame
+	prefix [prefixSize]byte
+	iov    [3][]byte
+	bufs   net.Buffers
 }
 
 // writeLoop drains a link's queue onto its connection. Each frame is the
 // length prefix, then head and body, gathered by one writev from their
 // own slices — a rendezvous chunk goes from the caller's buffer to the
-// socket uncopied. done events fire when the frame has been handed to
+// socket uncopied — out of storage the link owns, so a frame allocates
+// nothing. done events fire when the frame has been handed to
 // the kernel — the live equivalent of "the DMA drained". Per-frame
 // timestamps use internal/clock: two wall-clock reads per frame would
 // be pure overhead on the engine's busiest loop.
@@ -610,10 +621,10 @@ func (f *Fabric) writeLoop(l *link) {
 	defer f.writers.Done()
 	for {
 		select {
-		case of := <-l.out:
-			var prefix [prefixSize]byte
-			binary.LittleEndian.PutUint32(prefix[0:], uint32(len(of.head)))
-			binary.LittleEndian.PutUint32(prefix[4:], uint32(len(of.body)))
+		case l.cur = <-l.out:
+			of := &l.cur
+			binary.LittleEndian.PutUint32(l.prefix[0:], uint32(of.head.Len()))
+			binary.LittleEndian.PutUint32(l.prefix[4:], uint32(len(of.body)))
 			start := clock.Now()
 			if th := of.rail.throttleFactor(); th > 1 {
 				// Chaos throttle: delay the frame BEFORE it reaches the
@@ -626,8 +637,9 @@ func (f *Fabric) writeLoop(l *link) {
 				time.Sleep(time.Duration(exp * (th - 1) * 1e9))
 			}
 			writeStart := clock.Now()
-			bufs := net.Buffers{prefix[:], of.head, of.body}
-			_, err := bufs.WriteTo(l.conn)
+			l.iov = [3][]byte{l.prefix[:], of.head.Bytes(), of.body}
+			l.bufs = l.iov[:] // WriteTo consumes the list, so rebuild it per frame
+			_, err := l.bufs.WriteTo(l.conn)
 			// The rate EWMA calibrates on the raw write only: folding the
 			// throttle sleep in would shrink the rate, stretch the next
 			// sleep, and spiral. Occupancy (took) keeps the full delay.
@@ -641,6 +653,7 @@ func (f *Fabric) writeLoop(l *link) {
 			if err == nil {
 				of.rail.node.observeWrite(l.peer, of.rail.index, of.size(), took)
 			}
+			l.iov, l.cur = [3][]byte{}, outFrame{} // drop the sender's buffers
 			if err != nil {
 				// Record the failure and kill the connection so both
 				// ends' readers observe it instead of waiting on bytes
@@ -659,12 +672,12 @@ func (f *Fabric) writeLoop(l *link) {
 			drainLink(l)
 			// Best-effort goodbye so the peer records no error for a
 			// graceful shutdown (bounded: the fabric is going away).
-			var prefix [prefixSize]byte
-			binary.LittleEndian.PutUint32(prefix[:], goodbye)
+			l.prefix = [prefixSize]byte{}
+			binary.LittleEndian.PutUint32(l.prefix[:], goodbye)
 			//railvet:ignore hotclock shutdown-only branch; SetWriteDeadline needs an absolute wall-clock time
 			l.conn.SetWriteDeadline(time.Now().Add(250 * time.Millisecond))
 			//nolint:errcheck // best-effort goodbye on a closing fabric: the deadline bounds it and any error means the peer is gone anyway
-			l.conn.Write(prefix[:])
+			l.conn.Write(l.prefix[:])
 			return
 		}
 	}
@@ -688,9 +701,12 @@ func drainLink(l *link) {
 // is first offered to the node's placer: if it names a destination the
 // body is read from the socket straight into it and the placement is
 // committed; otherwise — no placer, body-less frame, placement declined
-// — head and body land in one fresh buffer delivered to the sink. Any
+// — head and body land in one buffer from the node's frame pool,
+// delivered to the sink and recycled if the consumer releases it. Any
 // read failure — including a goodbye-less EOF from a dying peer — aborts
 // a placement under way and starts rail recovery.
+//
+//railvet:hotpath
 func (f *Fabric) readLoop(node *Node, l *link) {
 	defer f.wg.Done()
 	conn, peer, r := l.conn, l.peer, l.rail
@@ -735,10 +751,10 @@ func (f *Fabric) readLoop(node *Node, l *link) {
 			}
 			dst, placed = (*place)(peer, r, head, int(bn))
 		}
-		var data []byte
+		var d *fabric.Delivery
 		if dst == nil {
-			data = make([]byte, hn+bn)
-			dst = data[copy(data, head):]
+			d = node.frames.Get(int(hn + bn))
+			dst = d.Data[copy(d.Data, head):]
 		}
 		if _, err := io.ReadFull(conn, dst); err != nil {
 			if placed != nil {
@@ -751,12 +767,8 @@ func (f *Fabric) readLoop(node *Node, l *link) {
 			placed(true)
 			continue
 		}
-		node.deliver(&fabric.Delivery{
-			From:   peer,
-			Rail:   r,
-			Data:   data,
-			SentAt: f.env.Now(),
-		})
+		d.From, d.Rail, d.SentAt = peer, r, f.env.Now()
+		node.deliver(d)
 	}
 }
 
@@ -935,6 +947,9 @@ type Node struct {
 	recvq  rt.Queue
 	health *railhealth.Tracker
 	killed []bool // reconnection suppressed (FailRail); guarded by f.mu
+
+	// frames recycles the contiguous receive frames consumers release.
+	frames fabric.FramePool
 
 	sinkMu sync.RWMutex
 	sink   func(*fabric.Delivery)
@@ -1162,9 +1177,12 @@ func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
 }
 
 // SendDataV queues head and body as one frame; the writer gathers them
-// with writev, so both stay aliased until done fires.
+// with writev, so the body — and a head longer than fabric.PlaceHeadMax
+// — stay aliased until done fires. A shorter head is copied here.
+//
+//railvet:hotpath
 func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
-	of := outFrame{head: head, body: body, done: done, rail: r}
+	of := outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}
 	if of.size() > maxFrame {
 		// Refuse at the source: a larger frame would be rejected by the
 		// receiver (or wrap the uint32 prefix past 4 GiB and desync the

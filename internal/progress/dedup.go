@@ -20,7 +20,8 @@ type dedupKey struct {
 type dedupStripe struct {
 	mu   sync.Mutex
 	seen map[dedupKey]struct{}
-	q    []dedupKey // eviction order
+	q    []dedupKey // eviction order: a ring of cap entries once full
+	head int        // oldest entry of the full ring
 	cap  int
 }
 
@@ -55,11 +56,13 @@ func (d *Dedup) Mark(peer int, id uint64) bool {
 		return false
 	}
 	s.seen[k] = struct{}{}
-	s.q = append(s.q, k)
-	if len(s.q) > s.cap {
-		delete(s.seen, s.q[0])
-		s.q = s.q[1:]
+	if len(s.q) < s.cap {
+		s.q = append(s.q, k)
+		return true
 	}
+	delete(s.seen, s.q[s.head])
+	s.q[s.head] = k
+	s.head = (s.head + 1) % s.cap
 	return true
 }
 

@@ -48,6 +48,20 @@ type Task struct {
 	Run func(ctx rt.Ctx)
 }
 
+// Do runs the task: a Task is itself Work, so closure tasks and pointer
+// work items share one queue and one worker loop.
+func (t Task) Do(ctx rt.Ctx) { t.Run(ctx) }
+
+// Work is what a worker's queue carries. The per-message paths submit a
+// pointer to a long-lived or recycled item (SubmitWork): a pointer in
+// an interface allocates nothing, where a Task costs its closure and the
+// boxing of the struct. The item owns itself again the moment Do is
+// entered — it may hand itself back to a free list before Do returns —
+// so a worker never touches an item after calling Do.
+type Work interface {
+	Do(ctx rt.Ctx)
+}
+
 // WorkerStats counts one worker's activity.
 type WorkerStats struct {
 	// Tasks is the number of tasks executed.
@@ -95,9 +109,8 @@ func (w *worker) loop(ctx rt.Ctx) {
 		if item == nil {
 			return // Stop sentinel
 		}
-		t := item.(Task)
 		start := ctx.Now()
-		t.Run(ctx)
+		item.(Work).Do(ctx)
 		w.mu.Lock()
 		w.stats.Tasks++
 		w.stats.BusyTime += ctx.Now() - start
@@ -112,8 +125,16 @@ func (p *Pool) Size() int { return len(p.workers) }
 func (p *Pool) Worker(key uint32) int { return int(key % uint32(len(p.workers))) }
 
 // Submit queues t on the worker the key maps to. Never blocks.
-func (p *Pool) Submit(key uint32, t Task) {
-	p.workers[key%uint32(len(p.workers))].q.Push(t)
+//
+//railvet:hotpath
+func (p *Pool) Submit(key uint32, t Task) { p.SubmitWork(key, t) }
+
+// SubmitWork queues w on the worker the key maps to, in the same FIFO as
+// Submit. Never blocks, and allocates nothing when w is a pointer.
+//
+//railvet:hotpath
+func (p *Pool) SubmitWork(key uint32, w Work) {
+	p.workers[key%uint32(len(p.workers))].q.Push(w)
 }
 
 // Stop makes every worker exit after draining the tasks queued before

@@ -1,7 +1,6 @@
 package progress
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/rt"
@@ -18,7 +17,8 @@ import (
 // never the callers.
 //
 // Flushes for one destination are serialised (same DestKey, same
-// worker, FIFO), preserving per-destination submission order.
+// worker, FIFO), preserving per-destination submission order. The batch
+// slice belongs to the submitter again when the callback returns.
 type Submitter[T any] struct {
 	pool  *Pool
 	flush func(ctx rt.Ctx, to int, batch []T)
@@ -27,10 +27,21 @@ type Submitter[T any] struct {
 	dests map[int]*destQueue[T]
 }
 
+// destQueue is one destination's queue and, at the same time, its flush
+// work item: scheduled guarantees at most one flush of a destination is
+// queued, so the queue itself is what Put hands to the pool.
 type destQueue[T any] struct {
+	s  *Submitter[T]
+	to int
+
 	mu        sync.Mutex
 	items     []T
-	scheduled bool // a flush task is queued and will observe items
+	scheduled bool // a flush is queued and will observe items
+
+	// spare is the batch the previous flush handed back, reused as the
+	// next items array. Only this destination's flush touches it, and
+	// flushes of one destination are serialised.
+	spare []T
 }
 
 // NewSubmitter builds a submitter flushing through the pool.
@@ -48,7 +59,7 @@ func (s *Submitter[T]) dest(to int) *destQueue[T] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d = s.dests[to]; d == nil {
-		d = &destQueue[T]{}
+		d = &destQueue[T]{s: s, to: to}
 		s.dests[to] = d
 	}
 	return d
@@ -56,6 +67,8 @@ func (s *Submitter[T]) dest(to int) *destQueue[T] {
 
 // Put appends item to the destination's queue and schedules a flush if
 // none is pending. Never blocks.
+//
+//railvet:hotpath
 func (s *Submitter[T]) Put(to int, item T) {
 	d := s.dest(to)
 	d.mu.Lock()
@@ -64,26 +77,25 @@ func (s *Submitter[T]) Put(to int, item T) {
 	d.scheduled = true
 	d.mu.Unlock()
 	if schedule {
-		s.pool.Submit(DestKey(to), Task{
-			Name: fmt.Sprintf("flush-%d", to),
-			Run:  func(ctx rt.Ctx) { s.runFlush(ctx, to) },
-		})
+		s.pool.SubmitWork(DestKey(to), d)
 	}
 }
 
-// runFlush drains the destination's queue and invokes the flush callback
-// outside the queue lock. Items Put while the callback runs schedule a
-// fresh flush (on the same worker, after this one).
-func (s *Submitter[T]) runFlush(ctx rt.Ctx, to int) {
-	d := s.dest(to)
+// Do drains the destination's queue and invokes the flush callback
+// outside the queue lock (Work). Items Put while the callback runs
+// schedule a fresh flush (on the same worker, after this one). The batch
+// is only lent to the callback: its array becomes the next queue.
+func (d *destQueue[T]) Do(ctx rt.Ctx) {
 	d.mu.Lock()
 	batch := d.items
-	d.items = nil
+	d.items = d.spare[:0]
 	d.scheduled = false
 	d.mu.Unlock()
 	if len(batch) > 0 {
-		s.flush(ctx, to, batch)
+		d.s.flush(ctx, d.to, batch)
 	}
+	clear(batch) // the queue must not keep flushed items alive
+	d.spare = batch
 }
 
 // Queued returns the number of items currently waiting for a

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -57,7 +58,12 @@ func (e *LiveEnv) After(d time.Duration, fn func()) {
 	time.AfterFunc(d, run)
 }
 
-func (e *LiveEnv) NewEvent() Event { return &liveEvent{done: make(chan struct{})} }
+func (e *LiveEnv) NewEvent() Event { return new(LiveEvent) }
+
+// EventAt hands the caller's slot back as the event: a zero LiveEvent is
+// ready to use, so nothing is allocated.
+func (e *LiveEnv) EventAt(slot *LiveEvent) Event { return slot }
+
 func (e *LiveEnv) NewQueue() Queue {
 	q := &liveQueue{}
 	q.cond = sync.NewCond(&q.mu)
@@ -81,106 +87,143 @@ func (c liveCtx) Sleep(d time.Duration) {
 	}
 }
 
-type liveEvent struct {
+// LiveEvent is the wall-clock Event. Its zero value is an unfired event,
+// so the object an event completes embeds it instead of pointing at one
+// (Env.EventAt); it must not be copied after first use. Fire, Wait and
+// the first OnFire allocate nothing: waiters park on a condition
+// variable, and only WaitTimeout — which no per-message path calls —
+// builds a channel and a timer.
+type LiveEvent struct {
 	mu    sync.Mutex
-	fired bool
-	done  chan struct{}
-	cbs   []func()
+	fired atomic.Bool // written under mu; read lock-free by Fired and Wait
+	wake  sync.Cond   // parks waiters; L is set by the first one, under mu
+	cb    func()      // the first callback, inline
+	cbs   []func()    // any further callbacks
 }
 
-func (e *liveEvent) Fire() {
+func (e *LiveEvent) Fire() {
 	e.mu.Lock()
-	if e.fired {
+	if e.fired.Load() {
 		e.mu.Unlock()
 		return
 	}
-	e.fired = true
-	cbs := e.cbs
-	e.cbs = nil
-	close(e.done)
+	e.fired.Store(true)
+	cb, cbs := e.cb, e.cbs
+	e.cb, e.cbs = nil, nil
 	e.mu.Unlock()
+	e.wake.Broadcast()
+	if cb != nil {
+		cb()
+	}
 	for _, cb := range cbs {
 		cb()
 	}
 }
 
-func (e *liveEvent) Fired() bool {
+func (e *LiveEvent) Fired() bool { return e.fired.Load() }
+
+func (e *LiveEvent) Wait(Ctx) {
+	if e.fired.Load() {
+		return
+	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fired
+	for !e.fired.Load() {
+		if e.wake.L == nil {
+			e.wake.L = &e.mu
+		}
+		e.wake.Wait()
+	}
+	e.mu.Unlock()
 }
 
-func (e *liveEvent) Wait(Ctx) { <-e.done }
-
-func (e *liveEvent) WaitTimeout(_ Ctx, d time.Duration) bool {
-	if d <= 0 {
-		select {
-		case <-e.done:
-			return true
-		default:
-			return false
-		}
+func (e *LiveEvent) WaitTimeout(_ Ctx, d time.Duration) bool {
+	if d <= 0 || e.fired.Load() {
+		return e.fired.Load()
 	}
+	done := make(chan struct{})
+	e.OnFire(func() { close(done) })
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-e.done:
+	case <-done:
 		return true
 	case <-t.C:
-		return e.Fired() // may have fired concurrently with the timer
+		return e.fired.Load() // may have fired concurrently with the timer
 	}
 }
 
-func (e *liveEvent) OnFire(cb func()) {
+func (e *LiveEvent) OnFire(cb func()) {
 	e.mu.Lock()
-	if e.fired {
+	if e.fired.Load() {
 		e.mu.Unlock()
 		cb()
 		return
 	}
-	e.cbs = append(e.cbs, cb)
+	if e.cb == nil && len(e.cbs) == 0 {
+		e.cb = cb
+	} else {
+		e.cbs = append(e.cbs, cb)
+	}
 	e.mu.Unlock()
 }
 
+// liveQueue is a ring: the backing array is reused as items come and
+// go, and a popped slot is cleared so the queue does not keep the item
+// alive. A worker's queue in steady state allocates nothing.
 type liveQueue struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	items []any
+	mu   sync.Mutex
+	cond *sync.Cond
+	buf  []any // len is zero or a power of two
+	head int
+	n    int
 }
 
 func (q *liveQueue) Push(v any) {
 	q.mu.Lock()
-	q.items = append(q.items, v)
+	if q.n == len(q.buf) {
+		grown := make([]any, max(16, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
 	q.mu.Unlock()
 	q.cond.Signal()
+}
+
+// pop removes the head item; the caller holds q.mu and has checked n > 0.
+func (q *liveQueue) pop() any {
+	v := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
 }
 
 func (q *liveQueue) Pop(Ctx) any {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 {
+	for q.n == 0 {
 		q.cond.Wait()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.pop()
 }
 
 func (q *liveQueue) TryPop() (any, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return nil, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.pop(), true
 }
 
 func (q *liveQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.n
 }
 
 type liveResource struct {

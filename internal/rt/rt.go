@@ -37,6 +37,12 @@ type Env interface {
 	After(d time.Duration, fn func())
 	// NewEvent returns a one-shot completion event.
 	NewEvent() Event
+	// EventAt returns a one-shot completion event that lives in slot when
+	// the environment's events can use caller-provided memory (live: the
+	// zero LiveEvent is ready, nothing is allocated) and a fresh one
+	// otherwise (sim). A request embeds the slot and so owns its
+	// completions: one heap object per request instead of one per event.
+	EventAt(slot *LiveEvent) Event
 	// NewQueue returns an unbounded FIFO with blocking Pop.
 	NewQueue() Queue
 	// NewResource returns a counted resource with the given capacity.

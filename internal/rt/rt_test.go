@@ -33,84 +33,6 @@ func both(t *testing.T, fn func(t *testing.T, env Env, settle func())) {
 	})
 }
 
-func TestEventFireWakesWaiter(t *testing.T) {
-	both(t, func(t *testing.T, env Env, settle func()) {
-		ev := env.NewEvent()
-		var woke atomic.Bool
-		env.Go("waiter", func(ctx Ctx) {
-			ev.Wait(ctx)
-			woke.Store(true)
-		})
-		env.Go("firer", func(ctx Ctx) {
-			ctx.Sleep(time.Millisecond)
-			ev.Fire()
-		})
-		settle()
-		if !woke.Load() {
-			t.Fatal("waiter never woke")
-		}
-	})
-}
-
-func TestEventOnFireRunsOnce(t *testing.T) {
-	both(t, func(t *testing.T, env Env, settle func()) {
-		ev := env.NewEvent()
-		var n atomic.Int32
-		ev.OnFire(func() { n.Add(1) })
-		env.Go("firer", func(Ctx) {
-			ev.Fire()
-			ev.Fire()
-		})
-		settle()
-		if n.Load() != 1 {
-			t.Fatalf("OnFire ran %d times", n.Load())
-		}
-	})
-}
-
-func TestEventOnFireAfterFired(t *testing.T) {
-	both(t, func(t *testing.T, env Env, settle func()) {
-		ev := env.NewEvent()
-		var ran atomic.Bool
-		env.Go("a", func(Ctx) {
-			ev.Fire()
-			ev.OnFire(func() { ran.Store(true) })
-		})
-		settle()
-		// In live mode the late OnFire runs synchronously; in sim it is
-		// scheduled at the current time and dispatched by settle.
-		if !ran.Load() {
-			t.Fatal("late OnFire never ran")
-		}
-	})
-}
-
-func TestWaitTimeoutBehaviour(t *testing.T) {
-	both(t, func(t *testing.T, env Env, settle func()) {
-		ev := env.NewEvent()
-		var expired, fired atomic.Bool
-		env.Go("w1", func(ctx Ctx) {
-			if !ev.WaitTimeout(ctx, time.Millisecond) {
-				expired.Store(true)
-			}
-		})
-		env.Go("w2", func(ctx Ctx) {
-			ctx.Sleep(5 * time.Millisecond)
-			ev.Fire()
-			if ev.WaitTimeout(ctx, time.Millisecond) {
-				fired.Store(true)
-			}
-		})
-		settle()
-		if !expired.Load() {
-			t.Fatal("timeout did not expire")
-		}
-		if !fired.Load() {
-			t.Fatal("WaitTimeout after Fire should return true")
-		}
-	})
-}
-
 func TestQueueTransfersItems(t *testing.T) {
 	both(t, func(t *testing.T, env Env, settle func()) {
 		q := env.NewQueue()

@@ -38,7 +38,10 @@ func (e *SimEnv) Go(name string, fn func(Ctx)) {
 func (e *SimEnv) After(d time.Duration, fn func()) { e.sim.After(d, fn) }
 
 func (e *SimEnv) NewEvent() Event { return &simEvent{ev: e.sim.NewEvent()} }
-func (e *SimEnv) NewQueue() Queue { return &simQueue{q: e.sim.NewQueue()} }
+
+// EventAt ignores the slot: simulated events belong to the simulator.
+func (e *SimEnv) EventAt(*LiveEvent) Event { return e.NewEvent() }
+func (e *SimEnv) NewQueue() Queue          { return &simQueue{q: e.sim.NewQueue()} }
 func (e *SimEnv) NewResource(c int) Resource {
 	return &simResource{r: e.sim.NewResource(c)}
 }

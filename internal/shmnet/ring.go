@@ -79,6 +79,11 @@ type ring struct {
 	// onStall, when installed alongside stalls, fires once per episode
 	// from the producer goroutine (Config.OnStall, rail-bound).
 	onStall func()
+
+	// Each side's park timer (in-process rings only, see enableWake),
+	// reused for every park: a timer per park was two to three objects per
+	// idle round trip. One goroutine each.
+	writePark, readPark *time.Timer
 }
 
 // ringRegionSize returns the bytes a ring with dataBytes of payload
@@ -117,6 +122,7 @@ func newRing(region []byte, init bool) *ring {
 func (r *ring) enableWake() *ring {
 	r.dataWake = make(chan struct{}, 1)
 	r.spaceWake = make(chan struct{}, 1)
+	r.writePark, r.readPark = time.NewTimer(0), time.NewTimer(0)
 	return r
 }
 
@@ -133,7 +139,9 @@ const (
 	backoffMaxSleep = 200 * time.Microsecond
 )
 
-func (b *backoff) wait(wake chan struct{}) {
+// wait paces one more poll. park is the calling ring side's timer, set
+// exactly when wake is.
+func (b *backoff) wait(wake chan struct{}, park *time.Timer) {
 	b.spins++
 	if b.spins <= backoffSpins {
 		runtime.Gosched()
@@ -147,12 +155,14 @@ func (b *backoff) wait(wake chan struct{}) {
 		time.Sleep(d)
 		return
 	}
-	t := time.NewTimer(d)
+	// With go.mod at 1.23+ a Reset timer delivers no tick of its earlier
+	// life, and one nobody waits on costs the runtime nothing: reuse needs
+	// neither draining nor a Stop after a wake-up.
+	park.Reset(d)
 	select {
 	case <-wake:
-	case <-t.C:
+	case <-park.C:
 	}
-	t.Stop()
 }
 
 func (b *backoff) reset() { b.spins = 0 }
@@ -193,7 +203,7 @@ func (r *ring) write(p []byte, abort func() bool) bool {
 			if abort() {
 				return false
 			}
-			b.wait(r.spaceWake)
+			b.wait(r.spaceWake, r.writePark)
 			continue
 		}
 		b.reset()
@@ -225,7 +235,7 @@ func (r *ring) read(p []byte, abort func() bool) bool {
 			if abort() || r.status.Load() == ringGoodbye {
 				return false
 			}
-			b.wait(r.dataWake)
+			b.wait(r.dataWake, r.readPark)
 			continue
 		}
 		b.reset()

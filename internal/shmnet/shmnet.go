@@ -316,18 +316,20 @@ func (f *Fabric) Close() error {
 }
 
 // outFrame is one queued wire frame: head followed by body (nil for
-// one-slice frames), both aliased from the sender until done fires.
+// one-slice frames). A short head travels by value (fabric.Head); a long
+// head and the body stay aliased from the sender until done fires.
 type outFrame struct {
-	head, body []byte
-	done       rt.Event
-	rail       *Rail
+	head fabric.Head
+	body []byte
+	done rt.Event
+	rail *Rail
 }
 
 // size is the frame's wire length without the link prefix.
-func (of outFrame) size() int { return len(of.head) + len(of.body) }
+func (of *outFrame) size() int { return of.head.Len() + len(of.body) }
 
 // finish retires the frame: accounting first, then the completion event.
-func (of outFrame) finish(wrote, calib time.Duration, written bool) {
+func (of *outFrame) finish(wrote, calib time.Duration, written bool) {
 	of.rail.noteWritten(of.size(), wrote, calib, written)
 	if of.done != nil {
 		of.done.Fire()
@@ -377,7 +379,7 @@ func (f *Fabric) writeLoop(n *Node, l *link) {
 				continue
 			}
 			var prefix [prefixSize]byte
-			binary.LittleEndian.PutUint32(prefix[0:], uint32(len(of.head)))
+			binary.LittleEndian.PutUint32(prefix[0:], uint32(of.head.Len()))
 			binary.LittleEndian.PutUint32(prefix[4:], uint32(len(of.body)))
 			start := clock.Now()
 			if th := of.rail.throttleFactor(); th > 1 {
@@ -389,7 +391,7 @@ func (f *Fabric) writeLoop(n *Node, l *link) {
 			}
 			writeStart := clock.Now()
 			ok := l.sendR.write(prefix[:], abort) &&
-				l.sendR.write(of.head, abort) &&
+				l.sendR.write(of.head.Bytes(), abort) &&
 				l.sendR.write(of.body, abort)
 			calib := clock.Since(writeStart)
 			took := clock.Since(start)
@@ -432,11 +434,14 @@ func drainLink(l *link) {
 // body is first offered to the node's placer: if it names a destination
 // the body is copied from the ring straight into it and the placement is
 // committed; otherwise — no placer, body-less frame, placement declined
-// — head and body land in one fresh buffer delivered to the sink.
+// — head and body land in one buffer from the node's frame pool,
+// delivered to the sink and recycled if the consumer releases it.
 // Frames read while the rail is killed are discarded (a placed one is
 // aborted) — the chaos hook's message loss — and the kill/revive
 // transitions are reported to the health tracker (the peer process sees
 // them through the ring status word).
+//
+//railvet:hotpath
 func (f *Fabric) readLoop(n *Node, l *link) {
 	defer f.wg.Done()
 	abort := func() bool { return f.closed.Load() }
@@ -471,10 +476,10 @@ func (f *Fabric) readLoop(n *Node, l *link) {
 			}
 			dst, placed = (*place)(l.peer, l.rail, head, int(bn))
 		}
-		var data []byte
+		var d *fabric.Delivery
 		if dst == nil {
-			data = make([]byte, hn+bn)
-			dst = data[copy(data, head):]
+			d = n.frames.Get(int(hn + bn))
+			dst = d.Data[copy(d.Data, head):]
 		}
 		if !l.recvR.read(dst, abort) {
 			if placed != nil {
@@ -506,12 +511,8 @@ func (f *Fabric) readLoop(n *Node, l *link) {
 			placed(true)
 			continue
 		}
-		n.deliver(&fabric.Delivery{
-			From:   l.peer,
-			Rail:   l.rail,
-			Data:   data,
-			SentAt: f.env.Now(),
-		})
+		d.From, d.Rail, d.SentAt = l.peer, l.rail, f.env.Now()
+		n.deliver(d)
 	}
 }
 
@@ -623,6 +624,9 @@ type Node struct {
 	// ring reopened: arriving traffic is the proof of revival a peer
 	// process's EnableRail cannot deliver any other way.
 	downHint []atomic.Bool
+
+	// frames recycles the contiguous receive frames consumers release.
+	frames fabric.FramePool
 
 	sinkMu sync.RWMutex
 	sink   func(*fabric.Delivery)
@@ -840,10 +844,13 @@ func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
 }
 
 // SendDataV queues head and body as one frame; the writer copies each
-// from its own slice into the ring, so both stay aliased until done
-// fires.
+// from its own slice into the ring, so the body — and a head longer than
+// fabric.PlaceHeadMax — stay aliased until done fires. A shorter head is
+// copied here.
+//
+//railvet:hotpath
 func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
-	of := outFrame{head: head, body: body, done: done, rail: r}
+	of := outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}
 	if of.size() > maxFrame {
 		panic(fmt.Sprintf("shmnet: frame of %d bytes exceeds the %d-byte limit", of.size(), maxFrame))
 	}

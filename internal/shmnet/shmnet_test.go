@@ -198,6 +198,10 @@ func TestEngineOverShmRails(t *testing.T) {
 // rail, and the payload still arrives intact. EnableRail then revives
 // the lane.
 func TestChaosShmRailDiesMidTransfer(t *testing.T) {
+	// A buffer recycled while something still reads it shows as a
+	// corrupted payload.
+	fabric.SetRecyclePoison(true)
+	defer fabric.SetRecyclePoison(false)
 	env := rt.NewLive()
 	f, err := shmnet.NewHosted(env, shmnet.Config{Nodes: 2, Rails: 2, RingBytes: 16 << 10})
 	if err != nil {
@@ -213,6 +217,7 @@ func TestChaosShmRailDiesMidTransfer(t *testing.T) {
 	buf := make([]byte, len(payload))
 
 	done := make(chan struct{})
+	killed := make(chan struct{})
 	var killOnce sync.Once
 	env.Go("app", func(ctx rt.Ctx) {
 		defer close(done)
@@ -220,6 +225,7 @@ func TestChaosShmRailDiesMidTransfer(t *testing.T) {
 		sr := eng0.Isend(1, 42, payload)
 		// Kill rail 0 while chunks are streaming through its small rings.
 		go killOnce.Do(func() {
+			defer close(killed)
 			time.Sleep(2 * time.Millisecond)
 			f.FailRail(0, 0)
 		})
@@ -229,6 +235,7 @@ func TestChaosShmRailDiesMidTransfer(t *testing.T) {
 		sr.RemoteDone().Wait(ctx)
 	})
 	waitOrFatal(t, "chaos transfer", done)
+	<-killed // on a loaded host the transfer can beat the killer to the finish
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("payload corrupted across the failover")
 	}

@@ -319,10 +319,21 @@ func (r *Rail) note(occupancy time.Duration, bytes int) {
 	r.mu.Unlock()
 }
 
+// own applies the fabric contract on short heads: a head of at most
+// fabric.PlaceHeadMax bytes is copied when it is posted, so the engine may
+// encode it in scratch it reuses as soon as the send call returns.
+func own(head []byte) []byte {
+	if len(head) > fabric.PlaceHeadMax {
+		return head
+	}
+	return append([]byte(nil), head...)
+}
+
 func (r *Rail) deliver(to int, d *Delivery, after time.Duration) {
 	c := r.node.cluster
 	dst := c.Nodes[to]
 	d.SentAt = c.env.Now()
+
 	// The frame lands only if the lane is still alive when the last byte
 	// arrives: a NIC that dies (FailRail) or is unplugged mid-flight —
 	// on either end — takes the frame with it. This is the loss the
@@ -360,7 +371,7 @@ func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
 	r.deliver(to, &Delivery{
 		From:    r.node.id,
 		Rail:    r.index,
-		Data:    data,
+		Data:    own(data),
 		RecvCPU: p.RecvOverhead,
 		CopyCPU: durPerByte(len(data), p.RecvCopyRate),
 	}, c.d(p.WireLatency))
@@ -377,7 +388,7 @@ func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost ti
 	r.deliver(to, &Delivery{
 		From:    r.node.id,
 		Rail:    r.index,
-		Data:    data,
+		Data:    own(data),
 		RecvCPU: recvCost,
 	}, c.d(r.prof.WireLatency))
 }
@@ -397,9 +408,11 @@ func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
 // the same length a contiguous send would have carried, so every modeled
 // cost — and every paper figure — is unchanged.
 func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
-	data := head
+	var data []byte
 	if len(body) > 0 {
 		data = append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
+	} else {
+		data = own(head)
 	}
 	c := r.node.cluster
 	p := r.prof

@@ -20,15 +20,31 @@ func (SingleRail) Split(n int, now time.Duration, rails []RailView) []Chunk {
 	if n == 0 {
 		return nil
 	}
-	rails = Usable(rails)
-	best := 0
-	bestT := rails[0].Completion(now, n)
-	for i := 1; i < len(rails); i++ {
-		if t := rails[i].Completion(now, n); t < bestT {
+	return []Chunk{{Rail: BestRail(n, now, rails), Offset: 0, Size: n}}
+}
+
+// BestRail is SingleRail's decision without the one-chunk plan around
+// it: the Index of the usable rail (see Usable) with the earliest
+// predicted completion of an n-byte transfer, the first such rail on a
+// tie. It allocates nothing — the per-container and per-handshake rail
+// picks call it. rails must not be empty.
+//
+//railvet:upfilter
+func BestRail(n int, now time.Duration, rails []RailView) int {
+	anyUp := false
+	for i := range rails {
+		anyUp = anyUp || !rails[i].Down
+	}
+	best, bestT := -1, time.Duration(0)
+	for i := range rails {
+		if anyUp && rails[i].Down {
+			continue
+		}
+		if t := rails[i].Completion(now, n); best < 0 || t < bestT {
 			best, bestT = i, t
 		}
 	}
-	return []Chunk{{Rail: rails[best].Index, Offset: 0, Size: n}}
+	return rails[best].Index
 }
 
 // IsoSplit cuts the message into equal chunks, one per rail (Fig 1b).

@@ -131,12 +131,18 @@ type Packet struct {
 // entryHeaderSize is the per-packet framing inside an eager container.
 const entryHeaderSize = 4 + 8 + 4
 
+// EntrySize returns what one packet of n payload bytes adds to an eager
+// container: a container of packets p1..pk encodes to HeaderSize plus the
+// sum of their EntrySizes, which lets the optimizer fill a container up to
+// the rail's eager limit without building the packet list first.
+func EntrySize(n int) int { return entryHeaderSize + n }
+
 // AggregateSize returns the encoded size of an eager container holding the
-// given packets (used by the optimizer to respect the rail's eager limit).
+// given packets.
 func AggregateSize(pkts []Packet) int {
 	n := HeaderSize
 	for _, p := range pkts {
-		n += entryHeaderSize + len(p.Payload)
+		n += EntrySize(len(p.Payload))
 	}
 	return n
 }
@@ -160,6 +166,13 @@ func EncodeEager(rail uint8, pkts []Packet) []byte {
 // one unit. It panics if pkts is empty or exceeds 65535 entries (the
 // engine never aggregates that many).
 func EncodeEagerID(origin uint32, id uint64, rail uint8, pkts []Packet) []byte {
+	return AppendEagerID(make([]byte, 0, AggregateSize(pkts)), origin, id, rail, pkts)
+}
+
+// AppendEagerID is EncodeEagerID into caller-owned memory: the container
+// is appended to dst (AggregateSize(pkts) bytes), so a sender that
+// recycles its frames encodes without allocating.
+func AppendEagerID(dst []byte, origin uint32, id uint64, rail uint8, pkts []Packet) []byte {
 	if len(pkts) == 0 || len(pkts) > 0xFFFF {
 		panic(fmt.Sprintf("wire: invalid eager packet count %d", len(pkts)))
 	}
@@ -171,7 +184,7 @@ func EncodeEagerID(origin uint32, id uint64, rail uint8, pkts []Packet) []byte {
 	if len(pkts) == 1 {
 		h.Tag = pkts[0].Tag
 	}
-	out := h.Encode(make([]byte, 0, AggregateSize(pkts)))
+	out := h.Encode(dst)
 	var entry [entryHeaderSize]byte
 	for _, p := range pkts {
 		binary.LittleEndian.PutUint32(entry[0:], p.Tag)
@@ -183,32 +196,69 @@ func EncodeEagerID(origin uint32, id uint64, rail uint8, pkts []Packet) []byte {
 	return out
 }
 
-// DecodeEager parses an eager container produced by EncodeEager.
-func DecodeEager(b []byte) ([]Packet, error) {
+// EagerPackets walks the packets of an eager container in place, for a
+// receiver that dispatches each packet as it goes and wants no packet
+// list. Obtain one from ScanEager, which has already checked the framing,
+// so Next cannot fail.
+type EagerPackets struct {
+	rest []byte
+	left int
+}
+
+// ScanEager checks the framing of a whole eager container — kind, every
+// entry within bounds, no trailing bytes — and returns its header and a
+// walker over its packets. Payloads alias b.
+func ScanEager(b []byte) (Header, EagerPackets, error) {
 	h, rest, err := DecodeHeader(b)
+	if err != nil {
+		return Header{}, EagerPackets{}, err
+	}
+	if h.Kind != KindEager {
+		return Header{}, EagerPackets{}, fmt.Errorf("%w: expected eager, got %v", ErrCorrupt, h.Kind)
+	}
+	it := EagerPackets{rest: rest, left: int(h.Count)}
+	for i := 0; i < int(h.Count); i++ {
+		if len(rest) < entryHeaderSize {
+			return Header{}, EagerPackets{}, ErrShortBuffer
+		}
+		plen := int(binary.LittleEndian.Uint32(rest[12:]))
+		if len(rest)-entryHeaderSize < plen {
+			return Header{}, EagerPackets{}, ErrShortBuffer
+		}
+		rest = rest[entryHeaderSize+plen:]
+	}
+	if len(rest) != 0 {
+		return Header{}, EagerPackets{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	}
+	return h, it, nil
+}
+
+// Next returns the next packet, or false after the last one.
+func (it *EagerPackets) Next() (Packet, bool) {
+	if it.left == 0 {
+		return Packet{}, false
+	}
+	plen := int(binary.LittleEndian.Uint32(it.rest[12:]))
+	p := Packet{
+		Tag:     binary.LittleEndian.Uint32(it.rest[0:]),
+		MsgID:   binary.LittleEndian.Uint64(it.rest[4:]),
+		Payload: it.rest[entryHeaderSize : entryHeaderSize+plen : entryHeaderSize+plen],
+	}
+	it.rest = it.rest[entryHeaderSize+plen:]
+	it.left--
+	return p, true
+}
+
+// DecodeEager parses an eager container produced by EncodeEager into a
+// packet list (ScanEager without the list is the engine's form).
+func DecodeEager(b []byte) ([]Packet, error) {
+	h, it, err := ScanEager(b)
 	if err != nil {
 		return nil, err
 	}
-	if h.Kind != KindEager {
-		return nil, fmt.Errorf("%w: expected eager, got %v", ErrCorrupt, h.Kind)
-	}
 	pkts := make([]Packet, 0, h.Count)
-	for i := 0; i < int(h.Count); i++ {
-		if len(rest) < entryHeaderSize {
-			return nil, ErrShortBuffer
-		}
-		tag := binary.LittleEndian.Uint32(rest[0:])
-		msgID := binary.LittleEndian.Uint64(rest[4:])
-		plen := int(binary.LittleEndian.Uint32(rest[12:]))
-		rest = rest[entryHeaderSize:]
-		if len(rest) < plen {
-			return nil, ErrShortBuffer
-		}
-		pkts = append(pkts, Packet{Tag: tag, MsgID: msgID, Payload: rest[:plen:plen]})
-		rest = rest[plen:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	for p, ok := it.Next(); ok; p, ok = it.Next() {
+		pkts = append(pkts, p)
 	}
 	return pkts, nil
 }
@@ -217,8 +267,15 @@ func DecodeEager(b []byte) ([]Packet, error) {
 // trace id's node half: an RTS carries the sender's own id, a CTS
 // echoes the id of the node whose RTS it answers.
 func EncodeControl(kind Kind, rail uint8, origin, tag uint32, msgID, totalLen uint64) []byte {
+	return AppendControl(nil, kind, rail, origin, tag, msgID, totalLen)
+}
+
+// AppendControl is EncodeControl appended to dst: with a dst of
+// HeaderSize capacity — a [HeaderSize]byte in the sender's scratch — the
+// control message costs no allocation.
+func AppendControl(dst []byte, kind Kind, rail uint8, origin, tag uint32, msgID, totalLen uint64) []byte {
 	h := Header{Kind: kind, Rail: rail, Origin: origin, Tag: tag, MsgID: msgID, TotalLen: totalLen}
-	return h.Encode(nil)
+	return h.Encode(dst)
 }
 
 // EncodeAck builds the acknowledgement for one transfer unit: an eager
@@ -227,8 +284,13 @@ func EncodeControl(kind Kind, rail uint8, origin, tag uint32, msgID, totalLen ui
 // unit; unacknowledged units are re-planned when their rail dies.
 // Origin echoes the id of the node the unit came from.
 func EncodeAck(rail uint8, origin uint32, msgID, offset uint64) []byte {
+	return AppendAck(nil, rail, origin, msgID, offset)
+}
+
+// AppendAck is EncodeAck appended to dst (see AppendControl).
+func AppendAck(dst []byte, rail uint8, origin uint32, msgID, offset uint64) []byte {
 	h := Header{Kind: KindAck, Rail: rail, Origin: origin, MsgID: msgID, Offset: offset}
-	return h.Encode(nil)
+	return h.Encode(dst)
 }
 
 // EncodeDataHeader builds only the header of a chunk frame, appended to

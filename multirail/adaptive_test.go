@@ -12,7 +12,7 @@ import (
 // sendOne moves one n-byte message node 0 -> node 1 and waits for both
 // local and remote completion, so every transfer unit has produced its
 // telemetry observation before the caller inspects plans.
-func sendOne(t *testing.T, c *multirail.Cluster, tag uint32, n int) {
+func sendOne(t testing.TB, c *multirail.Cluster, tag uint32, n int) {
 	t.Helper()
 	payload := make([]byte, n)
 	buf := make([]byte, n)
@@ -25,6 +25,48 @@ func sendOne(t *testing.T, c *multirail.Cluster, tag uint32, n int) {
 		sr.RemoteDone().Wait(ctx)
 	})
 	c.Run()
+}
+
+// attempt is the testing surface of one try of a wall-clock leg: a Fatal
+// ends the try, not the test.
+type attempt struct {
+	testing.TB
+	failure string
+}
+
+func (a *attempt) Fatalf(format string, args ...any) {
+	a.failure = fmt.Sprintf(format, args...)
+	runtime.Goexit()
+}
+
+func (a *attempt) Fatal(args ...any) {
+	a.failure = fmt.Sprint(args...)
+	runtime.Goexit()
+}
+
+// retryLive runs a leg that asserts the convergence of a statistical
+// feedback loop on the wall clock of a shared host: up to three tries,
+// each building its own fresh cluster, every failed try logged with its
+// message (the legs put plans and estimates in theirs), and the test
+// fails only if all three do. The deterministic simulator legs assert
+// the same loop exactly and are not retried.
+func retryLive(t *testing.T, leg func(t testing.TB)) {
+	t.Helper()
+	const tries = 3
+	for i := 1; i <= tries; i++ {
+		a := &attempt{TB: t}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			leg(a)
+		}()
+		<-done
+		if a.failure == "" {
+			return
+		}
+		t.Logf("try %d of %d failed: %s", i, tries, a.failure)
+	}
+	t.Fatalf("all %d tries failed", tries)
 }
 
 // railShare returns the fraction of plan bytes placed on `rail`.
@@ -45,7 +87,7 @@ func railShare(chunks []multirail.Chunk, rail int) float64 {
 // driveUntilShare sends size-byte messages until the current plan's
 // share of `rail` satisfies ok(), failing the test after maxSends.
 // It returns the number of sends it took.
-func driveUntilShare(t *testing.T, c *multirail.Cluster, rail, size, maxSends int,
+func driveUntilShare(t testing.TB, c *multirail.Cluster, rail, size, maxSends int,
 	ok func(float64) bool, what string) int {
 	t.Helper()
 	var share float64
@@ -137,6 +179,10 @@ func TestAdaptiveReplansOffThrottledRailTCP(t *testing.T) {
 		// loop deterministically on any configuration.
 		t.Skip("GOMAXPROCS exceeds physical CPUs: wall-clock telemetry too noisy")
 	}
+	retryLive(t, adaptiveReplansOffThrottledRailTCP)
+}
+
+func adaptiveReplansOffThrottledRailTCP(t testing.TB) {
 	c, err := multirail.New(multirail.Config{
 		Live:              true,
 		TCPRails:          3,

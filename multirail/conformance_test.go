@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/wire"
 	"repro/multirail"
 )
@@ -37,8 +38,12 @@ var conformanceFabrics = []struct {
 	}},
 }
 
-// forEachFabric runs fn once per backend as a subtest.
+// forEachFabric runs fn once per backend as a subtest, with recycled
+// buffers poisoned: the suite verifies every payload, so a buffer reused
+// while something still reads it fails here as a corrupted message.
 func forEachFabric(t *testing.T, fn func(t *testing.T, c *multirail.Cluster)) {
+	fabric.SetRecyclePoison(true)
+	defer fabric.SetRecyclePoison(false)
 	for _, fab := range conformanceFabrics {
 		t.Run(fab.name, func(t *testing.T) {
 			c, err := multirail.New(fab.cfg())

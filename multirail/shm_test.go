@@ -25,6 +25,10 @@ func TestAdaptiveRoutesSmallMessagesOntoShmRail(t *testing.T) {
 		// in goroutine queueing (same guard as the adaptive TCP test).
 		t.Skip("GOMAXPROCS exceeds physical CPUs: wall-clock telemetry too noisy")
 	}
+	retryLive(t, adaptiveRoutesSmallMessagesOntoShmRail)
+}
+
+func adaptiveRoutesSmallMessagesOntoShmRail(t testing.TB) {
 	c, err := multirail.New(multirail.Config{
 		Live:              true,
 		Nodes:             3,
@@ -112,7 +116,7 @@ func thresholdSampling() *strings.Reader {
 
 // protocolDelta sends one n-byte message 0 -> 1 and reports how many
 // eager sends and rendezvous the engine of node 0 added for it.
-func protocolDelta(t *testing.T, c *multirail.Cluster, tag uint32, n int) (eager, rdv uint64) {
+func protocolDelta(t testing.TB, c *multirail.Cluster, tag uint32, n int) (eager, rdv uint64) {
 	t.Helper()
 	before := c.EngineStats(0)
 	sendOne(t, c, tag, n)
