@@ -151,8 +151,8 @@ func render(b *strings.Builder, addr string, cur metrics.Snapshot, prev *metrics
 	fmt.Fprintf(b, "nmtop — %s — %s\n\n", addr, time.Now().Format("15:04:05"))
 
 	rows := railRows(cur)
-	fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12s %12s %10s %7s %7s\n",
-		"node", "rail", "kind", "state", "frames/s", "bytes/s", "total", "reconn", "stalls")
+	fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12s %12s %10s %7s %7s %9s %9s\n",
+		"node", "rail", "kind", "state", "frames/s", "bytes/s", "total", "reconn", "stalls", "parks/s", "inline/s")
 	nodes := map[int]bool{}
 	for _, r := range rows {
 		nodes[r.node] = true
@@ -166,13 +166,15 @@ func render(b *strings.Builder, addr string, cur metrics.Snapshot, prev *metrics
 		if st := int(value(&cur, "nm_rail_state", sel...)); st >= 0 && st < len(stateNames) {
 			state = stateNames[st]
 		}
-		fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12.0f %12s %10s %7.0f %7.0f\n",
+		fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12.0f %12s %10s %7.0f %7.0f %9.0f %9.0f\n",
 			nodeL, railL, kind, state,
 			rate(&cur, prev, dt, "nm_rail_frames_total", sel...),
 			stats.SizeLabel(int(rate(&cur, prev, dt, "nm_rail_bytes_total", sel...))),
 			stats.SizeLabel(int(value(&cur, "nm_rail_bytes_total", sel...))),
 			value(&cur, "nm_rail_reconnects_total", sel...),
-			value(&cur, "nm_rail_ring_stalls_total", sel...))
+			value(&cur, "nm_rail_ring_stalls_total", sel...),
+			rate(&cur, prev, dt, "nm_rail_ring_parks_total", sel...),
+			rate(&cur, prev, dt, "nm_rail_inline_writes_total", sel...))
 	}
 
 	nodeIDs := make([]int, 0, len(nodes))
@@ -199,6 +201,11 @@ func render(b *strings.Builder, addr string, cur metrics.Snapshot, prev *metrics
 				fmtDur(m.Quantile(0.5)), fmtDur(m.Quantile(0.99)))
 		}
 		b.WriteString("\n")
+		inline := familySum(&cur, "nm_progress_inline_total", sel...)
+		if steps := inline + familySum(&cur, "nm_progress_queued_total", sel...); steps > 0 {
+			fmt.Fprintf(b, "  progress: %.0f%% of %.0f steps inline  rdv queued=%.0f\n",
+				inline/steps*100, steps, value(&cur, "nm_rdv_queued", sel...))
+		}
 		hits := familySum(&cur, "nm_plan_cache_hits_total", sel...)
 		misses := familySum(&cur, "nm_plan_cache_misses_total", sel...)
 		if total := hits + misses; total > 0 {

@@ -291,7 +291,7 @@ type Stats struct {
 	RdvSent         uint64
 	ChunksSent      uint64
 	BytesSent       uint64
-	Unexpected      uint64
+	Unexpected      uint64 // messages that arrived before their receive, parked RTS included
 	FailedOver      uint64 // transfer units re-planned off dead rails
 
 	// Adaptive telemetry (zero when Config.Telemetry is nil): hot plan
@@ -315,9 +315,10 @@ type Stats struct {
 // ShardStats counts one flow shard's matching activity.
 type ShardStats struct {
 	Matched    uint64 // deliveries matched to a posted receive
-	Unexpected uint64 // deliveries queued as unexpected
+	Unexpected uint64 // deliveries queued as unexpected, parked RTS included
 	Recvs      int    // receives currently posted
 	Partials   int    // striped messages currently reassembling
+	RdvQueued  int    // rendezvous announcements currently parked for their receive
 }
 
 // NewEngine builds and starts the engine for one node. profiles must
@@ -399,10 +400,10 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 			on.SetTelemetry(e.tele)
 		}
 	}
-	if cfg.Metrics != nil {
-		e.initMetrics(cfg.Metrics)
-	}
 	e.pool = progress.NewPool(env, fmt.Sprintf("nmad-progress-%d", node.ID()), workers)
+	if cfg.Metrics != nil {
+		e.initMetrics(cfg.Metrics) // after the pool it reports on, before the first delivery
+	}
 	e.sub = progress.NewSubmitter[*SendRequest](e.pool, e.flushDest)
 	e.sched = marcel.New(env, cores)
 	pcfg := cfg.Pioman
@@ -479,11 +480,25 @@ func (e *Engine) Stats() Stats {
 			Unexpected: s.unexpected,
 			Recvs:      s.recvs.count(),
 			Partials:   len(s.partials),
+			RdvQueued:  s.rdvQueued.count(),
 		}
 		s.mu.Unlock()
 	}
 	st.Workers = e.pool.Stats()
 	return st
+}
+
+// rdvQueued counts the rendezvous announcements parked right now, over
+// all shards (the nm_rdv_queued gauge).
+func (e *Engine) rdvQueued() int {
+	n := 0
+	for i := range e.flows {
+		s := &e.flows[i]
+		s.mu.Lock()
+		n += s.rdvQueued.count()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Stop halts progression and the core workers. In a simulation the

@@ -51,6 +51,19 @@ type unit struct {
 
 	req       *SendRequest // chunk: owning request
 	off, size int          // chunk location in req.Data
+	e         *Engine      // chunk: the engine its local completion reports to (Fire)
+}
+
+// Fire is a chunk's local completion (fabric.Completion): the rail no
+// longer reads its bytes of the payload. The unit is the completion — a
+// heap object the chunk has anyway — so nothing is allocated and no
+// goroutine waits for the rail.
+//
+//railvet:hotpath
+func (u *unit) Fire() {
+	if u.req.chunkDone() {
+		u.e.noteCompleted(u.req)
+	}
 }
 
 // bytes returns the unit's wire size (telemetry observation weight).
@@ -84,14 +97,15 @@ func (e *Engine) registerContainer(id uint64, to, rail int, buf *fabric.Delivery
 }
 
 // registerChunk records a data chunk (rendezvous or parallel eager) as
-// outstanding until its ack arrives.
-func (e *Engine) registerChunk(req *SendRequest, to, rail, off, size int) {
+// outstanding until its ack arrives. u is the caller's storage: the chunks
+// of one message share one array.
+func (e *Engine) registerChunk(u *unit, req *SendRequest, to, rail, off, size int) {
 	req.addAcks(1)
-	k := ackKey{req.msgID, uint64(off)}
+	*u = unit{key: ackKey{req.msgID, uint64(off)}, to: to, rail: rail, sentAt: e.env.Now(),
+		req: req, off: off, size: size, e: e}
 	us := e.unit(to, req.msgID)
 	us.mu.Lock()
-	us.outstanding[k] = &unit{key: k, to: to, rail: rail, sentAt: e.env.Now(),
-		req: req, off: off, size: size}
+	us.outstanding[u.key] = u
 	us.mu.Unlock()
 }
 
@@ -155,14 +169,39 @@ func (e *Engine) onAck(from int, h wire.Header) {
 //
 //railvet:hotpath
 func (e *Engine) ackUnit(ctx rt.Ctx, from int, id, offset uint64, arrival int, hdr *[wire.HeaderSize]byte) {
-	rail := arrival
-	if rail < 0 || rail >= e.node.NumRails() || e.node.Rail(rail).State() != fabric.RailUp {
-		rail = e.ackRail()
-	}
+	rail := e.ackRailFor(arrival)
 	if hdr == nil {
 		hdr = new([wire.HeaderSize]byte)
 	}
 	e.node.Rail(rail).SendControl(ctx, from, wire.AppendAck(hdr[:0], uint8(rail), uint32(from), id, offset), 0, 0)
+}
+
+// ackNow acknowledges a received unit from a goroutine that must not wait
+// — the transport reader that decoded or placed it: at once when the
+// ack's rail takes the frame without waiting (fabric.TrySender), and
+// otherwise from the pool worker key maps to, as ackUnit. h carries the
+// unit's MsgID and Offset.
+//
+//railvet:hotpath
+func (e *Engine) ackNow(key uint32, from, arrival int, h wire.Header) {
+	w := e.getWork(workAck, from, arrival) // its scratch now, the queued step if the rail refuses
+	w.h = h
+	rail := e.ackRailFor(arrival)
+	if ts, ok := e.node.Rail(rail).(fabric.TrySender); ok &&
+		ts.TrySend(from, wire.AppendAck(w.hdr[:0], uint8(rail), uint32(from), h.MsgID, h.Offset)) {
+		e.putWork(w)
+		return
+	}
+	e.pool.SubmitWork(key, w)
+}
+
+// ackRailFor returns the rail the ack of a unit that came in on arrival
+// travels on.
+func (e *Engine) ackRailFor(arrival int) int {
+	if arrival < 0 || arrival >= e.node.NumRails() || e.node.Rail(arrival).State() != fabric.RailUp {
+		return e.ackRail()
+	}
+	return arrival
 }
 
 // ackRail picks the first Up rail (falling back to rail 0 when none is).
@@ -365,13 +404,12 @@ func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
 		return // acked while we were deciding
 	}
 	delete(us.outstanding, u.key)
-	newUnits := make([]*unit, 0, len(chunks))
-	for _, c := range chunks {
-		k := ackKey{u.key.id, uint64(u.off + c.Offset)}
-		nu := &unit{key: k, to: u.to, rail: c.Rail, sentAt: e.env.Now(), replayed: true,
-			req: u.req, off: u.off + c.Offset, size: c.Size}
-		us.outstanding[k] = nu
-		newUnits = append(newUnits, nu)
+	newUnits := make([]unit, len(chunks))
+	for i, c := range chunks {
+		nu := &newUnits[i]
+		*nu = unit{key: ackKey{u.key.id, uint64(u.off + c.Offset)}, to: u.to, rail: c.Rail,
+			sentAt: e.env.Now(), replayed: true, req: u.req, off: u.off + c.Offset, size: c.Size, e: e}
+		us.outstanding[nu.key] = nu
 	}
 	us.mu.Unlock()
 	u.req.failedOver.Store(true)
@@ -385,7 +423,8 @@ func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
 		e.noteAcked(u.req, -1)
 	}
 	var hdr [wire.HeaderSize]byte
-	for _, nu := range newUnits {
+	for i := range newUnits {
+		nu := &newUnits[i]
 		e.trace(trace.Resent, u.key.id, nu.rail, nu.size, "chunk failover")
 		e.sendChunk(ctx, u.req, nu.rail, nu.off, nu.size, nil, &hdr)
 	}
@@ -422,7 +461,7 @@ func (e *Engine) resendCTS(ctx rt.Ctx, pk pkey, pa *partial, views []strategy.Ra
 	}
 	pa.ctsRail = rail
 	s.mu.Unlock()
-	e.sendCTS(pa.from, rail, pa.tag, pk.id)
+	e.sendCTS(ctx, pa.from, rail, pa.tag, pk.id, nil)
 }
 
 // OutstandingUnits reports how many transfer units await receiver acks

@@ -91,10 +91,10 @@ func (r *gateRail) SendEager(ctx rt.Ctx, to int, data []byte) { r.send(to, data)
 func (r *gateRail) SendControl(ctx rt.Ctx, to int, data []byte, cpu, recv time.Duration) {
 	r.send(to, data)
 }
-func (r *gateRail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
+func (r *gateRail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
 	r.SendDataV(ctx, to, data, nil, done)
 }
-func (r *gateRail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
+func (r *gateRail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {
 	r.send(to, append(head[:len(head):len(head)], body...))
 	if done != nil {
 		done.Fire()

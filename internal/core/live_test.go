@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/livenet"
@@ -107,5 +108,59 @@ func BenchmarkLiveEagerRoundTrip(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// A rendezvous whose receive is posted late: the RTS parks — visible as
+// nm_rdv_queued = 1 and counted as an unexpected arrival — until Irecv
+// matches it, and the CTS then leaves from a pool worker (Irecv owns no
+// Ctx, so it queues one work item; no goroutine is started for the message
+// — the core/rdv_round_trip_1m ratchet is the guard for that). Mutation
+// tried: without the workSendCTS case in work.Do the message never moves.
+func TestRendezvousCTSFromLatePostedRecv(t *testing.T) {
+	for _, fab := range liveFabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			env := rt.NewLive()
+			f, err := fab.build(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			eng := livePair(t, env, f)
+			queued := func() float64 {
+				return eng[1].cfg.Metrics.Snapshot().Find("nm_rdv_queued", metrics.L("node", "1")...).Value
+			}
+			payload := make([]byte, 256<<10)
+			rand.New(rand.NewSource(20)).Read(payload)
+			buf := make([]byte, len(payload))
+
+			if queued() != 0 {
+				t.Fatal("nm_rdv_queued is not 0 on an idle engine")
+			}
+			sr := eng[0].Isend(1, 9, payload)
+			eventually(t, "the RTS to park", func() bool { return queued() == 1 })
+			st := eng[1].Stats()
+			parked := 0
+			for _, sh := range st.Shards {
+				parked += sh.RdvQueued
+			}
+			if st.Unexpected != 1 || parked != 1 {
+				t.Fatalf("a parked RTS counts as %d unexpected arrivals and %d queued announcements, want 1 and 1", st.Unexpected, parked)
+			}
+
+			rr := eng[1].Irecv(0, 9, buf)
+			if queued() != 0 {
+				t.Fatal("nm_rdv_queued still counts an RTS its receive has matched")
+			}
+			if !rr.Done().WaitTimeout(nil, 10*time.Second) || !sr.RemoteDone().WaitTimeout(nil, 10*time.Second) {
+				t.Fatal("the rendezvous of a late-posted receive never completed: no CTS left")
+			}
+			if rr.Err() != nil || rr.Len() != len(payload) || !bytes.Equal(buf, payload) {
+				t.Fatalf("n=%d err=%v intact=%v", rr.Len(), rr.Err(), bytes.Equal(buf, payload))
+			}
+			if out := eng[0].OutstandingUnits(); out != 0 {
+				t.Fatalf("%d units outstanding after remote completion", out)
+			}
+		})
 	}
 }

@@ -70,6 +70,20 @@ func (e *Engine) initMetrics(reg *metrics.Registry) {
 		"Payload bytes handed to the fabric.",
 		e.stats.bytesSent.Load, metrics.L("node", node)...)
 
+	for i := 0; i < e.pool.Size(); i++ {
+		i := i
+		lbl := metrics.L("node", node, "worker", strconv.Itoa(i))
+		reg.CounterFunc("nm_progress_inline_total",
+			"Engine steps run on their submitter's goroutine because the worker was idle (the fast path).",
+			func() uint64 { return e.pool.Stats()[i].Inline }, lbl...)
+		reg.CounterFunc("nm_progress_queued_total",
+			"Engine steps handed to the worker's queue.",
+			func() uint64 { st := e.pool.Stats()[i]; return st.Tasks - st.Inline }, lbl...)
+	}
+	reg.GaugeFunc("nm_rdv_queued",
+		"Rendezvous announcements parked until a matching receive is posted.",
+		func() float64 { return float64(e.rdvQueued()) }, metrics.L("node", node)...)
+
 	e.histEager = reg.Histogram("nm_eager_latency_seconds",
 		"Eager container ack round-trip time.",
 		metrics.DefBuckets(), metrics.L("node", node)...)

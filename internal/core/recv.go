@@ -129,7 +129,7 @@ func (e *Engine) Irecv(from int, tag uint32, buf []byte) *RecvRequest {
 		if empty {
 			req.complete(0, nil)
 		}
-		e.sendCTS(rts.from, rts.rail, tag, rts.msgID)
+		e.sendCTS(nil, rts.from, rts.rail, tag, rts.msgID, nil)
 		return req
 	}
 	// 3. Queue the receive.
@@ -159,14 +159,33 @@ func (e *Engine) attachRdv(s *flowShard, req *RecvRequest, msgID uint64, total, 
 	return false, nil
 }
 
-// sendCTS answers a rendezvous on the rail the RTS used. It runs as a
-// tasklet-free actor because control sends block briefly. The CTS
-// echoes the RTS sender's node id (`to`) as the frame origin — the
-// trace id of the message it clears belongs to that node.
-func (e *Engine) sendCTS(to, rail int, tag uint32, msgID uint64) {
-	prof := e.node.Rail(rail).Profile()
-	cts := wire.EncodeControl(wire.KindCTS, uint8(rail), uint32(to), tag, msgID, 0)
+// sendCTS answers a rendezvous on the rail the RTS used. The CTS echoes
+// the RTS sender's node id (`to`) as the frame origin — the trace id of
+// the message it clears belongs to that node.
+//
+// Who sends it: on the direct-progress path the caller itself when it may
+// block (a worker handling the RTS, the health actor replaying) — encoded
+// into hdr, its scratch, when it has one — and one queued work item on the
+// flow's worker when it may not (ctx nil: Irecv matching a parked RTS).
+// The simulator keeps a transient actor per CTS: its modeled handshake
+// cost must not occupy the progression actor.
+func (e *Engine) sendCTS(ctx rt.Ctx, to, rail int, tag uint32, msgID uint64, hdr *[wire.HeaderSize]byte) {
 	e.traceFrom(to, trace.CTSSent, msgID, rail, 0, "")
+	if e.cfg.DirectProgress && ctx == nil {
+		e.submitWork(progress.FlowKey(to, tag), workSendCTS, to, rail, wire.Header{Tag: tag, MsgID: msgID})
+		return
+	}
+	var cts []byte
+	if hdr != nil {
+		cts = hdr[:0]
+	}
+	cts = wire.AppendControl(cts, wire.KindCTS, uint8(rail), uint32(to), tag, msgID, 0)
+	prof := e.node.Rail(rail).Profile()
+	if e.cfg.DirectProgress {
+		e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
+		e.settle(ctx, rail)
+		return
+	}
 	e.env.Go("cts", func(ctx rt.Ctx) {
 		e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
 		e.settle(ctx, rail)
@@ -212,28 +231,39 @@ func (e *Engine) handle(ctx rt.Ctx, d *fabric.Delivery) {
 		e.deliverChunk(d.From, hdr, payload)
 		e.ackUnit(ctx, d.From, hdr.MsgID, hdr.Offset, d.Rail, nil)
 	case wire.KindRTS:
-		e.handleRTS(d.From, int(h.Rail), h)
+		e.handleRTS(ctx, d.From, int(h.Rail), h, nil)
 	case wire.KindCTS:
-		e.onCTS(d.From, h.MsgID)
+		e.onCTS(ctx, d.From, h.MsgID, nil)
 	case wire.KindAck:
 		e.onAck(d.From, h)
 	}
 }
 
-// dispatch is the multicore progression path: it classifies one
-// delivery and hands the engine work to the progress pool as recycled
-// work items (work.go). Eager packets and RTS go to their flow's worker
-// — same flow, same worker, same order — so matching order is preserved
-// per (source, tag); data chunks spread across workers keyed by offset
-// (reassembly accepts any order — this is the parallel striped copy);
-// CTS and acks go to the owning unit's worker. dispatch runs on the
+// dispatch is the multicore progression path: it classifies one delivery
+// and decides, step by step, who runs the engine work. It runs on the
 // transport's reader goroutine (or a pioman detection actor) and never
 // blocks.
 //
+// The rule is rt's: a handler has no Ctx and cannot block, an actor has
+// one and may. The steps that send nothing — deliverEager (match, copy at
+// most an eager payload, fire) and onAck (retire, release the frame, fire)
+// — are handler steps (work.Handle): the reader runs them itself when the
+// step's worker is idle with an empty queue, taking that worker's turn
+// (progress.Pool.Handle), and queues them otherwise. The steps that send
+// on a rail — chunk + ack, RTS → CTS, CTS → chunks — take a Ctx and always
+// go to a pool worker (work.Do). The ack of a container is the one send a
+// reader makes, and only through fabric.TrySender, which refuses instead
+// of waiting (ackNow). Keys are what they always were — eager packets and
+// RTS on their flow's worker, same flow, same worker, same order, so
+// matching order is preserved per (source, tag) whoever runs the step;
+// data chunks spread across workers by offset (reassembly accepts any
+// order — this is the parallel striped copy); CTS and acks on the owning
+// unit's worker.
+//
 // It also decides what becomes of the frame: a control frame is released
 // as soon as its header is decoded; an eager container when its last
-// packet has been delivered (work.Do); a chunk frame never — a parked
-// replay may keep its payload.
+// packet has been delivered (work.Handle), on whichever goroutine that
+// was; a chunk frame never — a parked replay may keep its payload.
 //
 //railvet:hotpath
 func (e *Engine) dispatch(d *fabric.Delivery) {
@@ -241,8 +271,10 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 	if err != nil {
 		return
 	}
-	// Nothing of d may be read once its first item is queued: a worker may
-	// release the frame at any moment.
+	// Nothing of d may be read once the item that may release it has been
+	// handed over — it may already have run, here or on a worker. The packet
+	// walk below is safe: the frame lives until its last packet's item ran,
+	// and that item does not exist before the walk has produced it.
 	from, rail := d.From, d.Rail
 	switch h.Kind {
 	case wire.KindEager:
@@ -260,7 +292,7 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 					w.left.Store(int32(h.Count))
 				}
 				w.share = own
-				e.pool.SubmitWork(progress.FlowKey(from, p.Tag), w)
+				e.pool.Handle(progress.FlowKey(from, p.Tag), w)
 			}
 		} else {
 			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, rail,
@@ -271,9 +303,9 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 		}
 		if h.MsgID != 0 {
 			// The container is safely in receiver memory (its packets are
-			// queued on in-process workers), so it can no longer be lost
-			// to a dying rail: ack now, from a worker.
-			e.submitWork(progress.UnitKey(from, h.MsgID), workAck, from, rail, wire.Header{MsgID: h.MsgID})
+			// delivered, or queued on in-process workers), so it can no
+			// longer be lost to a dying rail: ack now.
+			e.ackNow(progress.UnitKey(from, h.MsgID), from, rail, wire.Header{MsgID: h.MsgID})
 		}
 	case wire.KindData:
 		hdr, payload, err := wire.DecodeData(d.Data)
@@ -291,7 +323,9 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 		e.submitWork(progress.UnitKey(from, h.MsgID), workCTS, from, rail, h)
 	case wire.KindAck:
 		d.Release()
-		e.submitWork(progress.UnitKey(from, h.MsgID), workOnAck, from, rail, h)
+		w := e.getWork(workOnAck, from, rail)
+		w.h = h
+		e.pool.Handle(progress.UnitKey(from, h.MsgID), w)
 	}
 }
 
@@ -368,7 +402,7 @@ func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, func(ok
 			e.deliverChunk(from, p.h, p.payload)
 		}
 		if filled {
-			e.submitWork(progress.ChunkKey(from, h.Tag, h.Offset), workAck, from, rail, h)
+			e.ackNow(progress.ChunkKey(from, h.Tag, h.Offset), from, rail, h)
 		}
 	}
 }
@@ -501,8 +535,9 @@ func (e *Engine) completeRecv(req *RecvRequest, pa *partial, h wire.Header) {
 // handleRTS matches a rendezvous announcement against posted receives.
 // Duplicate announcements — the sender replays its RTS when the rail it
 // travelled on dies before the CTS returns — are answered idempotently
-// instead of matching a second receive.
-func (e *Engine) handleRTS(from, rail int, h wire.Header) {
+// instead of matching a second receive. hdr is the caller's scratch for
+// the CTS (see sendCTS).
+func (e *Engine) handleRTS(ctx rt.Ctx, from, rail int, h wire.Header, hdr *[wire.HeaderSize]byte) {
 	k := key{from, h.Tag}
 	pk := pkey{from, h.MsgID}
 	s := e.flow(from, h.Tag)
@@ -521,7 +556,7 @@ func (e *Engine) handleRTS(from, rail int, h wire.Header) {
 		// chose among its survivors.
 		pa.ctsRail = rail
 		s.mu.Unlock()
-		e.sendCTS(from, rail, h.Tag, h.MsgID)
+		e.sendCTS(ctx, from, rail, h.Tag, h.MsgID, hdr)
 		return
 	}
 	for _, qd := range s.rdvQueued.pending(k) {
@@ -542,11 +577,15 @@ func (e *Engine) handleRTS(from, rail int, h wire.Header) {
 		if empty {
 			req.complete(0, nil)
 		}
-		e.sendCTS(from, rail, h.Tag, h.MsgID)
+		e.sendCTS(ctx, from, rail, h.Tag, h.MsgID, hdr)
 		return
 	}
+	// No receive yet: the announcement parks, and counts as unexpected like
+	// any message that arrived first.
 	s.rdvQueued.push(k, &queuedRTS{msgID: h.MsgID, total: int(h.TotalLen), rail: rail, from: from})
+	s.unexpected++
 	s.mu.Unlock()
+	e.stats.unexpected.Add(1)
 }
 
 // deliverTo copies a complete payload into the request's buffer and

@@ -28,7 +28,9 @@ func poisonRecycled(t *testing.T) {
 // short head excepted) until it is written, and a written frame reaches
 // the receiver as a copy in a pooled receive frame. step writes one
 // queued frame; until then it sits in the rail's queue, which is how a
-// test holds a replay back while the original's ack overtakes it.
+// test holds a replay back while the original's ack overtakes it. A rail
+// with a limit is a backed-up link: it holds that many unwritten frames,
+// a sender with one more waits for a step, and TrySend refuses.
 type stepFabric struct {
 	env   *rt.LiveEnv
 	nodes []*stepNode
@@ -53,6 +55,8 @@ type stepRail struct {
 
 	mu    sync.Mutex
 	queue []stepFrame
+	limit int        // unwritten frames the link holds; 0 = any number
+	room  *sync.Cond // a step made room (L is mu)
 }
 
 type stepFrame struct {
@@ -66,7 +70,9 @@ func newStepFabric(env *rt.LiveEnv, rails int) *stepFabric {
 	for i := 0; i < 2; i++ {
 		n := &stepNode{f: f, id: i, recvq: env.NewQueue(), health: railhealth.New(env, i, rails)}
 		for r := 0; r < rails; r++ {
-			n.rails = append(n.rails, &stepRail{n: n, idx: r, prof: &model.Profile{Name: "step", EagerMax: 32 << 10}})
+			rl := &stepRail{n: n, idx: r, prof: &model.Profile{Name: "step", EagerMax: 32 << 10}}
+			rl.room = sync.NewCond(&rl.mu)
+			n.rails = append(n.rails, rl)
 		}
 		f.nodes = append(f.nodes, n)
 	}
@@ -115,17 +121,35 @@ func (r *stepRail) SendEager(ctx rt.Ctx, to int, data []byte) { r.SendDataV(ctx,
 func (r *stepRail) SendControl(ctx rt.Ctx, to int, data []byte, _, _ time.Duration) {
 	r.SendDataV(ctx, to, data, nil, nil)
 }
-func (r *stepRail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
+func (r *stepRail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
 	r.SendDataV(ctx, to, data, nil, done)
 }
-func (r *stepRail) SendDataV(_ rt.Ctx, to int, head, body []byte, done rt.Event) {
+func (r *stepRail) SendDataV(_ rt.Ctx, to int, head, body []byte, done fabric.Completion) {
 	r.mu.Lock()
+	for r.full() {
+		r.room.Wait()
+	}
 	r.queue = append(r.queue, stepFrame{to: to, head: fabric.MakeHead(head), body: body})
 	r.mu.Unlock()
 	if done != nil {
 		done.Fire()
 	}
 }
+
+// TrySend implements fabric.TrySender: queue the frame unless the link is
+// backed up.
+func (r *stepRail) TrySend(to int, data []byte) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.full() {
+		return false
+	}
+	r.queue = append(r.queue, stepFrame{to: to, head: fabric.MakeHead(data)})
+	return true
+}
+
+// full reports a backed-up link; the caller holds r.mu.
+func (r *stepRail) full() bool { return r.limit > 0 && len(r.queue) >= r.limit }
 
 // queued waits until the rail holds at least n unwritten frames.
 func (r *stepRail) queued(t *testing.T, n int) {
@@ -145,6 +169,7 @@ func (r *stepRail) step(t *testing.T) []byte {
 	r.mu.Lock()
 	fr := r.queue[0]
 	r.queue = r.queue[1:]
+	r.room.Broadcast()
 	r.mu.Unlock()
 	wire := append(append([]byte(nil), fr.head.Bytes()...), fr.body...)
 	r.n.f.nodes[fr.to].deliver(r.n.id, r.idx, wire)

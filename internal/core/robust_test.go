@@ -341,3 +341,70 @@ func TestAckOfOriginalDoesNotRecycleQueuedReplay(t *testing.T) {
 		t.Fatalf("replayed container delivered twice: %+v", st)
 	}
 }
+
+// A transport reader never waits for a rail, whatever the rail's state:
+// with the reverse link backed up and not stepped — one ack fits, no
+// other can leave — the reader still takes every container off the
+// forward link, delivering inline those whose worker is free, and the
+// acks that found no room wait on pool workers, which may block. Once the
+// reverse link moves, every receive completes intact (frames poisoned on
+// release: one let go early would show), every RemoteDone fires and
+// nothing stays outstanding. Mutation tried: acknowledging from dispatch
+// with a plain ackUnit blocks the reader on the second container.
+func TestReaderNeverBlocksOnBackedUpLink(t *testing.T) {
+	poisonRecycled(t)
+	f, eng := stepPair(t, 1)
+	fwd, rev := f.nodes[0].rails[0], f.nodes[1].rails[0]
+	rev.mu.Lock()
+	rev.limit = 1
+	rev.mu.Unlock()
+	const msgs = 24
+	rng := rand.New(rand.NewSource(20))
+	var payloads, bufs [][]byte
+	var recvs []*RecvRequest
+	var sends []*SendRequest
+	for i := 0; i < msgs; i++ {
+		p := make([]byte, 600)
+		rng.Read(p)
+		payloads, bufs = append(payloads, p), append(bufs, make([]byte, 600))
+		recvs = append(recvs, eng[1].Irecv(0, uint32(i), bufs[i]))
+		sends = append(sends, eng[0].Isend(1, uint32(i), p))
+		fwd.queued(t, i+1) // one container per message
+	}
+
+	read := make(chan struct{})
+	go func() { // the forward link's reader
+		defer close(read)
+		for i := 0; i < msgs; i++ {
+			fwd.step(t)
+		}
+	}()
+	select {
+	case <-read:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader blocked behind a backed-up reverse link")
+	}
+	// The first container's ack took the link's one slot, the second's
+	// waits on a worker; both were delivered before any worker blocked.
+	for i := 0; i < 2; i++ {
+		if n, err := recvs[i].Wait(nil); err != nil || n != 600 || !bytes.Equal(bufs[i], payloads[i]) {
+			t.Fatalf("message %d with no ack able to leave: n=%d err=%v intact=%v", i, n, err, bytes.Equal(bufs[i], payloads[i]))
+		}
+	}
+	if sends[0].RemoteDone().Fired() {
+		t.Fatal("a send completed remotely though no ack crossed")
+	}
+
+	for i := 0; i < msgs; i++ {
+		rev.step(t)
+	}
+	for i := range recvs {
+		if n, err := recvs[i].Wait(nil); err != nil || n != 600 || !bytes.Equal(bufs[i], payloads[i]) {
+			t.Fatalf("message %d: n=%d err=%v intact=%v", i, n, err, bytes.Equal(bufs[i], payloads[i]))
+		}
+		sends[i].RemoteDone().Wait(nil)
+	}
+	if out, claims := eng[0].OutstandingUnits(), eng[1].InflightClaims(); out != 0 || claims != 0 {
+		t.Fatalf("%d units outstanding, %d claims in flight at quiescence", out, claims)
+	}
+}

@@ -263,8 +263,9 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 	// Register every chunk before the first tasklet can run: a chunk
 	// delivered and acked while its siblings are still being encoded
 	// must not fire RemoteDone early.
-	for _, c := range plan.Chunks {
-		e.registerChunk(r, to, c.Rail, c.Offset, c.Size)
+	units := make([]unit, len(plan.Chunks))
+	for i, c := range plan.Chunks {
+		e.registerChunk(&units[i], r, to, c.Rail, c.Offset, c.Size)
 	}
 	e.trace(trace.Decision, r.msgID, -1, len(r.Data),
 		fmt.Sprintf("parallel eager: %d chunks, predicted %v", len(plan.Chunks), plan.Predicted))
@@ -297,7 +298,7 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 // done (may be nil) fires when the rail no longer reads the payload.
 // The header is encoded into hdr, the caller's scratch: fabrics copy a
 // short head at enqueue, so hdr is free again when sendChunk returns.
-func (e *Engine) sendChunk(ctx rt.Ctx, r *SendRequest, rail, off, size int, done rt.Event, hdr *[wire.HeaderSize]byte) {
+func (e *Engine) sendChunk(ctx rt.Ctx, r *SendRequest, rail, off, size int, done fabric.Completion, hdr *[wire.HeaderSize]byte) {
 	head := wire.EncodeDataHeader(hdr[:0], uint8(rail), e.origin(), r.Tag, r.msgID, off, size, len(r.Data))
 	e.node.Rail(rail).SendDataV(ctx, r.To, head, r.Data[off:off+size], done)
 	e.settle(ctx, rail)
@@ -343,10 +344,17 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 }
 
 // onCTS resumes a parked rendezvous: the strategy is invoked now — with
-// the NICs' current idle horizons — to split the message, and a transfer
-// actor posts the chunk DMAs. peer is the node the CTS came from (the
-// destination of the send).
-func (e *Engine) onCTS(peer int, msgID uint64) {
+// the NICs' current idle horizons — to split the message, and the chunk
+// DMAs are posted. peer is the node the CTS came from (the destination of
+// the send).
+//
+// On the direct-progress path the worker handling the CTS posts the chunks
+// itself, and each chunk's unit is its own completion (unit.Fire): a
+// rendezvous starts no goroutine. The simulator keeps a transfer actor per
+// message and an event per chunk, so its modeled descriptor posts occupy
+// that actor and its figures stay what they are. hdr is the work item's
+// scratch for the chunk headers (direct-progress path only).
+func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, hdr *[wire.HeaderSize]byte) {
 	us := e.unit(peer, msgID)
 	us.mu.Lock()
 	p := us.rdvOut[msgID]
@@ -364,10 +372,21 @@ func (e *Engine) onCTS(peer int, msgID uint64) {
 	e.stats.chunksSent.Add(uint64(len(chunks)))
 	e.stats.bytesSent.Add(uint64(len(r.Data)))
 	r.addPending(len(chunks))
-	for _, c := range chunks {
-		e.registerChunk(r, r.To, c.Rail, c.Offset, c.Size)
+	// Register every chunk before the first one is posted: a chunk acked
+	// while its siblings are still unregistered must not fire RemoteDone.
+	units := make([]unit, len(chunks))
+	for i, c := range chunks {
+		e.registerChunk(&units[i], r, r.To, c.Rail, c.Offset, c.Size)
 	}
 	e.trace(trace.Decision, msgID, -1, len(r.Data), e.cfg.Splitter.Name())
+	if e.cfg.DirectProgress {
+		for i, c := range chunks {
+			e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
+			e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, &units[i], hdr)
+		}
+		e.noteEnqueued(r) // every chunk DMA is posted
+		return
+	}
 	e.env.Go("rdv-send", func(ctx rt.Ctx) {
 		events := make([]rt.Event, 0, len(chunks))
 		var hdr [wire.HeaderSize]byte

@@ -27,6 +27,7 @@ const (
 	workRTS
 	workCTS
 	workOnAck
+	workSendCTS // answer a parked RTS its late receive matched (h: Tag, MsgID)
 )
 
 // work is one delivery's engine step as the progress pool carries it: by
@@ -51,8 +52,9 @@ type work struct {
 	share *work
 	left  atomic.Int32
 
-	// hdr is where this item's ack is encoded: fabrics copy short heads at
-	// enqueue, so the scratch is free again when the send call returns.
+	// hdr is where this item's ack or CTS is encoded: fabrics copy short
+	// heads at enqueue, so the scratch is free again when the send call
+	// returns.
 	hdr [wire.HeaderSize]byte
 
 	next *work // free-list link
@@ -76,8 +78,8 @@ func (e *Engine) getWork(kind workKind, from, rail int) *work {
 	return w
 }
 
-// submitWork queues a step that needs only a header (an ack reads its
-// MsgID and Offset) on the worker key maps to.
+// submitWork queues an actor step that needs only a header (an ack reads
+// its MsgID and Offset) on the worker key maps to.
 func (e *Engine) submitWork(key uint32, kind workKind, from, rail int, h wire.Header) {
 	w := e.getWork(kind, from, rail)
 	w.h = h
@@ -93,8 +95,13 @@ func (e *Engine) putWork(w *work) {
 	e.workMu.Unlock()
 }
 
-// Do runs the item on a pool worker (progress.Work) and recycles it.
-func (w *work) Do(ctx rt.Ctx) {
+// Handle runs a step that cannot block (progress.Handler) and recycles the
+// item: the two steps of an eager message that send nothing. It runs on
+// the transport reader that decoded the frame when the step's worker is
+// idle, else on the worker.
+//
+//railvet:hotpath
+func (w *work) Handle() {
 	e := w.e
 	switch w.kind {
 	case workEager:
@@ -112,17 +119,31 @@ func (w *work) Do(ctx rt.Ctx) {
 				e.putWork(own)
 			}
 		}
+	case workOnAck:
+		e.onAck(w.from, w.h)
+	}
+	e.putWork(w)
+}
+
+// Do runs the item on a pool worker (progress.Work) and recycles it. The
+// steps with a Ctx send on a rail, which can block.
+func (w *work) Do(ctx rt.Ctx) {
+	e := w.e
+	switch w.kind {
+	case workEager, workOnAck:
+		w.Handle()
+		return
 	case workAck:
 		e.ackUnit(ctx, w.from, w.h.MsgID, w.h.Offset, w.rail, &w.hdr)
 	case workChunk:
 		e.deliverChunk(w.from, w.h, w.p.Payload)
 		e.ackUnit(ctx, w.from, w.h.MsgID, w.h.Offset, w.rail, &w.hdr)
 	case workRTS:
-		e.handleRTS(w.from, w.rail, w.h)
+		e.handleRTS(ctx, w.from, w.rail, w.h, &w.hdr)
 	case workCTS:
-		e.onCTS(w.from, w.h.MsgID)
-	case workOnAck:
-		e.onAck(w.from, w.h)
+		e.onCTS(ctx, w.from, w.h.MsgID, &w.hdr)
+	case workSendCTS:
+		e.sendCTS(ctx, w.from, w.rail, w.h.Tag, w.h.MsgID, &w.hdr)
 	}
 	e.putWork(w)
 }

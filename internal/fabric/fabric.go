@@ -31,6 +31,17 @@
 // SendData) and every fabric without a placer takes the contiguous path:
 // one Delivery whose Data is head followed by body.
 //
+// Who writes a frame. A send is allowed to finish on the sender's
+// goroutine when that cannot make it wait: shmnet copies a body-less frame
+// into the ring itself when the rail is idle and the frame fits the ring's
+// free space (one bounded memcpy, cheaper than waking the link's writer),
+// and hands every other frame — one with a body, one behind a queue, one
+// for a full ring, a killed or throttled rail — to the link's writer
+// goroutine, in an order equal to the order of the send calls either way.
+// livenet queues every frame for its writer: a socket write can block and
+// nothing tells beforehand. A goroutine that must never wait (a transport
+// reader) sends through TrySender or not at all.
+//
 // Ownership of small things. Two contracts keep the per-message path free
 // of allocations without the engine knowing how a fabric queues or reads:
 //
@@ -98,6 +109,15 @@ type Stats struct {
 	// found the ring full and had to wait). Zero on fabrics without
 	// bounded rings.
 	Stalls uint64
+	// Parks counts the times a side of the rail's rings (shmnet: this
+	// node's writers and readers) gave up yielding and parked on its wake
+	// channel — the rail left the polling fast path. Zero on fabrics that
+	// do not poll.
+	Parks uint64
+	// InlineWrites counts the frames (of Messages) the sender copied into
+	// the rail itself instead of handing them to the rail's writer (shmnet:
+	// a small frame on an idle link). Zero on fabrics whose writes can block.
+	InlineWrites uint64
 }
 
 // RailState is the health of one rail. Rails are a dynamic set: a NIC
@@ -205,7 +225,7 @@ type Rail interface {
 	// only for the descriptor post; done (may be nil) fires when the
 	// transfer drains and the sender may reuse the buffer. It is
 	// SendDataV with no body.
-	SendData(ctx rt.Ctx, to int, data []byte, done rt.Event)
+	SendData(ctx rt.Ctx, to int, data []byte, done Completion)
 	// SendDataV streams a rendezvous chunk given as head followed by
 	// body, gathering from both slices without coalescing them: the
 	// receiver sees one frame of len(head)+len(body) bytes. The body —
@@ -213,8 +233,28 @@ type Rail interface {
 	// (done may be nil: the caller then keeps them untouched until the
 	// unit is acknowledged); a shorter head is copied before the call
 	// returns.
-	SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event)
+	SendDataV(ctx rt.Ctx, to int, head, body []byte, done Completion)
 }
+
+// TrySender is an optional Rail capability for a goroutine that must not
+// wait — a transport reader answering the frame it just decoded. TrySend
+// posts a body-less frame exactly as SendControl would, if that takes no
+// waiting (shmnet: the sender's own ring write, or a free slot in the
+// link's queue; livenet: a free slot in the link's queue), and otherwise
+// reports false having done nothing: the caller then leaves the send to a
+// goroutine that may block. A plain send from a reader is never an
+// option — two readers each blocked on the other's full link would be a
+// deadlock.
+type TrySender interface {
+	TrySend(to int, data []byte) bool
+}
+
+// Completion is how a rail reports that a transfer drained: it calls Fire,
+// once, from whichever goroutine finished (or dropped) the frame; Fire
+// must not block. An rt.Event is one; the engine passes the chunk's own
+// transfer unit, so a chunk's local completion needs neither an event nor
+// a goroutine parked on it.
+type Completion interface{ Fire() }
 
 // Node is one endpoint of the fabric: an indexed set of rails plus the
 // delivery queue the progression engine (internal/pioman) drains.

@@ -289,6 +289,13 @@ type mixRail struct {
 
 func (r mixRail) Index() int { return r.idx }
 
+// TrySend forwards to the sub-fabric rail when it is a TrySender and
+// refuses otherwise.
+func (r mixRail) TrySend(to int, data []byte) bool {
+	ts, ok := r.Rail.(TrySender)
+	return ok && ts.TrySend(to, data)
+}
+
 // mixHealth merges the sub-fabrics' health trackers into one surface:
 // states and events carry combined rail indices, and administrative
 // control dispatches to the owning tracker.

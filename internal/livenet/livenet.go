@@ -565,7 +565,7 @@ func (f *Fabric) register(conn net.Conn, owner, peer, r int) {
 type outFrame struct {
 	head fabric.Head
 	body []byte
-	done rt.Event
+	done fabric.Completion
 	rail *Rail
 }
 
@@ -626,6 +626,7 @@ func (f *Fabric) writeLoop(l *link) {
 			binary.LittleEndian.PutUint32(l.prefix[0:], uint32(of.head.Len()))
 			binary.LittleEndian.PutUint32(l.prefix[4:], uint32(len(of.body)))
 			start := clock.Now()
+			writeStart := start
 			if th := of.rail.throttleFactor(); th > 1 {
 				// Chaos throttle: delay the frame BEFORE it reaches the
 				// kernel so delivery itself slows down — the rail behaves
@@ -635,16 +636,16 @@ func (f *Fabric) writeLoop(l *link) {
 				// congested link shows even small frames.
 				exp := float64(of.size()+prefixSize)/of.rail.currentRate() + throttleQueue.Seconds()
 				time.Sleep(time.Duration(exp * (th - 1) * 1e9))
+				writeStart = clock.Now()
 			}
-			writeStart := clock.Now()
 			l.iov = [3][]byte{l.prefix[:], of.head.Bytes(), of.body}
 			l.bufs = l.iov[:] // WriteTo consumes the list, so rebuild it per frame
 			_, err := l.bufs.WriteTo(l.conn)
 			// The rate EWMA calibrates on the raw write only: folding the
 			// throttle sleep in would shrink the rate, stretch the next
 			// sleep, and spiral. Occupancy (took) keeps the full delay.
-			calib := clock.Since(writeStart)
-			took := clock.Since(start)
+			end := clock.Now()
+			calib, took := clock.Between(writeStart, end), clock.Between(start, end)
 			// A failed write is not traffic: counting it would credit the
 			// rail with bytes that never fully reached the wire, and its
 			// near-instant failure duration would calibrate the rate EWMA
@@ -1172,7 +1173,7 @@ func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost ti
 
 // SendData streams a rendezvous chunk; done fires when the frame has
 // been written to the socket and the sender may reuse the buffer.
-func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
+func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
 	r.SendDataV(ctx, to, data, nil, done)
 }
 
@@ -1181,8 +1182,22 @@ func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
 // — stay aliased until done fires. A shorter head is copied here.
 //
 //railvet:hotpath
-func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
-	of := outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}
+func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {
+	r.post(to, outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}, true)
+}
+
+// TrySend queues a body-less frame if the link's queue has a free slot
+// (fabric.TrySender). Every frame still goes through the writer: a socket
+// write can block, and nothing tells beforehand.
+//
+//railvet:hotpath
+func (r *Rail) TrySend(to int, data []byte) bool {
+	return r.post(to, outFrame{head: fabric.MakeHead(data), rail: r}, false)
+}
+
+// post is SendDataV; with wait false it refuses (false, nothing done)
+// instead of waiting for a slot in a full link queue.
+func (r *Rail) post(to int, of outFrame, wait bool) bool {
 	if of.size() > maxFrame {
 		// Refuse at the source: a larger frame would be rejected by the
 		// receiver (or wrap the uint32 prefix past 4 GiB and desync the
@@ -1201,17 +1216,30 @@ func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
 	r.stats.LastStart = r.node.f.env.Now()
 	r.mu.Unlock()
 	f := r.node.f
-	select {
-	case l.out <- of:
-		// If the fabric closed while we enqueued, the writer's final
-		// drain may already have run and exited; reclaim anything
-		// stranded so completion events still fire.
-		if f.closed.Load() {
-			drainLink(l)
+	if wait {
+		select {
+		case l.out <- of:
+		case <-f.closedCh:
+			of.finish(0, 0, false)
+			return true
 		}
-	case <-f.closedCh:
-		of.finish(0, 0, false)
+	} else {
+		select {
+		case l.out <- of:
+		default:
+			r.mu.Lock()
+			r.pending -= int64(of.size()) + prefixSize
+			r.mu.Unlock()
+			return false
+		}
 	}
+	// If the fabric closed while we enqueued, the writer's final drain may
+	// already have run and exited; reclaim anything stranded so completion
+	// events still fire.
+	if f.closed.Load() {
+		drainLink(l)
+	}
+	return true
 }
 
 // noteWritten retires n queued bytes, counts the frame as traffic when

@@ -22,6 +22,17 @@
 //     ids (the receiver-side replay filter of the failover protocol),
 //     lock-striped so concurrent flows never contend on one mutex.
 //
+// Handlers and actors. rt draws the line the pool works by: an actor owns
+// a Ctx and may block, a handler gets none and cannot. Work is an actor
+// step — it runs on the key's worker, with the worker's Ctx, and may wait
+// on a rail. A Handler is a step that cannot block (match and copy an
+// eager packet, retire an acked unit), so the hand-off to a worker buys it
+// nothing unless the worker is busy: Pool.Handle runs it at once, on the
+// submitter's goroutine, when the key's worker is idle with an empty
+// queue, and queues it otherwise. Same-key order and "one item of a worker
+// at a time" hold either way, because the submitter takes the worker's
+// turn to do it (rt's live queues keep one).
+//
 // Key functions (FlowKey, UnitKey, ChunkKey) hash protocol identities to
 // pool/shard keys. The engine (internal/core) shards its matching,
 // pending and unacked tables with the same keys, so the worker that
@@ -62,11 +73,22 @@ type Work interface {
 	Do(ctx rt.Ctx)
 }
 
+// Handler is Work that cannot block: Handle does what Do does without a
+// Ctx, so it may run on a goroutine that must not wait (a transport
+// reader). See Pool.Handle.
+type Handler interface {
+	Work
+	Handle()
+}
+
 // WorkerStats counts one worker's activity.
 type WorkerStats struct {
-	// Tasks is the number of tasks executed.
+	// Tasks is the number of tasks executed, on the worker or in its place.
 	Tasks uint64
-	// BusyTime is the total time spent inside tasks.
+	// Inline is how many of Tasks ran on their submitter's goroutine
+	// (Pool.Handle found the worker idle); Tasks - Inline were queued.
+	Inline uint64
+	// BusyTime is the total time spent inside tasks, wherever they ran.
 	BusyTime time.Duration
 	// Queued is the instantaneous queue length (snapshot time).
 	Queued int
@@ -84,9 +106,20 @@ type Pool struct {
 
 type worker struct {
 	q rt.Queue
+	// turns is q's turn-taking side, which is what lets a submitter run an
+	// item in the worker's place; nil when q has none (the simulator's
+	// queues: there Handle only queues).
+	turns turnQueue
 
 	mu    sync.Mutex
 	stats WorkerStats
+}
+
+// turnQueue is the part of rt's live queues Handle needs (see liveQueue).
+type turnQueue interface {
+	PopTurn(rt.Ctx) (item any, waited bool)
+	TryTurn() bool
+	EndTurn()
 }
 
 // NewPool starts n workers (min 1) named "<name>-w<i>".
@@ -97,6 +130,7 @@ func NewPool(env rt.Env, name string, n int) *Pool {
 	p := &Pool{env: env}
 	for i := 0; i < n; i++ {
 		w := &worker{q: env.NewQueue()}
+		w.turns, _ = w.q.(turnQueue)
 		p.workers = append(p.workers, w)
 		env.Go(fmt.Sprintf("%s-w%d", name, i), w.loop)
 	}
@@ -104,18 +138,42 @@ func NewPool(env rt.Env, name string, n int) *Pool {
 }
 
 func (w *worker) loop(ctx rt.Ctx) {
+	// The end of one item is the start of the next when that one was
+	// already waiting: one clock read per item on a busy worker.
+	now := ctx.Now()
 	for {
-		item := w.q.Pop(ctx)
-		if item == nil {
-			return // Stop sentinel
+		var item any
+		waited := true
+		if w.turns != nil {
+			item, waited = w.turns.PopTurn(ctx)
+		} else {
+			item = w.q.Pop(ctx)
 		}
-		start := ctx.Now()
+		if item == nil {
+			return // Stop sentinel; the turn stays taken, so nothing runs inline after Stop either
+		}
+		if waited {
+			now = ctx.Now()
+		}
+		start := now
 		item.(Work).Do(ctx)
-		w.mu.Lock()
-		w.stats.Tasks++
-		w.stats.BusyTime += ctx.Now() - start
-		w.mu.Unlock()
+		now = ctx.Now()
+		w.ran(now-start, false)
+		if w.turns != nil {
+			w.turns.EndTurn()
+		}
 	}
+}
+
+// ran counts one finished item.
+func (w *worker) ran(busy time.Duration, inline bool) {
+	w.mu.Lock()
+	w.stats.Tasks++
+	if inline {
+		w.stats.Inline++
+	}
+	w.stats.BusyTime += busy
+	w.mu.Unlock()
 }
 
 // Size returns the worker count.
@@ -135,6 +193,26 @@ func (p *Pool) Submit(key uint32, t Task) { p.SubmitWork(key, t) }
 //railvet:hotpath
 func (p *Pool) SubmitWork(key uint32, w Work) {
 	p.workers[key%uint32(len(p.workers))].q.Push(w)
+}
+
+// Handle runs h now, on the caller's goroutine, if the worker the key maps
+// to is idle and its queue is empty — the caller takes the worker's turn,
+// so h is still the only item of that worker in flight and nothing queued
+// later can overtake it; otherwise it queues h like SubmitWork (its Do
+// runs). No lock is held while h runs; items submitted from inside it
+// queue behind it. Never blocks.
+//
+//railvet:hotpath
+func (p *Pool) Handle(key uint32, h Handler) {
+	w := p.workers[key%uint32(len(p.workers))]
+	if w.turns == nil || !w.turns.TryTurn() {
+		w.q.Push(h)
+		return
+	}
+	start := p.env.Now()
+	h.Handle()
+	w.ran(p.env.Now()-start, true)
+	w.turns.EndTurn()
 }
 
 // Stop makes every worker exit after draining the tasks queued before

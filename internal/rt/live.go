@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,10 +83,21 @@ type liveCtx struct{ env *LiveEnv }
 
 func (c liveCtx) Now() time.Duration { return c.env.Now() }
 func (c liveCtx) Sleep(d time.Duration) {
-	if d > 0 {
+	if d >= spinSleepBelow {
 		time.Sleep(d)
+		return
+	}
+	// Shorter than an OS timer can keep: a parked thread is woken a tick
+	// late (a 10 µs time.Sleep measures ≈ 0.7 ms on an otherwise idle
+	// process), so pass the time yielding instead.
+	for end := clock.Now() + int64(d); clock.Now() < end; {
+		runtime.Gosched()
 	}
 }
+
+// spinSleepBelow is the sleep below which liveCtx.Sleep yields instead of
+// parking.
+const spinSleepBelow = 100 * time.Microsecond
 
 // LiveEvent is the wall-clock Event. Its zero value is an unfired event,
 // so the object an event completes embeds it instead of pointing at one
@@ -170,12 +182,20 @@ func (e *LiveEvent) OnFire(cb func()) {
 // liveQueue is a ring: the backing array is reused as items come and
 // go, and a popped slot is cleared so the queue does not keep the item
 // alive. A worker's queue in steady state allocates nothing.
+//
+// A queue with one consumer also keeps that consumer's turn (PopTurn,
+// TryTurn, EndTurn): between popping an item and finishing it the consumer
+// holds the turn, and a producer that finds the queue empty and the turn
+// free may take it — do the item's work itself, then give the turn back —
+// instead of pushing. Whoever holds the turn, items still go one at a
+// time and in push order. Pop and TryPop ignore turns.
 type liveQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	buf  []any // len is zero or a power of two
 	head int
 	n    int
+	held bool // the turn is taken
 }
 
 func (q *liveQueue) Push(v any) {
@@ -189,8 +209,11 @@ func (q *liveQueue) Push(v any) {
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
+	wake := !q.held // EndTurn wakes the consumer of a held queue
 	q.mu.Unlock()
-	q.cond.Signal()
+	if wake {
+		q.cond.Signal()
+	}
 }
 
 // pop removes the head item; the caller holds q.mu and has checked n > 0.
@@ -209,6 +232,51 @@ func (q *liveQueue) Pop(Ctx) any {
 		q.cond.Wait()
 	}
 	return q.pop()
+}
+
+// PopTurn is Pop for a consumer that takes turns: it waits for an item and
+// a free turn, takes both, and reports whether it had to wait. The turn
+// is the consumer's until EndTurn — for good if it pops its stop nudge and
+// never calls it.
+//
+//railvet:hotpath
+func (q *liveQueue) PopTurn(Ctx) (v any, waited bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.n == 0 || q.held {
+		waited = true
+		q.cond.Wait()
+	}
+	q.held = true
+	return q.pop(), waited
+}
+
+// TryTurn takes the turn if the queue is empty and the turn free: nothing
+// is ahead of the caller, and nothing will overtake it until EndTurn.
+//
+//railvet:hotpath
+func (q *liveQueue) TryTurn() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n != 0 || q.held {
+		return false
+	}
+	q.held = true
+	return true
+}
+
+// EndTurn gives the turn back and wakes the consumer if items arrived
+// meanwhile.
+//
+//railvet:hotpath
+func (q *liveQueue) EndTurn() {
+	q.mu.Lock()
+	q.held = false
+	wake := q.n > 0
+	q.mu.Unlock()
+	if wake {
+		q.cond.Signal()
+	}
 }
 
 func (q *liveQueue) TryPop() (any, bool) {

@@ -2,7 +2,9 @@ package sampling
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,4 +315,112 @@ func TestPropertySizeForGaloisConnection(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refSizeFor is the reference SizeFor: the bisection on Estimate every
+// query used before the closed form, kept so the two can be compared.
+func refSizeFor(t *Table, d time.Duration, max int) int {
+	if max <= 0 {
+		max = 8 * t.MaxSize()
+	}
+	if t.Estimate(max) <= d {
+		return max
+	}
+	if t.Estimate(0) > d {
+		return 0
+	}
+	return t.bisectSizeFor(d, max)
+}
+
+// pinnedTables loads the benchmark's three pinned sampling files: real
+// live-sampled curves, dips and all.
+func pinnedTables(tb testing.TB) map[string]*Table {
+	tb.Helper()
+	out := map[string]*Table{}
+	for _, name := range []string{"shm2", "tcp2", "shm1tcp2"} {
+		f, err := os.Open("../../bench/sampling/" + name + ".txt")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		profs, err := Load(f)
+		f.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, p := range profs {
+			out[fmt.Sprintf("%s/r%d/rdv", name, p.Rail)] = p.Rdv
+			if p.Eager != nil {
+				out[fmt.Sprintf("%s/r%d/eager", name, p.Rail)] = p.Eager
+			}
+		}
+	}
+	return out
+}
+
+// The closed-form SizeFor gives the bisection's answer: on monotone tables
+// (the simulator's, whose figures must not move), on noisy ones where d
+// meets a single crossing (closed form) and where it meets several
+// (fallback), at every budget around every sample and at every cap.
+// Mutations tried: dropping the +0.5 of the rounding together with the two
+// correction loops fails on the monotone tables; taking the closed form
+// without the later-sample scan fails on the noisy and the pinned ones.
+func TestSizeForClosedFormMatchesBisection(t *testing.T) {
+	check := func(name string, tab *Table, rng *rand.Rand) {
+		t.Helper()
+		s := tab.Samples()
+		caps := []int{0, tab.MaxSize(), tab.MaxSize() / 3, 64 << 10, 1 + rng.Intn(8*tab.MaxSize())}
+		var budgets []time.Duration
+		for _, smp := range s {
+			budgets = append(budgets, smp.T-1, smp.T, smp.T+1, smp.T+time.Duration(rng.Intn(2000)))
+		}
+		for i := 0; i < 200; i++ {
+			budgets = append(budgets, time.Duration(rng.Int63n(int64(2*s[len(s)-1].T)+2)))
+		}
+		for _, max := range caps {
+			for _, d := range budgets {
+				if got, want := tab.SizeFor(d, max), refSizeFor(tab, d, max); got != want {
+					t.Fatalf("%s: SizeFor(%v, %d) = %d, bisection says %d", name, d, max, got, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 60; i++ {
+		var mono, noisy []Sample
+		var d time.Duration
+		for size := 4; size <= 4<<20; size *= 2 {
+			d += time.Duration(rng.Intn(20000)) // zero steps too: flat segments
+			mono = append(mono, Sample{size, d})
+			noisy = append(noisy, Sample{size, d + time.Duration(rng.Intn(15000))})
+		}
+		check(fmt.Sprintf("monotone #%d", i), mustTable(t, mono), rng)
+		check(fmt.Sprintf("noisy #%d", i), mustTable(t, noisy), rng)
+		check(fmt.Sprintf("two-point #%d", i), mustTable(t, []Sample{{3, mono[2].T}, {1000, mono[9].T}}), rng)
+	}
+	for name, tab := range pinnedTables(t) {
+		check(name, tab, rng)
+	}
+}
+
+// BenchmarkDevelSizeFor puts the two inversions side by side on the
+// queries HeteroSplit makes of the pinned shm1tcp2 table: budgets around a
+// 1 MiB message's per-rail share.
+func BenchmarkDevelSizeFor(b *testing.B) {
+	tab := pinnedTables(b)["shm1tcp2/r0/rdv"]
+	budgets := make([]time.Duration, 64)
+	for i := range budgets {
+		budgets[i] = tab.Estimate(64<<10) + time.Duration(i)*tab.Estimate(1<<20)/64
+	}
+	var sink int
+	b.Run("bisect", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += refSizeFor(tab, budgets[i%len(budgets)], 0)
+		}
+	})
+	b.Run("closed-form", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += tab.SizeFor(budgets[i%len(budgets)], 0)
+		}
+	})
+	_ = sink
 }

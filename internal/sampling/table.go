@@ -36,6 +36,8 @@ type Sample struct {
 type Table struct {
 	samples []Sample // sorted by Size, unique
 	pow2    bool     // all sizes are powers of two (enables O(1) lookup)
+
+	at0 time.Duration // Estimate(0), which SizeFor asks on every call
 }
 
 // NewTable builds a table from samples (any order; duplicates collapse to
@@ -66,6 +68,7 @@ func NewTable(samples []Sample) (*Table, error) {
 			break
 		}
 	}
+	t.at0 = t.Estimate(0)
 	return t, nil
 }
 
@@ -124,6 +127,14 @@ func (t *Table) Estimate(n int) time.Duration {
 // SizeFor inverts Estimate: the largest size whose estimated duration
 // does not exceed d. Returns 0 if even the smallest transfers exceed d,
 // and caps at max (pass 0 for "no cap" = 8x the sampled maximum).
+//
+// Where the table is monotone around d — every sample up to some size
+// takes at most d, every larger one longer — Estimate crosses d exactly
+// once, inside one known segment, and the answer is one division (plus a
+// step or two against Estimate itself, which owns the rounding). Where
+// durations dip across d (live-sampled noise) there are several
+// crossings and no single answer; those queries keep the bisection and
+// the answer it has always given.
 func (t *Table) SizeFor(d time.Duration, max int) int {
 	if max <= 0 {
 		max = 8 * t.MaxSize()
@@ -131,10 +142,50 @@ func (t *Table) SizeFor(d time.Duration, max int) int {
 	if t.Estimate(max) <= d {
 		return max
 	}
-	lo, hi := 0, max // invariant: Estimate(lo) <= d < Estimate(hi)
-	if t.Estimate(0) > d {
+	if t.at0 > d {
 		return 0
 	}
+	s := t.samples
+	j := 0 // the samples before j take at most d
+	for j < len(s) && s[j].T <= d {
+		j++
+	}
+	for _, later := range s[min(j+1, len(s)):] {
+		if later.T <= d {
+			return t.bisectSizeFor(d, max)
+		}
+	}
+	// The crossing is in the segment that ends at sample j: the first
+	// segment extended downwards when every sample is slower than d, the
+	// last extended upwards when none is.
+	j = min(j, len(s)-1)
+	if j == 0 {
+		j = 1 // below the first sample: the first segment, extended downwards
+	}
+	a, b := s[j-1], s[j]
+	// Estimate(n) <= d  <=>  a.T + (n-a.Size)*slope < d + 0.5: it rounds half
+	// up, and the slope is positive or an early return was taken. Estimate
+	// itself has the last word on either side of the guess.
+	n := a.Size + int(math.Floor((float64(d)+0.5-float64(a.T))*float64(b.Size-a.Size)/float64(b.T-a.T)))
+	n = min(n, max-1)
+	if n < 0 {
+		n = 0
+	}
+	for n > 0 && t.Estimate(n) > d {
+		n--
+	}
+	for n+1 < max && t.Estimate(n+1) <= d {
+		n++
+	}
+	return n
+}
+
+// bisectSizeFor is SizeFor by bisection on Estimate, for a caller that
+// has checked Estimate(0) <= d < Estimate(max): the reference the closed
+// form is tested against, and the answer where Estimate crosses d more
+// than once.
+func (t *Table) bisectSizeFor(d time.Duration, max int) int {
+	lo, hi := 0, max // invariant: Estimate(lo) <= d < Estimate(hi)
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		if t.Estimate(mid) <= d {

@@ -22,7 +22,7 @@ func TestRingFrameAllocs(t *testing.T) {
 		if !r.write(frame, abort) {
 			t.Fatal("write aborted")
 		}
-		if !r.read(out, abort) {
+		if !r.read(out, frameBoundary, abort) {
 			t.Fatal("read aborted")
 		}
 	})
@@ -39,7 +39,7 @@ func TestRingWrapAllocs(t *testing.T) {
 	abort := func() bool { return false }
 
 	allocs := testing.AllocsPerRun(200, func() {
-		if !r.write(frame, abort) || !r.read(out, abort) {
+		if !r.write(frame, abort) || !r.read(out, frameBoundary, abort) {
 			t.Fatal("ring aborted")
 		}
 	})

@@ -64,12 +64,14 @@ type ring struct {
 	// poll): the producer nudges dataWake after publishing bytes, the
 	// consumer nudges spaceWake after freeing space. Buffered at 1 and
 	// re-checked after every wake, so the check-then-wait pattern loses
-	// no wakeup. Without these, a reader idling in its deep poll
-	// backoff charges the first frame of a burst the whole sleep — and
-	// a µs-class lane measured with a 200µs wake-up tax would lose to
-	// loopback TCP in the very telemetry that should favour it.
+	// no wakeup — which is what lets a side park with no deadline: every
+	// change it could be waiting for (bytes, space, goodbye, Close) is
+	// followed by a nudge.
 	dataWake  chan struct{}
 	spaceWake chan struct{}
+	// boundaryYields is how often an in-process reader yields at a frame
+	// boundary before it parks (see backoff.wait).
+	boundaryYields int
 
 	// stalls, when installed, counts backpressure episodes: one per
 	// write call that found the ring full and had to wait. Process-local
@@ -80,10 +82,10 @@ type ring struct {
 	// from the producer goroutine (Config.OnStall, rail-bound).
 	onStall func()
 
-	// Each side's park timer (in-process rings only, see enableWake),
-	// reused for every park: a timer per park was two to three objects per
-	// idle round trip. One goroutine each.
-	writePark, readPark *time.Timer
+	// readParks and writeParks, when installed, count the times the side
+	// gave up yielding and parked on its wake channel. Process-local like
+	// stalls; each is bumped by its side's one goroutine.
+	readParks, writeParks *atomic.Uint64
 }
 
 // ringRegionSize returns the bytes a ring with dataBytes of payload
@@ -122,47 +124,67 @@ func newRing(region []byte, init bool) *ring {
 func (r *ring) enableWake() *ring {
 	r.dataWake = make(chan struct{}, 1)
 	r.spaceWake = make(chan struct{}, 1)
-	r.writePark, r.readPark = time.NewTimer(0), time.NewTimer(0)
+	r.boundaryYields = boundaryYields
 	return r
 }
 
-// backoff is the poll pacing of a ring side waiting for the other: spin
-// (yielding) while the wait is fresh — a busy peer answers within
-// microseconds, which is the whole point of the PIO regime — then park
-// on the wake channel (in-process) or sleep in growing steps (mmap
-// rings, which can only poll).
+// waitFor says what a ring side is waiting for, which decides how it
+// waits.
+type waitFor uint8
+
+const (
+	// midFrame: the peer is inside a copy right now — a reader that holds
+	// the prefix waits for the head or the body, a writer waits for space
+	// on a full ring. What it waits for is a microsecond away: keep
+	// yielding.
+	midFrame waitFor = iota
+	// frameBoundary: between two frames nothing may come for a second. A
+	// reader that can be woken yields a few times (the next frame of a
+	// busy exchange is that close) and parks.
+	frameBoundary
+)
+
+// backoff is the pacing of a ring side waiting for the other. It yields
+// while the wait is fresh — a busy peer answers within microseconds,
+// which is the whole point of the PIO regime — for as long as the kind
+// of wait makes an answer likely, then parks on the wake channel with no
+// deadline (in-process) or sleeps in growing steps (mmap rings, which can
+// only poll and so pace every wait alike).
 type backoff struct{ spins int }
 
 const (
 	backoffSpins    = 256
 	backoffMinSleep = 5 * time.Microsecond
 	backoffMaxSleep = 200 * time.Microsecond
+	// boundaryYields is the knee of the engine's 512 B ping-pong (one-way
+	// p50 / p99 / CPU per message at 4, 16, 32, 64 yields: 5.5 / 40 / 11.6,
+	// 5.5 / 34 / 10.7, 6.5 / 37 / 13.3, 6.8 / 35 / 14.9 µs): with fewer the
+	// vCPU goes idle between two messages and the tail pays a futex wake,
+	// with more the two readers of a rail spend the cores the callers need
+	// yielding to each other. The raw two-goroutine ring ping-pong
+	// (BenchmarkDevelRingPingPong) cannot show it: nothing there competes
+	// for the cores.
+	boundaryYields = 16
 )
 
-// wait paces one more poll. park is the calling ring side's timer, set
-// exactly when wake is.
-func (b *backoff) wait(wake chan struct{}, park *time.Timer) {
+// wait paces one more poll: yield while the wait has lasted fewer than
+// yields polls, then park. wake is the calling side's wake channel (nil:
+// it can only poll), parks its park counter.
+func (b *backoff) wait(wake chan struct{}, yields int, parks *atomic.Uint64) {
 	b.spins++
-	if b.spins <= backoffSpins {
+	if b.spins <= yields {
 		runtime.Gosched()
 		return
 	}
-	d := backoffMinSleep << uint(min(b.spins-backoffSpins, 6))
-	if d > backoffMaxSleep {
-		d = backoffMaxSleep
-	}
 	if wake == nil {
-		time.Sleep(d)
+		d := backoffMinSleep << uint(min(b.spins-backoffSpins, 6))
+		time.Sleep(min(d, backoffMaxSleep))
 		return
 	}
-	// With go.mod at 1.23+ a Reset timer delivers no tick of its earlier
-	// life, and one nobody waits on costs the runtime nothing: reuse needs
-	// neither draining nor a Stop after a wake-up.
-	park.Reset(d)
-	select {
-	case <-wake:
-	case <-park.C:
+	if parks != nil {
+		parks.Add(1)
 	}
+	<-wake
 }
 
 func (b *backoff) reset() { b.spins = 0 }
@@ -203,7 +225,7 @@ func (r *ring) write(p []byte, abort func() bool) bool {
 			if abort() {
 				return false
 			}
-			b.wait(r.spaceWake, r.writePark)
+			b.wait(r.spaceWake, backoffSpins, r.writeParks) // a full ring is mid-frame
 			continue
 		}
 		b.reset()
@@ -220,14 +242,41 @@ func (r *ring) write(p []byte, abort func() bool) bool {
 	return true
 }
 
-// read fills p from the ring, blocking (polling) while it is empty. Only
-// the consumer goroutine may call it. It returns false when the stream
-// ends first: abort reports true, or the ring is empty and the producer
-// said goodbye. A killed ring does NOT end the stream — kill discards
-// whole frames at the link layer; ending the byte stream mid-frame here
-// would desynchronise the framing across a revive.
-func (r *ring) read(p []byte, abort func() bool) bool {
+// tryWrite copies a then b into the ring and publishes them together — the
+// consumer sees both or neither — if they fit the free space right now; it
+// never waits. Only the producer may call it.
+func (r *ring) tryWrite(a, b []byte) bool {
+	t := r.tail.Load()
+	n := uint64(len(a) + len(b))
+	if r.size-(t-r.head.Load()) < n {
+		return false
+	}
+	r.put(t, a)
+	r.put(t+uint64(len(a)), b)
+	r.tail.Store(t + n)
+	nudge(r.dataWake)
+	return true
+}
+
+// put copies p to cursor position at, wrapping, without publishing it.
+func (r *ring) put(at uint64, p []byte) {
+	n := copy(r.data[at%r.size:], p)
+	copy(r.data, p[n:])
+}
+
+// read fills p from the ring, blocking (polling) while it is empty; at
+// says whether p starts a frame or continues one. Only the consumer
+// goroutine may call it. It returns false when the stream ends first:
+// abort reports true, or the ring is empty and the producer said goodbye.
+// A killed ring does NOT end the stream — kill discards whole frames at
+// the link layer; ending the byte stream mid-frame here would
+// desynchronise the framing across a revive.
+func (r *ring) read(p []byte, at waitFor, abort func() bool) bool {
 	var b backoff
+	yields := backoffSpins
+	if at == frameBoundary && r.dataWake != nil {
+		yields = r.boundaryYields
+	}
 	for len(p) > 0 {
 		h := r.head.Load()
 		avail := r.tail.Load() - h
@@ -235,7 +284,7 @@ func (r *ring) read(p []byte, abort func() bool) bool {
 			if abort() || r.status.Load() == ringGoodbye {
 				return false
 			}
-			b.wait(r.dataWake, r.readPark)
+			b.wait(r.dataWake, yields, r.readParks)
 			continue
 		}
 		b.reset()

@@ -242,6 +242,7 @@ func (f *Fabric) register(owner *Node, peer, r int, sendR, recvR *ring) {
 	}
 	rail := owner.rails[r]
 	sendR.stalls = &rail.stalls // owner's writer is sendR's only producer
+	sendR.writeParks, recvR.readParks = &rail.parks, &rail.parks
 	if hook := f.cfg.OnStall; hook != nil {
 		idx := r
 		sendR.onStall = func() { hook(idx) }
@@ -304,6 +305,11 @@ func (f *Fabric) Close() error {
 		return nil
 	}
 	close(f.closedCh)
+	// Sides park with no deadline: wake them all to see the close. (Writers
+	// then say goodbye, which wakes a peer process's poll too.)
+	for r := 0; r < f.cfg.Rails; r++ {
+		f.eachRailRing(r, func(r *ring) { nudge(r.dataWake); nudge(r.spaceWake) })
+	}
 	f.wg.Wait()
 	f.mu.Lock()
 	maps := f.maps
@@ -321,7 +327,7 @@ func (f *Fabric) Close() error {
 type outFrame struct {
 	head fabric.Head
 	body []byte
-	done rt.Event
+	done fabric.Completion
 	rail *Rail
 }
 
@@ -344,9 +350,20 @@ type link struct {
 	sendR *ring
 	recvR *ring
 
+	// producer is held by whoever copies a frame into sendR: the link's
+	// writer, or a sender writing a small frame itself (writeNow). The ring
+	// is single-producer; this is what keeps it so.
+	producer sync.Mutex
+
 	// scratch holds the head of a frame offered to the placer; only the
 	// link's reader touches it.
 	scratch [fabric.PlaceHeadMax]byte
+}
+
+// putPrefix encodes the frame's link prefix.
+func (of *outFrame) putPrefix(prefix *[prefixSize]byte) {
+	binary.LittleEndian.PutUint32(prefix[0:], uint32(of.head.Len()))
+	binary.LittleEndian.PutUint32(prefix[4:], uint32(len(of.body)))
 }
 
 // writeLoop drains a link's queue into its send ring. Each frame is the
@@ -354,9 +371,11 @@ type link struct {
 // rendezvous chunk goes from the caller's buffer into the ring with no
 // frame assembled in between. done events fire when the frame is fully
 // in the ring — the shared-memory equivalent of "the PIO copy
-// finished". Per-frame timestamps use internal/clock:
-// on the intra-host rail a frame IS a memcpy, so two wall-clock reads
-// per frame would be a measurable fraction of the frame itself.
+// finished" — and after the producer token is released. Per-frame
+// timestamps use internal/clock: on the intra-host rail a frame IS a
+// memcpy, so wall-clock reads would be a measurable fraction of the frame
+// itself — and one pair of reads serves both the occupancy and the rate
+// calibration unless a throttle sleep separates them.
 //
 //railvet:hotpath
 func (f *Fabric) writeLoop(n *Node, l *link) {
@@ -379,23 +398,25 @@ func (f *Fabric) writeLoop(n *Node, l *link) {
 				continue
 			}
 			var prefix [prefixSize]byte
-			binary.LittleEndian.PutUint32(prefix[0:], uint32(of.head.Len()))
-			binary.LittleEndian.PutUint32(prefix[4:], uint32(len(of.body)))
+			of.putPrefix(&prefix)
 			start := clock.Now()
+			writeStart := start
 			if th := of.rail.throttleFactor(); th > 1 {
 				// Chaos throttle, mirroring livenet: stretch the frame's
 				// transmission before it reaches the ring, plus a
 				// standing-queue term so small frames feel it too.
 				exp := float64(of.size()+prefixSize)/of.rail.currentRate() + throttleQueue.Seconds()
 				time.Sleep(time.Duration(exp * (th - 1) * 1e9))
+				writeStart = clock.Now()
 			}
-			writeStart := clock.Now()
+			l.producer.Lock()
 			ok := l.sendR.write(prefix[:], abort) &&
 				l.sendR.write(of.head.Bytes(), abort) &&
 				l.sendR.write(of.body, abort)
-			calib := clock.Since(writeStart)
-			took := clock.Since(start)
-			of.finish(took, calib, ok)
+			l.producer.Unlock()
+			end := clock.Now()
+			took := clock.Between(start, end)
+			of.finish(took, clock.Between(writeStart, end), ok)
 			if ok {
 				n.observeWrite(l.peer, of.rail.index, of.size(), took)
 			}
@@ -406,12 +427,39 @@ func (f *Fabric) writeLoop(n *Node, l *link) {
 			drainLink(l)
 			var prefix [prefixSize]byte
 			binary.LittleEndian.PutUint32(prefix[:], goodbyeFrame)
+			l.producer.Lock()                                     // a sender may be mid-copy (writeNow)
 			l.sendR.write(prefix[:], func() bool { return true }) // best effort: never blocks
 			l.sendR.status.Store(ringGoodbye)
+			l.producer.Unlock()
 			nudge(l.sendR.dataWake) // a parked reader must see the goodbye
 			return
 		}
 	}
+}
+
+// writeNow is the route of a small frame past the writer goroutine: the
+// sender copies prefix and frame into the ring itself, in one
+// publication, when that is a bounded memcpy that cannot wait — the frame
+// fits the ring's free space right now and nothing about the link calls
+// for the writer (a killed or throttled rail, a closing fabric). The
+// caller holds l.producer, which it took with the rail idle (SendDataV),
+// so the ring still has one producer at a time and the link's frame order
+// is the order of the SendDataV calls, exactly as through the queue.
+// It reports whether the frame is in the ring, and how long that took.
+//
+//railvet:hotpath
+func (f *Fabric) writeNow(n *Node, l *link, of *outFrame) (time.Duration, bool) {
+	if f.closed.Load() || f.railKilled(n.id, l.rail) || l.sendR.status.Load() != ringOpen ||
+		of.rail.throttleFactor() > 1 {
+		return 0, false
+	}
+	var prefix [prefixSize]byte
+	of.putPrefix(&prefix)
+	start := clock.Now()
+	if !l.sendR.tryWrite(prefix[:], of.head.Bytes()) {
+		return 0, false
+	}
+	return clock.Since(start), true
 }
 
 // drainLink empties a closing link's queue, retiring every frame without
@@ -447,7 +495,7 @@ func (f *Fabric) readLoop(n *Node, l *link) {
 	abort := func() bool { return f.closed.Load() }
 	var prefix [prefixSize]byte
 	for {
-		if !l.recvR.read(prefix[:], abort) {
+		if !l.recvR.read(prefix[:], frameBoundary, abort) {
 			if !f.closed.Load() {
 				// Goodbye: the peer shut down gracefully. Not an error.
 				n.health.Report(l.rail, fabric.RailDown, fmt.Sprintf("node %d shut down", l.peer))
@@ -471,7 +519,7 @@ func (f *Fabric) readLoop(n *Node, l *link) {
 		var placed func(ok bool)
 		if place := n.placer.Load(); place != nil && bn > 0 && hn <= fabric.PlaceHeadMax {
 			head = l.scratch[:hn]
-			if !l.recvR.read(head, abort) {
+			if !l.recvR.read(head, midFrame, abort) {
 				return
 			}
 			dst, placed = (*place)(l.peer, l.rail, head, int(bn))
@@ -481,7 +529,7 @@ func (f *Fabric) readLoop(n *Node, l *link) {
 			d = n.frames.Get(int(hn + bn))
 			dst = d.Data[copy(d.Data, head):]
 		}
-		if !l.recvR.read(dst, abort) {
+		if !l.recvR.read(dst, midFrame, abort) {
 			if placed != nil {
 				placed(false)
 			}
@@ -765,8 +813,14 @@ type Rail struct {
 	throttle atomic.Uint64
 
 	// stalls counts ring-full backpressure episodes across this rail's
-	// send rings (bumped lock-free by the writer inside ring.write).
+	// send rings (bumped lock-free by the writer inside ring.write); parks
+	// the times one of this node's sides of the rail's rings — the writer of
+	// a send ring, the reader of a receive ring — gave up yielding and
+	// parked.
 	stalls atomic.Uint64
+	parks  atomic.Uint64
+	// inlineWrites counts the frames senders copied into a ring themselves.
+	inlineWrites atomic.Uint64
 }
 
 // currentRate returns the rail's copy-throughput EWMA (bytes/second).
@@ -801,7 +855,7 @@ func (r *Rail) Stats() fabric.Stats {
 	r.mu.Lock()
 	st := r.stats
 	r.mu.Unlock()
-	st.Stalls = r.stalls.Load()
+	st.Stalls, st.Parks, st.InlineWrites = r.stalls.Load(), r.parks.Load(), r.inlineWrites.Load()
 	return st
 }
 
@@ -839,18 +893,37 @@ func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost ti
 
 // SendData streams a rendezvous chunk; done fires when the frame is
 // fully in the ring and the sender may reuse the buffer.
-func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
+func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
 	r.SendDataV(ctx, to, data, nil, done)
 }
 
-// SendDataV queues head and body as one frame; the writer copies each
-// from its own slice into the ring, so the body — and a head longer than
-// fabric.PlaceHeadMax — stay aliased until done fires. A shorter head is
-// copied here.
+// SendDataV posts head and body as one frame. A frame with neither body
+// nor done (eager containers, acks, RTS, CTS) that finds the rail idle —
+// nothing queued, nothing being written — is copied into the ring here, on
+// the sender's goroutine, if it fits (writeNow): the hand-off to the
+// writer would cost more than the copy. Everything else is queued for
+// the link's writer, which copies head and body from their own slices, so
+// the body — and a head longer than fabric.PlaceHeadMax — stay aliased
+// until done fires; a shorter head is copied here. Frames with a body go
+// that way on purpose: the two rails of a striped message then copy in
+// parallel on two cores.
 //
 //railvet:hotpath
-func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
-	of := outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}
+func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {
+	r.post(to, outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}, true)
+}
+
+// TrySend posts a body-less frame if that takes no waiting — the sender's
+// own ring write, or a free slot in the link's queue (fabric.TrySender).
+//
+//railvet:hotpath
+func (r *Rail) TrySend(to int, data []byte) bool {
+	return r.post(to, outFrame{head: fabric.MakeHead(data), rail: r}, false)
+}
+
+// post is SendDataV; with wait false it refuses (false, nothing done)
+// instead of waiting for a slot in a full link queue.
+func (r *Rail) post(to int, of outFrame, wait bool) bool {
 	if of.size() > maxFrame {
 		panic(fmt.Sprintf("shmnet: frame of %d bytes exceeds the %d-byte limit", of.size(), maxFrame))
 	}
@@ -860,18 +933,46 @@ func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
 		r.mu.Unlock()
 		panic(fmt.Sprintf("shmnet: node %d has no rail-%d link to node %d", r.node.id, r.index, to))
 	}
+	// An idle rail (pending counts every frame from here to noteWritten)
+	// has an empty queue and a free token, except for the moment between a
+	// writer's Unlock and its noteWritten.
+	direct := len(of.body) == 0 && of.done == nil && r.pending == 0 && l.producer.TryLock()
 	r.pending += int64(of.size()) + prefixSize
 	r.stats.LastStart = r.node.f.env.Now()
 	r.mu.Unlock()
 	f := r.node.f
-	select {
-	case l.out <- of:
-		if f.closed.Load() {
-			drainLink(l)
+	if direct {
+		took, ok := f.writeNow(r.node, l, &of)
+		l.producer.Unlock()
+		if ok {
+			r.inlineWrites.Add(1)
+			of.finish(took, took, true)
+			r.node.observeWrite(l.peer, r.index, of.size(), took)
+			return true
 		}
-	case <-f.closedCh:
-		of.finish(0, 0, false)
 	}
+	if wait {
+		select {
+		case l.out <- of:
+		case <-f.closedCh:
+			of.finish(0, 0, false)
+			return true
+		}
+	} else {
+		select {
+		case l.out <- of:
+		default:
+			r.mu.Lock()
+			r.pending -= int64(of.size()) + prefixSize
+			r.mu.Unlock()
+			return false
+		}
+	}
+	// A sender racing Close may enqueue after the writer's last drain.
+	if f.closed.Load() {
+		drainLink(l)
+	}
+	return true
 }
 
 // noteWritten retires n queued bytes, counts the frame as traffic when

@@ -399,7 +399,7 @@ func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost ti
 // fired when the DMA drains (the sender may then reuse the buffer);
 // delivery is cut-through, so the receiver sees the message at the same
 // instant.
-func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
+func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
 	r.SendDataV(ctx, to, data, nil, done)
 }
 
@@ -407,7 +407,7 @@ func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done rt.Event) {
 // gather DMA to exercise: the two are coalesced into the one frame of
 // the same length a contiguous send would have carried, so every modeled
 // cost — and every paper figure — is unchanged.
-func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done rt.Event) {
+func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {
 	var data []byte
 	if len(body) > 0 {
 		data = append(append(make([]byte, 0, len(head)+len(body)), head...), body...)

@@ -167,6 +167,13 @@ func (h HeteroSplit) Split(n int, now time.Duration, rails []RailView) []Chunk {
 			largest = i
 		}
 	}
+	if surplus < 0 {
+		// The rails came out short of n: a live estimator moved between the
+		// bisection's last probe and this allocation (telemetry refits it
+		// from other goroutines). A plan must cover every byte whatever the
+		// estimates do — a receiver waits forever for the ones it leaves out.
+		sizes[largest] -= surplus
+	}
 	for i := range sizes {
 		if i != largest && sizes[i] > 0 && sizes[i] < minChunk {
 			sizes[largest] += sizes[i]

@@ -548,3 +548,39 @@ func TestAllDownFallsBackToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// movingEstimator is a live estimator refitted under the splitter's feet:
+// from its slowAfter-th SizeFor call on, the rail looks four times slower.
+type movingEstimator struct {
+	Estimator
+	calls, slowAfter int
+}
+
+func (m *movingEstimator) SizeFor(d time.Duration, max int) int {
+	if m.calls++; m.calls > m.slowAfter {
+		d /= 4
+	}
+	return m.Estimator.SizeFor(d, max)
+}
+
+// A plan covers every byte whatever its estimators do while it is made. In
+// adaptive mode they are refitted concurrently (every ack feeds them), so
+// the capacity the bisection found at its last probe need not be there
+// when the chunks are sized; a plan that came out short left the tail of
+// the message unsent and its receiver waiting forever (the "adaptive
+// hang": sender and receiver parked, every worker idle). Whenever the
+// slow-down strikes — before, during or right after the bisection — the
+// chunks must tile [0, n).
+func TestHeteroSplitCoversMessageWhenEstimatorsMove(t *testing.T) {
+	const n = 1 << 20
+	for slowAfter := 0; slowAfter < 140; slowAfter++ {
+		rails := []RailView{
+			{Index: 0, Est: &movingEstimator{Estimator: ModelEstimator{model.Myri10G()}, slowAfter: slowAfter}},
+			{Index: 1, Est: &movingEstimator{Estimator: ModelEstimator{model.QsNetII()}, slowAfter: slowAfter}},
+		}
+		chunks := HeteroSplit{}.Split(n, 0, rails)
+		if err := Validate(n, chunks); err != nil {
+			t.Fatalf("estimators slowing down at their SizeFor call %d: %v (plan %+v)", slowAfter, err, chunks)
+		}
+	}
+}

@@ -98,6 +98,12 @@ func (c *Cluster) initClusterMetrics(node int) {
 		reg.CounterFunc("nm_rail_ring_stalls_total",
 			"Ring-full backpressure episodes (shm rails; 0 elsewhere).",
 			func() uint64 { return rail.Stats().Stalls }, lbl...)
+		reg.CounterFunc("nm_rail_ring_parks_total",
+			"Times a ring side gave up yielding and parked (shm rails; 0 elsewhere).",
+			func() uint64 { return rail.Stats().Parks }, lbl...)
+		reg.CounterFunc("nm_rail_inline_writes_total",
+			"Frames the sender copied into the rail itself, past the writer goroutine (shm rails; 0 elsewhere).",
+			func() uint64 { return rail.Stats().InlineWrites }, lbl...)
 
 		stateLbl := metrics.L("node", nodeL, "rail", strconv.Itoa(r))
 		health := n.Health()
