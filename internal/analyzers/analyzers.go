@@ -6,7 +6,8 @@
 // Passes:
 //
 //   - nolockio: no sync.Mutex/RWMutex may be held across a call into
-//     fabric.Rail.SendEager/SendControl/SendData or a net.Conn write.
+//     fabric.Rail.SendEager/SendControl/SendData, a net.Conn write, or a
+//     write through the rail core's per-link Transport (WriteV, Goodbye).
 //     A rail write can block indefinitely (dead peer, full ring); a
 //     lock held across it wedges every flow that hashes to the shard.
 //   - hotclock: no time.Now/time.Since/time.Until inside functions
@@ -210,10 +211,10 @@ func isFabricSend(info *types.Info, call *ast.CallExpr) bool {
 	if declaredIn(rt, "fabric") {
 		return true
 	}
-	// Concrete fabric implementations (livenet.Rail, shmnet.Rail, ...):
-	// accept any receiver whose package also declares a Rail interface
-	// the receiver implements, or — pragmatically — any named type
-	// called Rail with the full send-method set.
+	// Concrete fabric implementations (railcore.Rail, under both live
+	// fabrics, or a test fabric's): accept any receiver whose package also
+	// declares a Rail interface the receiver implements, or — pragmatically
+	// — any named type called Rail with the full send-method set.
 	if n := namedOf(rt); n != nil && n.Obj().Name() == "Rail" {
 		return true
 	}
@@ -239,11 +240,44 @@ func isNetWrite(info *types.Info, call *ast.CallExpr) bool {
 	return declaredIn(rt, "net")
 }
 
+// transportWriteNames are the methods of the rail core's per-link
+// Transport that write to the stream and may block on it. TryWrite is not
+// one: it never waits, by contract.
+var transportWriteNames = map[string]bool{
+	"WriteV":  true,
+	"Goodbye": true,
+}
+
+// isTransportWrite reports whether call writes through the rail core's
+// seam: WriteV or Goodbye on a named type called Transport (railcore's
+// interface, which every live fabric implements per link). Behind the
+// interface the facts layer cannot see which transport runs — a ring
+// write that waits for space, a socket write — so the seam itself is the
+// blocking write.
+func isTransportWrite(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil || !transportWriteNames[fn.Name()] {
+		return false
+	}
+	rt := recvType(fn)
+	if rt == nil {
+		return false
+	}
+	n := namedOf(rt)
+	return n != nil && n.Obj().Name() == "Transport"
+}
+
+// isIOCall reports whether call blocks on a transport: a fabric send, a
+// net.Conn write, or a write through the rail core's Transport seam.
+func isIOCall(info *types.Info, call *ast.CallExpr) bool {
+	return isFabricSend(info, call) || isNetWrite(info, call) || isTransportWrite(info, call)
+}
+
 // isTransportEnqueue reports whether call hands work to the transport
-// or to another core: a fabric send, or a tasklet submission
+// or to another core: a transport write, or a tasklet submission
 // (marcel.Scheduler.SubmitIdle) whose closure will perform one.
 func isTransportEnqueue(info *types.Info, call *ast.CallExpr) bool {
-	if isFabricSend(info, call) || isNetWrite(info, call) {
+	if isIOCall(info, call) {
 		return true
 	}
 	fn := calleeFunc(info, call)

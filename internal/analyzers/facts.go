@@ -173,7 +173,7 @@ func ComputeFacts(pkg *Package, deps FactSet) *PkgFacts {
 				}
 				return true
 			}
-			if isFabricSend(pkg.Info, call) || isNetWrite(pkg.Info, call) {
+			if isIOCall(pkg.Info, call) {
 				if fact.IO == "" {
 					fact.IO = "transport write at " + describePos(pkg.Fset, call.Pos())
 				}

@@ -9,7 +9,9 @@ import (
 
 // NoLockIO enforces the PR 3 submitter invariant: no sync.Mutex or
 // sync.RWMutex may be held across a call into the transport —
-// fabric.Rail.SendEager/SendControl/SendData or a net.Conn write. A
+// fabric.Rail.SendEager/SendControl/SendData, a net.Conn write, or a
+// railcore.Transport write (WriteV, Goodbye: the seam both live fabrics'
+// streams sit behind, where the facts layer cannot see which one runs). A
 // rail write can block indefinitely (dead peer, full ring, congested
 // socket); a lock held across it serialises every flow that hashes to
 // the same shard behind one stuck destination, which is exactly the
@@ -28,7 +30,7 @@ import (
 // reaches a fabric send or net.Conn write on its own goroutine is
 // treated exactly like the send itself. The PR 6 pass trusted package
 // boundaries; a lock held in internal/core across a helper in
-// internal/livenet that writes to a socket now fires here.
+// internal/railcore that writes to a link now fires here.
 var NoLockIO = &Analyzer{
 	Name: "nolockio",
 	Doc:  "no mutex may be held across fabric sends or net.Conn writes",
@@ -75,7 +77,7 @@ func checkLockIO(pass *Pass, fb funcBody) {
 				}
 				return true
 			}
-			direct := isFabricSend(pass.Info, st) || isNetWrite(pass.Info, st)
+			direct := isIOCall(pass.Info, st)
 			via := ""
 			if !direct {
 				if f := pass.Facts.Func(calleeFunc(pass.Info, st)); f != nil && f.IO != "" {

@@ -73,3 +73,32 @@ func suppressed(s *shard, r *Rail) {
 	defer s.mu.Unlock()
 	r.SendEager(0, nil) //railvet:ignore nolockio fixture: demonstrates an audited suppression with a recorded reason
 }
+
+// Transport mimics the rail core's per-link seam (railcore.Transport): a
+// write through it may wait on a ring or a socket the pass cannot see
+// behind the interface, so the seam itself counts as the write.
+type Transport interface {
+	WriteV(prefix, head, body []byte) error
+	TryWrite(prefix, head []byte) bool
+	Goodbye(frame []byte)
+}
+
+func heldAcrossTransportWrite(s *shard, t Transport) {
+	s.mu.Lock()
+	t.WriteV(nil, nil, nil) // want "transport call with s.mu held"
+	s.mu.Unlock()
+}
+
+// tryWriteNeverWaits: TryWrite is not a transport write — by contract it
+// never waits.
+func tryWriteNeverWaits(s *shard, t Transport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t.TryWrite(nil, nil)
+}
+
+func goodbyeSuppressed(s *shard, t Transport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t.Goodbye(nil) //railvet:ignore nolockio fixture: a deadline-bounded goodbye on a link being torn down, audited
+}

@@ -2,14 +2,20 @@
 // (internal/core, the optimizer–scheduler of the paper) and the
 // byte-moving substrate underneath it.
 //
-// The engine schedules transfers; a fabric executes them. Two fabrics
+// The engine schedules transfers; a fabric executes them. These
 // implement this contract:
 //
 //   - internal/simnet: the modeled multirail cluster driven by analytic
 //     NIC profiles, deterministic on rt.SimEnv (reproduces the paper's
 //     testbed) and optionally paced on rt.LiveEnv.
-//   - internal/livenet: real TCP connections — one per (node pair, rail)
-//     — moving internal/wire frames as actual bytes on the wall clock.
+//   - the two live transports, moving internal/wire frames as actual
+//     bytes on the wall clock over one link per (node pair, rail):
+//     internal/livenet (a TCP connection per link) and internal/shmnet (a
+//     pair of shared-memory rings per link). Both are the rail core
+//     (internal/railcore) — one implementation of Node, Rail, DirectNode,
+//     TrySender and ObservableNode — over their own byte streams.
+//   - Mix (mix.go): several fabrics combined into one heterogeneous rail
+//     set, e.g. shm and TCP rails side by side.
 //
 // The split mirrors the paper's own layering (NewMadeleine's
 // optimizer/scheduler above, Madeleine's network drivers below): the
@@ -32,15 +38,16 @@
 // one Delivery whose Data is head followed by body.
 //
 // Who writes a frame. A send is allowed to finish on the sender's
-// goroutine when that cannot make it wait: shmnet copies a body-less frame
-// into the ring itself when the rail is idle and the frame fits the ring's
-// free space (one bounded memcpy, cheaper than waking the link's writer),
-// and hands every other frame — one with a body, one behind a queue, one
-// for a full ring, a killed or throttled rail — to the link's writer
-// goroutine, in an order equal to the order of the send calls either way.
-// livenet queues every frame for its writer: a socket write can block and
-// nothing tells beforehand. A goroutine that must never wait (a transport
-// reader) sends through TrySender or not at all.
+// goroutine when that cannot make it wait: on a transport that can write
+// without waiting (shmnet's rings) the rail core writes a body-less frame
+// itself when the rail is idle and the frame fits the ring's free space
+// (one bounded memcpy, cheaper than waking the link's writer), and hands
+// every other frame — one with a body, one behind a queue, one for a full
+// ring, a killed or throttled rail — to the link's writer goroutine, in an
+// order equal to the order of the send calls either way. On TCP every
+// frame takes the writer: a socket write can block and nothing tells
+// beforehand. A goroutine that must never wait (a transport reader) sends
+// through TrySender or not at all.
 //
 // Ownership of small things. Two contracts keep the per-message path free
 // of allocations without the engine knowing how a fabric queues or reads:
@@ -239,8 +246,8 @@ type Rail interface {
 // TrySender is an optional Rail capability for a goroutine that must not
 // wait — a transport reader answering the frame it just decoded. TrySend
 // posts a body-less frame exactly as SendControl would, if that takes no
-// waiting (shmnet: the sender's own ring write, or a free slot in the
-// link's queue; livenet: a free slot in the link's queue), and otherwise
+// waiting (the live rails: the sender's own ring write on shm, or a free
+// slot in the link's queue), and otherwise
 // reports false having done nothing: the caller then leaves the send to a
 // goroutine that may block. A plain send from a reader is never an
 // option — two readers each blocked on the other's full link would be a
@@ -288,7 +295,7 @@ type Telemetry interface {
 
 // ObservableNode is an optional interface a fabric node may implement
 // to feed a Telemetry sink from its transfer layer. SetTelemetry(nil)
-// detaches the sink. Both simnet and livenet nodes implement it.
+// detaches the sink. simnet's and the rail core's nodes implement it.
 type ObservableNode interface {
 	SetTelemetry(Telemetry)
 }
@@ -307,7 +314,7 @@ type Throttler interface {
 // DirectNode is an optional interface a fabric node may implement to
 // hand deliveries straight to a consumer on the transport goroutine
 // that produced them, bypassing RecvQ. The multicore progression
-// subsystem uses it so livenet's per-connection readers feed the
+// subsystem uses it so the live fabrics' per-link readers feed the
 // engine's worker pool directly instead of funnelling every delivery
 // through one queue and one progression actor. The sink must not block:
 // it classifies the delivery and enqueues the engine work elsewhere.

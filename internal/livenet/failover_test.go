@@ -85,14 +85,21 @@ func TestChaosTCPRailDiesMidTransfer(t *testing.T) {
 	if f.Node(0).Rail(victim).State() != fabric.RailDown {
 		t.Fatalf("victim state %v", f.Node(0).Rail(victim).State())
 	}
-	// The remaining bytes moved on the survivors.
-	var survivors uint64
-	for r := 0; r < 3; r++ {
-		if r != victim {
-			survivors += f.Node(0).Rail(r).Stats().Bytes
+	// The remaining bytes moved on the survivors. A writer accounts its
+	// frame after handing it to the socket, so the receiver can finish
+	// first: wait for the counters to catch up.
+	var survivors, lost uint64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		survivors, lost = 0, f.Node(0).Rail(victim).Stats().Bytes
+		for r := 0; r < 3; r++ {
+			if r != victim {
+				survivors += f.Node(0).Rail(r).Stats().Bytes
+			}
+		}
+		if survivors+lost >= uint64(n) || time.Now().After(deadline) {
+			break
 		}
 	}
-	lost := f.Node(0).Rail(victim).Stats().Bytes
 	if survivors+lost < uint64(n) {
 		t.Fatalf("rails carried %d+%d bytes of a %d-byte message", survivors, lost, n)
 	}

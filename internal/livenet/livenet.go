@@ -5,11 +5,14 @@
 //
 // Layout: for a system of N nodes with R rails there are C(N,2)*R
 // connections; the connection between nodes i and j on rail r carries
-// traffic in both directions. Frames from internal/wire travel
-// length-prefixed; a reader goroutine per connection decodes them into
-// fabric.Delivery items and pushes them to the destination node's
-// receive queue, from which the progression engine (internal/pioman)
-// raises completion events through rt.LiveEnv.
+// traffic in both directions. This package holds only what is TCP about
+// that: dialing, accepting, the hello handshake, reconnection, and a
+// net.Conn transport. Everything a frame meets above the socket — the
+// link queue and writer, length-prefixed framing, placement, delivery —
+// is the rail core's (internal/railcore), shared with shmnet: a reader
+// goroutine per connection decodes frames and hands each to the engine's
+// sink on that goroutine (fabric.DirectNode), or to the node's RecvQ
+// while no sink is installed.
 //
 // Two deployment shapes:
 //
@@ -34,31 +37,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/fabric"
-	"repro/internal/model"
-	"repro/internal/railhealth"
+	"repro/internal/railcore"
 	"repro/internal/rt"
 )
-
-// maxFrame bounds a single length-prefixed frame (1 GiB).
-const maxFrame = 1 << 30
-
-// prefixSize is the link framing before every frame: the head and body
-// lengths, uint32 LE each (a one-slice frame is all head). Matches
-// shmnet's.
-const prefixSize = 8
-
-// goodbye is the head-length sentinel a closing fabric writes on each
-// connection so the peer can tell a graceful shutdown (no error) from a
-// process death (abrupt EOF, recorded in Err).
-const goodbye = 0xFFFFFFFF
 
 // helloMagic opens every connection, followed by src, dst (uint16 LE)
 // and the rail index (uint8).
@@ -69,16 +56,6 @@ const helloSize = 4 + 2 + 2 + 1
 // initialRate seeds the per-rail throughput estimate (1 GiB/s) until
 // real writes calibrate it.
 const initialRate = float64(1 << 30)
-
-// rateCalibMin is the smallest write that updates the throughput EWMA;
-// tiny frames measure syscall latency, not bandwidth.
-const rateCalibMin = 4 << 10
-
-// throttleQueue is the standing-queue delay ThrottleRail charges per
-// frame per unit of slow-down: a congested link delays even small
-// frames (bufferbloat), which is what makes the throttle observable at
-// every transfer size.
-const throttleQueue = 100 * time.Microsecond
 
 // Config describes a live TCP fabric.
 type Config struct {
@@ -158,22 +135,18 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Fabric is a live TCP multirail fabric (implements fabric.Fabric).
+// Fabric is a live TCP multirail fabric (implements fabric.Fabric): the
+// rail core over one connection per link.
 type Fabric struct {
-	env   *rt.LiveEnv
+	*railcore.Fabric
 	cfg   Config
 	local int // hosted node id; -1 when all nodes are hosted (loopback)
-	nodes []*Node
 	ln    net.Listener
 
-	wg       sync.WaitGroup // readers, accept loop
-	writers  sync.WaitGroup
-	closedCh chan struct{}
-	closed   atomic.Bool
+	wg sync.WaitGroup // accept loop, handshakes, reconnects
 
-	mu       sync.Mutex
-	firstErr error
-	conns    []net.Conn
+	mu    sync.Mutex
+	conns []net.Conn // the current links' connections
 }
 
 // NewLoopback builds a fabric hosting all cfg.Nodes in this process,
@@ -217,48 +190,15 @@ func NewDistributed(env *rt.LiveEnv, local int, cfg Config) (*Fabric, error) {
 }
 
 func newFabric(env *rt.LiveEnv, cfg Config, local int) *Fabric {
-	f := &Fabric{env: env, cfg: cfg, local: local, closedCh: make(chan struct{})}
-	for i := 0; i < cfg.Nodes; i++ {
-		hosted := local < 0 || i == local
-		n := &Node{f: f, id: i, hosted: hosted}
-		if hosted {
-			n.recvq = env.NewQueue()
-			n.health = railhealth.New(env, i, cfg.Rails)
-			n.killed = make([]bool, cfg.Rails)
-			n.health.SetOnEnable(func(rail int) { f.enableRail(n, rail) })
-			for r := 0; r < cfg.Rails; r++ {
-				n.rails = append(n.rails, &Rail{
-					node:  n,
-					index: r,
-					rate:  initialRate,
-					links: make(map[int]*link),
-					prof: &model.Profile{
-						Name:          fmt.Sprintf("tcp-r%d", r),
-						EagerRate:     initialRate,
-						RecvCopyRate:  initialRate,
-						WireBandwidth: initialRate,
-						EagerMax:      cfg.EagerMax,
-					},
-				})
-			}
-		}
-		f.nodes = append(f.nodes, n)
-	}
+	f := &Fabric{cfg: cfg, local: local}
+	f.Fabric = railcore.New(env, railcore.Config{
+		Name: "livenet", Kind: "tcp",
+		Nodes: cfg.Nodes, Rails: cfg.Rails, Cores: cfg.CoresPerNode, EagerMax: cfg.EagerMax,
+		Local: local, Rate: initialRate,
+		LinkLost: f.linkLost, RailEnabled: f.enableRail,
+	})
 	return f
 }
-
-// Env returns the wall-clock environment.
-func (f *Fabric) Env() rt.Env { return f.env }
-
-// NumNodes returns the total node count (hosted or not).
-func (f *Fabric) NumNodes() int { return f.cfg.Nodes }
-
-// NumRails returns the rail count.
-func (f *Fabric) NumRails() int { return f.cfg.Rails }
-
-// Node returns node i; in distributed mode non-hosted ids yield a stub
-// that panics on rail or queue access.
-func (f *Fabric) Node(i int) fabric.Node { return f.nodes[i] }
 
 // LocalAddr returns the listener address (useful with the default
 // ephemeral port). Empty if this fabric never listened.
@@ -269,76 +209,41 @@ func (f *Fabric) LocalAddr() string {
 	return f.ln.Addr().String()
 }
 
-// Err returns the first transport error observed, if any.
-func (f *Fabric) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.firstErr
-}
-
-// Close tears the fabric down: listener and connections close, reader
-// and writer goroutines join. Safe to call more than once.
+// Close tears the fabric down: writers drain and say goodbye (every
+// in-flight write bounded by a deadline, so a dead or partitioned peer
+// cannot hold it), then the listener and connections close and readers,
+// accept loop and reconnects join. Safe to call more than once.
 func (f *Fabric) Close() error {
-	if !f.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(f.closedCh)
-	// A writer stuck mid-frame on a dead or partitioned peer would never
-	// observe closedCh (it only checks between frames), so bound every
-	// connection's in-flight write before joining the writers.
-	f.mu.Lock()
-	stuck := append([]net.Conn(nil), f.conns...)
-	f.mu.Unlock()
-	for _, c := range stuck {
-		c.SetWriteDeadline(time.Now().Add(time.Second))
-	}
-	// Let every writer drain its queue and send the goodbye sentinel
-	// before the connections go away, so peers see a graceful shutdown.
-	f.writers.Wait()
-	if f.ln != nil {
-		f.ln.Close()
-	}
-	f.mu.Lock()
-	conns := f.conns
-	f.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
+	err := f.Fabric.Close(func() {
+		if f.ln != nil {
+			f.ln.Close()
+		}
+		f.mu.Lock()
+		conns := f.conns
+		f.mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
 	f.wg.Wait()
-	return f.Err()
+	return err
 }
 
-func (f *Fabric) fail(err error) {
-	if err == nil {
-		return
-	}
-	f.mu.Lock()
-	if f.firstErr == nil {
-		f.firstErr = err
-	}
-	f.mu.Unlock()
-}
-
-// track adopts a connection into the fabric's lifecycle, reserving its
-// writer and reader WaitGroup slots. It refuses (returning false and
-// closing the socket) when the fabric is closing: Close observes the
-// closed flag under f.mu before it waits on the groups, so a racing
-// reconnect can never Add after the Waits began — a WaitGroup misuse
-// that panics.
+// track adopts a connection into the fabric's lifecycle. It refuses
+// (returning false and closing the socket) when the fabric is closing:
+// Close closes the tracked connections once, after its writers joined,
+// and an untracked one would keep its reader blocked forever.
 func (f *Fabric) track(c net.Conn) bool {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	f.mu.Lock()
-	if f.closed.Load() {
-		f.mu.Unlock()
+	defer f.mu.Unlock()
+	if f.Closed() {
 		c.Close()
 		return false
 	}
 	f.conns = append(f.conns, c)
-	f.wg.Add(1)
-	f.writers.Add(1)
-	f.mu.Unlock()
 	return true
 }
 
@@ -523,273 +428,46 @@ func (f *Fabric) acceptLink(conn net.Conn) error {
 	if src >= f.cfg.Nodes || dst >= f.cfg.Nodes || r >= f.cfg.Rails {
 		return fmt.Errorf("livenet: hello out of range: %d->%d rail %d", src, dst, r)
 	}
-	if !f.nodes[dst].hosted {
+	if f.local >= 0 && dst != f.local {
 		return fmt.Errorf("livenet: hello for non-hosted node %d", dst)
 	}
 	f.register(conn, dst, src, r)
 	return nil
 }
 
-// register installs conn as `owner`'s rail-r link to `peer` and starts
-// its writer and reader goroutines. Replacing a dead link resamples the
-// rail (the throughput EWMA restarts from scratch — a reconnected path
-// may not perform like the old one) and reports it back Up.
-func (f *Fabric) register(conn net.Conn, owner, peer, r int) {
-	if !f.track(conn) {
+// register installs conn as `owner`'s rail-r link to `peer`. A dead link
+// it replaces leaves with its connection: the core retires its writer
+// (the engine replays what was queued), the socket is closed and no
+// longer tracked, and the rail — resampled, its kill flag cleared — is
+// reported Up again.
+func (f *Fabric) register(c net.Conn, owner, peer, r int) {
+	if !f.track(c) {
 		return // fabric closing: the socket was refused and closed
 	}
-	node := f.nodes[owner]
-	rail := node.rails[r]
-	l := &link{conn: conn, out: make(chan outFrame, 64), owner: owner, peer: peer, rail: r}
-	rail.mu.Lock()
-	prev := rail.links[peer]
-	rail.links[peer] = l
-	if prev != nil {
-		rail.rate = initialRate // resample on the fresh connection
-		rail.stats.Reconnects++
+	prev, ok := f.AddLink(owner, peer, r, &conn{c: c})
+	if !ok || prev == nil {
+		return // a refused conn stays tracked: Close closes it
 	}
-	rail.mu.Unlock()
-	go f.writeLoop(l)
-	go f.readLoop(node, l)
-	if prev != nil {
-		f.mu.Lock()
-		node.killed[r] = false
-		f.mu.Unlock()
-		node.health.Report(r, fabric.RailUp, "reconnected")
-	}
+	old := prev.Transport().(*conn).c
+	f.mu.Lock()
+	f.conns = slices.DeleteFunc(f.conns, func(x net.Conn) bool { return x == old })
+	f.mu.Unlock()
+	old.Close()
 }
 
-// outFrame is one queued wire frame: head followed by body (nil for
-// one-slice frames). A short head travels by value (fabric.Head); a long
-// head and the body stay aliased from the sender until done fires.
-type outFrame struct {
-	head fabric.Head
-	body []byte
-	done fabric.Completion
-	rail *Rail
-}
-
-// size is the frame's wire length without the link prefix.
-func (of *outFrame) size() int { return of.head.Len() + len(of.body) }
-
-// finish retires the frame: accounting first, then the completion
-// event. wrote is the frame's full occupancy (throttle delay included);
-// calib is the raw write duration the throughput EWMA calibrates on.
-// written is false on the shutdown drop paths, so only frames that
-// actually went to the wire count as rail traffic.
-func (of *outFrame) finish(wrote, calib time.Duration, written bool) {
-	of.rail.noteWritten(of.size(), wrote, calib, written)
-	if of.done != nil {
-		of.done.Fire()
-	}
-}
-
-// link is one endpoint of the TCP connection joining a node pair on one
-// rail.
-type link struct {
-	conn  net.Conn
-	out   chan outFrame
-	owner int // hosted node this endpoint belongs to
-	peer  int // remote node of the connection
-	rail  int
-	dead  atomic.Bool // set by the first reader/writer observing death
-
-	// scratch holds the head of a frame offered to the placer; only the
-	// link's reader touches it.
-	scratch [fabric.PlaceHeadMax]byte
-
-	// The writer's per-frame storage, owned by the link so that nothing
-	// escapes per frame: the frame being written (a short head's bytes live
-	// in it), the length prefix, and the gather list handed to writev.
-	cur    outFrame
-	prefix [prefixSize]byte
-	iov    [3][]byte
-	bufs   net.Buffers
-}
-
-// writeLoop drains a link's queue onto its connection. Each frame is the
-// length prefix, then head and body, gathered by one writev from their
-// own slices — a rendezvous chunk goes from the caller's buffer to the
-// socket uncopied — out of storage the link owns, so a frame allocates
-// nothing. done events fire when the frame has been handed to
-// the kernel — the live equivalent of "the DMA drained". Per-frame
-// timestamps use internal/clock: two wall-clock reads per frame would
-// be pure overhead on the engine's busiest loop.
-//
-//railvet:hotpath
-func (f *Fabric) writeLoop(l *link) {
-	defer f.writers.Done()
-	for {
-		select {
-		case l.cur = <-l.out:
-			of := &l.cur
-			binary.LittleEndian.PutUint32(l.prefix[0:], uint32(of.head.Len()))
-			binary.LittleEndian.PutUint32(l.prefix[4:], uint32(len(of.body)))
-			start := clock.Now()
-			writeStart := start
-			if th := of.rail.throttleFactor(); th > 1 {
-				// Chaos throttle: delay the frame BEFORE it reaches the
-				// kernel so delivery itself slows down — the rail behaves
-				// (and measures, end to end) like a congested link without
-				// dying. The delay is the stretched transmission time plus
-				// a standing-queue term (throttleQueue), the bufferbloat a
-				// congested link shows even small frames.
-				exp := float64(of.size()+prefixSize)/of.rail.currentRate() + throttleQueue.Seconds()
-				time.Sleep(time.Duration(exp * (th - 1) * 1e9))
-				writeStart = clock.Now()
-			}
-			l.iov = [3][]byte{l.prefix[:], of.head.Bytes(), of.body}
-			l.bufs = l.iov[:] // WriteTo consumes the list, so rebuild it per frame
-			_, err := l.bufs.WriteTo(l.conn)
-			// The rate EWMA calibrates on the raw write only: folding the
-			// throttle sleep in would shrink the rate, stretch the next
-			// sleep, and spiral. Occupancy (took) keeps the full delay.
-			end := clock.Now()
-			calib, took := clock.Between(writeStart, end), clock.Between(start, end)
-			// A failed write is not traffic: counting it would credit the
-			// rail with bytes that never fully reached the wire, and its
-			// near-instant failure duration would calibrate the rate EWMA
-			// with a bogus multi-GB/s sample on a dying connection.
-			of.finish(took, calib, err == nil)
-			if err == nil {
-				of.rail.node.observeWrite(l.peer, of.rail.index, of.size(), took)
-			}
-			l.iov, l.cur = [3][]byte{}, outFrame{} // drop the sender's buffers
-			if err != nil {
-				// Record the failure and kill the connection so both
-				// ends' readers observe it instead of waiting on bytes
-				// that will never arrive; then start rail recovery. The
-				// engine re-plans the unacknowledged units of this rail
-				// onto survivors once it goes Down.
-				f.fail(fmt.Errorf("livenet: write: %w", err))
-				l.conn.Close()
-				f.linkDown(l, fmt.Sprintf("write error: %v", err), true)
-			}
-		case <-f.closedCh:
-			// Drain pending frames, firing their events so no sender
-			// waits on a dead link. A sender racing Close may still
-			// enqueue after this drain sees the channel empty; SendDataV
-			// re-drains in that case.
-			drainLink(l)
-			// Best-effort goodbye so the peer records no error for a
-			// graceful shutdown (bounded: the fabric is going away).
-			l.prefix = [prefixSize]byte{}
-			binary.LittleEndian.PutUint32(l.prefix[:], goodbye)
-			//railvet:ignore hotclock shutdown-only branch; SetWriteDeadline needs an absolute wall-clock time
-			l.conn.SetWriteDeadline(time.Now().Add(250 * time.Millisecond))
-			//nolint:errcheck // best-effort goodbye on a closing fabric: the deadline bounds it and any error means the peer is gone anyway
-			l.conn.Write(l.prefix[:])
-			return
-		}
-	}
-}
-
-// drainLink empties a dead link's queue, retiring every frame without
-// writing it so no completion event is lost at shutdown.
-func drainLink(l *link) {
-	for {
-		select {
-		case of := <-l.out:
-			of.finish(0, 0, false)
-		default:
-			return
-		}
-	}
-}
-
-// readLoop decodes length-prefixed frames from the link's connection for
-// node (which received them from l.peer on l.rail). A frame with a body
-// is first offered to the node's placer: if it names a destination the
-// body is read from the socket straight into it and the placement is
-// committed; otherwise — no placer, body-less frame, placement declined
-// — head and body land in one buffer from the node's frame pool,
-// delivered to the sink and recycled if the consumer releases it. Any
-// read failure — including a goodbye-less EOF from a dying peer — aborts
-// a placement under way and starts rail recovery.
-//
-//railvet:hotpath
-func (f *Fabric) readLoop(node *Node, l *link) {
-	defer f.wg.Done()
-	conn, peer, r := l.conn, l.peer, l.rail
-	var prefix [prefixSize]byte
-	lost := func(err error) {
-		if !f.closed.Load() {
-			// A clean FIN (io.EOF) while we are not closing means the
-			// peer died — the most common failure; record it so Err
-			// explains a hung run instead of returning nil.
-			f.fail(fmt.Errorf("livenet: node %d rail %d: connection lost: %w", peer, r, err))
-			f.linkDown(l, fmt.Sprintf("connection to node %d lost: %v", peer, err), true)
-		}
-	}
-	for {
-		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
-			lost(err)
-			return
-		}
-		hn := binary.LittleEndian.Uint32(prefix[0:])
-		bn := binary.LittleEndian.Uint32(prefix[4:])
-		if hn == goodbye {
-			// Peer shut down gracefully: not an error, and not worth
-			// reconnect attempts — the rail is gone on purpose.
-			f.linkDown(l, fmt.Sprintf("node %d shut down", peer), false)
-			return
-		}
-		if uint64(hn)+uint64(bn) > maxFrame {
-			// Kill the connection so the peer's writer fails fast
-			// instead of filling a socket nobody drains.
-			f.fail(fmt.Errorf("livenet: frame of %d bytes exceeds limit", uint64(hn)+uint64(bn)))
-			conn.Close()
-			f.linkDown(l, "oversized frame", false)
-			return
-		}
-		var head, dst []byte
-		var placed func(ok bool)
-		if place := node.placer.Load(); place != nil && bn > 0 && hn <= fabric.PlaceHeadMax {
-			head = l.scratch[:hn]
-			if _, err := io.ReadFull(conn, head); err != nil {
-				lost(err)
-				return
-			}
-			dst, placed = (*place)(peer, r, head, int(bn))
-		}
-		var d *fabric.Delivery
-		if dst == nil {
-			d = node.frames.Get(int(hn + bn))
-			dst = d.Data[copy(d.Data, head):]
-		}
-		if _, err := io.ReadFull(conn, dst); err != nil {
-			if placed != nil {
-				placed(false)
-			}
-			lost(err)
-			return
-		}
-		if placed != nil {
-			placed(true)
-			continue
-		}
-		d.From, d.Rail, d.SentAt = peer, r, f.env.Now()
-		node.deliver(d)
-	}
-}
-
-// linkDown reacts (once per link) to a dead connection: the rail turns
-// Suspect while bounded reconnect attempts run, then Down if they fail;
-// rails killed by FailRail or dead on purpose go straight Down.
-func (f *Fabric) linkDown(l *link, reason string, recover bool) {
-	if !l.dead.CompareAndSwap(false, true) {
+// linkLost reacts (once per link) to a failed connection: it is closed,
+// so both ends' readers observe the failure instead of waiting on bytes
+// that will never arrive; the rail turns Suspect while bounded reconnect
+// attempts run, then Down if they fail; rails killed by FailRail, or dead
+// on purpose, go straight Down.
+func (f *Fabric) linkLost(l *railcore.Link, reason string, recoverable bool) {
+	l.Transport().(*conn).c.Close()
+	if !recoverable || f.cfg.ReconnectAttempts < 0 || l.Node().Killed(l.Rail()) {
+		l.Report(fabric.RailDown, reason)
 		return
 	}
-	if f.closed.Load() {
-		return
-	}
-	node := f.nodes[l.owner]
-	if !recover || f.cfg.ReconnectAttempts < 0 || f.railKilled(l.owner, l.rail) {
-		node.health.Report(l.rail, fabric.RailDown, reason)
-		return
-	}
-	if node.health.Report(l.rail, fabric.RailSuspect, reason) {
-		f.goReconnect(node, l, reason)
+	if l.Report(fabric.RailSuspect, reason) {
+		f.goReconnect(l, reason)
 	}
 }
 
@@ -797,36 +475,33 @@ func (f *Fabric) linkDown(l *link, reason string, recover bool) {
 // link. The dialing side of the pair (higher node id, mirroring the
 // initial mesh) re-dials; the accepting side waits for the peer to
 // re-dial through the persistent accept loop. Success re-registers the
-// link (register reports Up and resets the rate estimate); exhaustion
+// link (the core reports Up and resets the rate estimate); exhaustion
 // reports Down, which triggers the engine's re-planning.
-func (f *Fabric) goReconnect(node *Node, l *link, reason string) {
+func (f *Fabric) goReconnect(l *railcore.Link, reason string) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		rail := node.rails[l.rail]
-		addr := f.peerAddr(l.peer)
+		n, r, peer := l.Node(), l.Rail(), l.Peer()
+		addr := f.peerAddr(peer)
 		for a := 0; a < f.cfg.ReconnectAttempts; a++ {
 			select {
-			case <-f.closedCh:
+			case <-f.Closing():
 				return
 			case <-time.After(f.cfg.ReconnectDelay):
 			}
-			if f.railKilled(node.id, l.rail) {
+			if n.Killed(r) {
 				return
 			}
-			if rail.link(l.peer) != l {
+			if f.Link(n.ID(), r, peer) != l {
 				return // accept side already replaced it
 			}
-			if node.id > l.peer && addr != "" {
-				if err := f.dialOnce(addr, node.id, l.peer, l.rail, f.cfg.ReconnectDelay+time.Second); err == nil {
+			if n.ID() > peer && addr != "" {
+				if err := f.dialOnce(addr, n.ID(), peer, r, f.cfg.ReconnectDelay+time.Second); err == nil {
 					return
 				}
 			}
 		}
-		if rail.link(l.peer) == l {
-			node.health.Report(l.rail, fabric.RailDown,
-				fmt.Sprintf("%s; %d reconnect attempts failed", reason, f.cfg.ReconnectAttempts))
-		}
+		l.Report(fabric.RailDown, fmt.Sprintf("%s; %d reconnect attempts failed", reason, f.cfg.ReconnectAttempts))
 	}()
 }
 
@@ -842,67 +517,14 @@ func (f *Fabric) peerAddr(peer int) string {
 	return f.cfg.Peers[peer]
 }
 
-func (f *Fabric) railKilled(node, rail int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nodes[node].killed[rail]
-}
-
 // FailRail hard-kills rail r as a chaos hook: the NIC is declared dead,
 // reconnection is suppressed on every hosted endpoint of the lane, and
 // the rail's TCP connections are closed abruptly (no goodbye) so peers
-// observe a genuine mid-message death.
+// observe a genuine mid-message death. Closing any hosted endpoint of
+// the lane kills the connection for both ends; every hosted one is
+// closed so the kill also works when `node` is a remote id.
 func (f *Fabric) FailRail(node, rail int) {
-	f.mu.Lock()
-	for _, n := range f.nodes {
-		if n.hosted {
-			n.killed[rail] = true
-		}
-	}
-	f.mu.Unlock()
-	// Closing any hosted endpoint of the lane kills the TCP connection
-	// for both ends; close every hosted one so the kill also works when
-	// `node` is a remote id (distributed mode).
-	for _, hn := range f.nodes {
-		if !hn.hosted {
-			continue
-		}
-		r := hn.rails[rail]
-		r.mu.Lock()
-		conns := make([]net.Conn, 0, len(r.links))
-		for _, l := range r.links {
-			conns = append(conns, l.conn)
-		}
-		r.mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	reason := fmt.Sprintf("rail %d killed", rail)
-	for _, hn := range f.nodes {
-		if hn.hosted {
-			hn.health.Report(rail, fabric.RailDown, reason)
-		}
-	}
-}
-
-// ThrottleRail artificially slows rail r on every hosted node by
-// `factor` (10 = every write takes ten times as long); factor <= 1
-// removes the throttle. Unlike FailRail the rail stays Up — this is the
-// congestion chaos hook the adaptive-telemetry subsystem is tested
-// against: the drift detector must notice the slowdown from live
-// measurements and the strategies must migrate work off the rail
-// without a health transition. Implements fabric.Throttler.
-func (f *Fabric) ThrottleRail(rail int, factor float64) {
-	var bits uint64
-	if factor > 1 {
-		bits = math.Float64bits(factor)
-	}
-	for _, n := range f.nodes {
-		if n.hosted && rail >= 0 && rail < len(n.rails) {
-			n.rails[rail].throttle.Store(bits)
-		}
-	}
+	f.Kill(rail, func(l *railcore.Link) { l.Transport().(*conn).c.Close() })
 }
 
 // DropLink abruptly severs one TCP connection (owner side) without
@@ -910,356 +532,61 @@ func (f *Fabric) ThrottleRail(rail int, factor float64) {
 // and re-establishes it within the bounded reconnect budget. Test hook
 // for the recovery path.
 func (f *Fabric) DropLink(node, peer, rail int) {
-	n := f.nodes[node]
-	if !n.hosted {
-		return
-	}
-	if l := n.rails[rail].link(peer); l != nil {
-		l.conn.Close()
+	if l := f.Link(node, rail, peer); l != nil {
+		l.Transport().(*conn).c.Close()
 	}
 }
 
-// enableRail is the tracker's OnEnable hook: clear the kill flag and
-// re-establish any dead dialing-side links of the rail.
-func (f *Fabric) enableRail(n *Node, rail int) {
-	f.mu.Lock()
-	n.killed[rail] = false
-	f.mu.Unlock()
-	r := n.rails[rail]
-	r.mu.Lock()
-	var deads []*link
-	for _, l := range r.links {
-		if l.dead.Load() {
-			deads = append(deads, l)
-		}
-	}
-	r.mu.Unlock()
-	for _, l := range deads {
-		f.goReconnect(n, l, "re-enabled")
-	}
-}
-
-// Node is one endpoint of the live fabric.
-type Node struct {
-	f      *Fabric
-	id     int
-	hosted bool
-	rails  []*Rail
-	recvq  rt.Queue
-	health *railhealth.Tracker
-	killed []bool // reconnection suppressed (FailRail); guarded by f.mu
-
-	// frames recycles the contiguous receive frames consumers release.
-	frames fabric.FramePool
-
-	sinkMu sync.RWMutex
-	sink   func(*fabric.Delivery)
-	// placer is read once per frame by every connection reader; a pointer
-	// swap keeps SetPlacer from waiting behind a body still on the wire.
-	placer atomic.Pointer[fabric.Placer]
-
-	teleMu sync.RWMutex
-	tele   fabric.Telemetry
-}
-
-// SetPlacer installs (or, with nil, removes) the placement hook for
-// head+body frames (fabric.DirectNode). A placement already under way
-// still commits or aborts through the hook it started with. Panics on a
-// non-hosted node.
-func (n *Node) SetPlacer(fn fabric.Placer) {
-	n.mustHost()
-	if fn == nil {
-		n.placer.Store(nil)
-		return
-	}
-	n.placer.Store(&fn)
-}
-
-// SetTelemetry installs (or, with nil, detaches) the node's telemetry
-// sink: every sufficiently large frame written to the wire is reported
-// with its real write duration, feeding the live per-(peer, rail)
-// bandwidth estimates. Small frames are skipped — they measure syscall
-// latency, not the rail (the engine's ack path supplies the latency
-// observations). Panics on a non-hosted node.
-func (n *Node) SetTelemetry(t fabric.Telemetry) {
-	n.mustHost()
-	n.teleMu.Lock()
-	n.tele = t
-	n.teleMu.Unlock()
-}
-
-// observeWrite reports one completed frame write to the telemetry sink,
-// if one is installed and the frame is in the bandwidth regime.
-func (n *Node) observeWrite(peer, rail, bytes int, d time.Duration) {
-	if bytes < rateCalibMin || d <= 0 {
-		return
-	}
-	n.teleMu.RLock()
-	t := n.tele
-	n.teleMu.RUnlock()
-	if t != nil {
-		t.ObserveTransfer(peer, rail, bytes, d)
-	}
-}
-
-// SetSink installs a direct delivery consumer: subsequent deliveries are
-// handed to fn on the connection reader goroutine that decoded them,
-// bypassing RecvQ — this is how the multicore progression subsystem has
-// livenet feed its worker pool directly. Deliveries already queued in
-// RecvQ are drained through fn first, atomically with the handoff: in a
-// distributed deployment the peer process can start sending while this
-// process is still sampling, and those early frames must not be
-// stranded in the queue (nor overtaken by later direct deliveries).
-// fn must not block. SetSink(nil) restores queue delivery. Panics on a
-// non-hosted node.
-func (n *Node) SetSink(fn func(*fabric.Delivery)) {
-	n.mustHost()
-	n.sinkMu.Lock()
-	defer n.sinkMu.Unlock()
-	n.sink = fn
-	if fn == nil {
-		return
-	}
-	for {
-		item, ok := n.recvq.TryPop()
-		if !ok {
-			return
-		}
-		if d, isD := item.(*fabric.Delivery); isD && d != nil {
-			fn(d)
+// enableRail is the tracker's OnEnable hook (the core cleared the kill
+// flag): re-establish the node's dead links of the rail.
+func (f *Fabric) enableRail(n *railcore.Node, rail int) {
+	for _, l := range f.Links(rail) {
+		if l.Node() == n && l.Dead() {
+			f.goReconnect(l, "re-enabled")
 		}
 	}
 }
 
-// deliver routes one decoded frame to the sink, or to the receive queue
-// when no sink is installed. The queue push happens under the sink read
-// lock so it cannot race SetSink's drain and strand a frame.
-func (n *Node) deliver(d *fabric.Delivery) {
-	n.sinkMu.RLock()
-	defer n.sinkMu.RUnlock()
-	if n.sink != nil {
-		n.sink(d)
-		return
-	}
-	n.recvq.Push(d)
+// conn is the transport of one link: a TCP connection, written with one
+// writev per frame from storage it owns.
+type conn struct {
+	c    net.Conn
+	iov  [3][]byte
+	bufs net.Buffers
 }
 
-// ID returns the node's index.
-func (n *Node) ID() int { return n.id }
-
-// NumRails returns the rail count.
-func (n *Node) NumRails() int { return n.f.cfg.Rails }
-
-// Rail returns the i-th rail. It panics on a non-hosted (remote) node.
-func (n *Node) Rail(i int) fabric.Rail {
-	n.mustHost()
-	return n.rails[i]
-}
-
-// RecvQ returns the delivery queue. It panics on a non-hosted node.
-func (n *Node) RecvQ() rt.Queue {
-	n.mustHost()
-	return n.recvq
-}
-
-// Health returns the rail-health tracker. It panics on a non-hosted
-// node.
-func (n *Node) Health() fabric.Health {
-	n.mustHost()
-	return n.health
-}
-
-// Cores returns the configured core count.
-func (n *Node) Cores() int { return n.f.cfg.CoresPerNode }
-
-func (n *Node) mustHost() {
-	if !n.hosted {
-		panic(fmt.Sprintf("livenet: node %d is not hosted by this process", n.id))
-	}
-}
-
-// Rail is one TCP lane of a node: links to every peer plus traffic
-// accounting for the engine's idle-horizon prediction.
-type Rail struct {
-	node  *Node
-	index int
-	prof  *model.Profile
-
-	mu      sync.Mutex
-	links   map[int]*link
-	pending int64   // bytes queued but not yet written
-	rate    float64 // EWMA write throughput, bytes/second
-	stats   fabric.Stats
-
-	// throttle > 1 slows the rail artificially (chaos hook): each write
-	// is stretched to factor times its real duration. Float64 bits; 0
-	// means no throttle.
-	throttle atomic.Uint64
-}
-
-// currentRate returns the rail's throughput EWMA (bytes/second).
-func (r *Rail) currentRate() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rate
-}
-
-// throttleFactor returns the active slow-down factor (1 when none).
-func (r *Rail) throttleFactor() float64 {
-	if bits := r.throttle.Load(); bits != 0 {
-		if f := math.Float64frombits(bits); f > 1 {
-			return f
-		}
-	}
-	return 1
-}
-
-// Index returns the rail number.
-func (r *Rail) Index() int { return r.index }
-
-// Profile returns the rail's synthetic profile: zero modeled costs (real
-// costs elapse on the wall clock) with the configured EagerMax.
-func (r *Rail) Profile() *model.Profile { return r.prof }
-
-// link returns the current link to peer (nil before registration).
-func (r *Rail) link(peer int) *link {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.links[peer]
-}
-
-// State returns the rail's health state.
-func (r *Rail) State() fabric.RailState { return r.node.health.State(r.index) }
-
-// Stats returns a snapshot of the traffic counters.
-func (r *Rail) Stats() fabric.Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
-
-// IdleAt predicts when the rail's queued bytes will have been written,
-// from the throughput EWMA — the live analogue of the modeled NIC
-// busy-until horizon.
-func (r *Rail) IdleAt() time.Duration {
-	now := r.node.f.env.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.pending <= 0 {
-		return now
-	}
-	return now + time.Duration(float64(r.pending)/r.rate*1e9)
-}
-
-// Busy reports whether the rail has queued unwritten bytes.
-func (r *Rail) Busy() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pending > 0
-}
-
-// SendEager transmits an eager container: the frame is queued on the
-// rail's TCP link to `to` (blocking briefly if the link is backed up —
-// the live analogue of the PIO copy occupying the core).
-func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
-	r.SendDataV(ctx, to, data, nil, nil)
-}
-
-// SendControl transmits a control message. The modeled CPU costs are
-// ignored: real costs elapse on their own.
-func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration) {
-	r.SendDataV(ctx, to, data, nil, nil)
-}
-
-// SendData streams a rendezvous chunk; done fires when the frame has
-// been written to the socket and the sender may reuse the buffer.
-func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
-	r.SendDataV(ctx, to, data, nil, done)
-}
-
-// SendDataV queues head and body as one frame; the writer gathers them
-// with writev, so the body — and a head longer than fabric.PlaceHeadMax
-// — stay aliased until done fires. A shorter head is copied here.
+// WriteV gathers prefix, head and body with one writev — a rendezvous
+// chunk goes from the caller's buffer to the socket uncopied.
 //
 //railvet:hotpath
-func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {
-	r.post(to, outFrame{head: fabric.MakeHead(head), body: body, done: done, rail: r}, true)
+func (t *conn) WriteV(prefix, head, body []byte) error {
+	t.iov = [3][]byte{prefix, head, body}
+	t.bufs = t.iov[:] // WriteTo consumes the list, so rebuild it per frame
+	_, err := t.bufs.WriteTo(t.c)
+	t.iov = [3][]byte{} // drop the sender's buffers
+	return err
 }
 
-// TrySend queues a body-less frame if the link's queue has a free slot
-// (fabric.TrySender). Every frame still goes through the writer: a socket
-// write can block, and nothing tells beforehand.
+// Read fills dst from the socket.
 //
 //railvet:hotpath
-func (r *Rail) TrySend(to int, data []byte) bool {
-	return r.post(to, outFrame{head: fabric.MakeHead(data), rail: r}, false)
+func (t *conn) Read(dst []byte, _ bool) error {
+	_, err := io.ReadFull(t.c, dst)
+	return err
 }
 
-// post is SendDataV; with wait false it refuses (false, nothing done)
-// instead of waiting for a slot in a full link queue.
-func (r *Rail) post(to int, of outFrame, wait bool) bool {
-	if of.size() > maxFrame {
-		// Refuse at the source: a larger frame would be rejected by the
-		// receiver (or wrap the uint32 prefix past 4 GiB and desync the
-		// stream). Mirrors simnet's MaxMsg panic.
-		panic(fmt.Sprintf("livenet: frame of %d bytes exceeds the %d-byte limit", of.size(), maxFrame))
-	}
-	r.mu.Lock()
-	l := r.links[to]
-	if l == nil {
-		r.mu.Unlock()
-		panic(fmt.Sprintf("livenet: node %d has no rail-%d link to node %d", r.node.id, r.index, to))
-	}
-	// Messages/Bytes are counted when the frame is actually written
-	// (noteWritten), so traffic dropped at shutdown is not overstated.
-	r.pending += int64(of.size()) + prefixSize
-	r.stats.LastStart = r.node.f.env.Now()
-	r.mu.Unlock()
-	f := r.node.f
-	if wait {
-		select {
-		case l.out <- of:
-		case <-f.closedCh:
-			of.finish(0, 0, false)
-			return true
-		}
-	} else {
-		select {
-		case l.out <- of:
-		default:
-			r.mu.Lock()
-			r.pending -= int64(of.size()) + prefixSize
-			r.mu.Unlock()
-			return false
-		}
-	}
-	// If the fabric closed while we enqueued, the writer's final drain may
-	// already have run and exited; reclaim anything stranded so completion
-	// events still fire.
-	if f.closed.Load() {
-		drainLink(l)
-	}
-	return true
+// PeerKilled is false: a TCP lane carries no kill word — FailRail closes
+// the connection.
+func (t *conn) PeerKilled() bool { return false }
+
+// Goodbye writes the goodbye frame under a short deadline (best effort:
+// the fabric is going away).
+func (t *conn) Goodbye(frame []byte) {
+	t.c.SetWriteDeadline(time.Now().Add(250 * time.Millisecond))
+	//nolint:errcheck // best-effort goodbye on a closing fabric: the deadline bounds it and any error means the peer is gone anyway
+	t.c.Write(frame)
 }
 
-// noteWritten retires n queued bytes, counts the frame as traffic when
-// it actually went to the wire, and folds the raw write duration
-// (calib) into the throughput estimate. took additionally includes any
-// chaos-throttle delay and only feeds the busy-time counter.
-func (r *Rail) noteWritten(n int, took, calib time.Duration, written bool) {
-	r.mu.Lock()
-	r.pending -= int64(n) + prefixSize
-	if r.pending < 0 {
-		r.pending = 0
-	}
-	if written {
-		r.stats.Messages++
-		r.stats.Bytes += uint64(n)
-	}
-	r.stats.BusyTime += took
-	if written && n >= rateCalibMin && calib > 0 {
-		inst := float64(n) / calib.Seconds()
-		r.rate = 0.7*r.rate + 0.3*inst
-	}
-	r.mu.Unlock()
-}
+// Unblock bounds a write stuck mid-frame on a dead or partitioned peer,
+// which would otherwise never let its writer see the close.
+func (t *conn) Unblock() { t.c.SetWriteDeadline(time.Now().Add(time.Second)) }

@@ -67,39 +67,6 @@ func engineOn(t *testing.T, env rt.Env, f fabric.Fabric, node int, profs []*samp
 	return eng
 }
 
-// Raw fabric: a frame pushed on a rail arrives at the peer's receive
-// queue with the right origin, rail and bytes.
-func TestRawFrameCrossesTCP(t *testing.T) {
-	env := rt.NewLive()
-	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	payload := []byte("real bytes over real TCP")
-	done := make(chan struct{})
-	var got *fabric.Delivery
-	env.Go("recv", func(ctx rt.Ctx) {
-		defer close(done)
-		got = f.Node(1).RecvQ().Pop(ctx).(*fabric.Delivery)
-	})
-	sent := env.NewEvent()
-	env.Go("send", func(ctx rt.Ctx) {
-		f.Node(0).Rail(1).SendData(ctx, 1, payload, sent)
-	})
-	waitOrFatal(t, "raw frame", done)
-	if got.From != 0 || got.Rail != 1 || !bytes.Equal(got.Data, payload) {
-		t.Fatalf("delivery %+v", got)
-	}
-	// The writer accounts the frame after handing it over — the receiver
-	// can win that race; sent fires once the counters are in.
-	sent.Wait(nil)
-	st := f.Node(0).Rail(1).Stats()
-	if st.Messages != 1 || st.Bytes != uint64(len(payload)) {
-		t.Fatalf("sender stats %+v", st)
-	}
-}
-
 // The eager path: small messages to one destination ride the engine's
 // aggregation over the TCP rails and arrive intact.
 func TestEngineEagerOverTCP(t *testing.T) {
@@ -296,99 +263,6 @@ func TestDistributedPairExchanges(t *testing.T) {
 	}()
 }
 
-// IdleAt reports a horizon while bytes are queued and returns to "now"
-// once the writer drains.
-func TestIdleAtDrains(t *testing.T) {
-	env := rt.NewLive()
-	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rail := f.Node(0).Rail(0)
-	done := make(chan struct{})
-	env.Go("drain", func(ctx rt.Ctx) {
-		defer close(done)
-		for i := 0; i < 4; i++ {
-			f.Node(1).RecvQ().Pop(ctx)
-		}
-	})
-	env.Go("send", func(ctx rt.Ctx) {
-		for i := 0; i < 4; i++ {
-			rail.SendData(ctx, 1, make([]byte, 1<<20), nil)
-		}
-	})
-	waitOrFatal(t, "drain", done)
-	deadline := time.Now().Add(5 * time.Second)
-	for rail.Busy() {
-		if time.Now().After(deadline) {
-			t.Fatal("rail never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if at, now := rail.IdleAt(), env.Now(); at > now+time.Millisecond {
-		t.Fatalf("idle rail predicts horizon %v past now %v", at, now)
-	}
-}
-
-// Close is idempotent and leaves no goroutine blocked on a send.
-func TestCloseReleasesSenders(t *testing.T) {
-	env := rt.NewLive()
-	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := env.NewEvent()
-	done := make(chan struct{})
-	env.Go("send", func(ctx rt.Ctx) {
-		defer close(done)
-		f.Node(0).Rail(0).SendData(ctx, 1, make([]byte, 1024), ev)
-		ev.Wait(ctx)
-	})
-	waitOrFatal(t, "send before close", done)
-	if err := f.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-}
-
-// A peer's graceful Close is not a transport error: the goodbye
-// sentinel tells the survivor this was a shutdown, not a death.
-func TestGracefulPeerCloseIsNotAnError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0c := make(chan *livenet.Fabric, 1)
-	go func() {
-		f, err := livenet.NewDistributed(rt.NewLive(), 0, livenet.Config{Nodes: 2, Rails: 2, Listener: ln})
-		if err != nil {
-			t.Error(err)
-			f0c <- nil
-			return
-		}
-		f0c <- f
-	}()
-	f1, err := livenet.NewDistributed(rt.NewLive(), 1, livenet.Config{
-		Nodes: 2, Rails: 2, Peers: map[int]string{0: ln.Addr().String()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f1.Close()
-	f0 := <-f0c
-	if f0 == nil {
-		t.FailNow()
-	}
-	f0.Close()
-	time.Sleep(200 * time.Millisecond) // let f1's readers observe the goodbye
-	if err := f1.Err(); err != nil {
-		t.Fatalf("graceful peer close reported as error: %v", err)
-	}
-}
-
 // A peer dying without the goodbye handshake IS recorded, so a hung run
 // has a diagnostic in Err.
 func TestPeerDeathRecordsErr(t *testing.T) {
@@ -427,67 +301,5 @@ func TestPeerDeathRecordsErr(t *testing.T) {
 	}
 	if f0.Err() == nil {
 		t.Fatal("peer death left Err nil")
-	}
-}
-
-// Frames above the wire limit are refused at the source instead of
-// desyncing the stream.
-func TestOversizedFramePanics(t *testing.T) {
-	env := rt.NewLive()
-	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized frame did not panic")
-		}
-	}()
-	huge := make([]byte, (1<<30)+1)
-	f.Node(0).Rail(0).SendData(nil, 1, huge, nil)
-}
-
-// SetSink (fabric.DirectNode) hands deliveries to the consumer on the
-// reader goroutine, bypassing RecvQ; SetSink(nil) restores queue
-// delivery. This is how the engine's progress workers are fed directly.
-func TestDirectSinkBypassesRecvQ(t *testing.T) {
-	env := rt.NewLive()
-	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	dn, ok := f.Node(1).(fabric.DirectNode)
-	if !ok {
-		t.Fatal("livenet node does not implement fabric.DirectNode")
-	}
-	got := make(chan *fabric.Delivery, 1)
-	dn.SetSink(func(d *fabric.Delivery) { got <- d })
-	env.Go("send", func(ctx rt.Ctx) {
-		f.Node(0).Rail(0).SendEager(ctx, 1, []byte("direct"))
-	})
-	select {
-	case d := <-got:
-		if string(d.Data) != "direct" || d.From != 0 {
-			t.Fatalf("sink delivery %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("sink never fed")
-	}
-	if n := f.Node(1).RecvQ().Len(); n != 0 {
-		t.Fatalf("%d deliveries leaked into RecvQ while sink installed", n)
-	}
-	// Restore queue delivery.
-	dn.SetSink(nil)
-	env.Go("send2", func(ctx rt.Ctx) {
-		f.Node(0).Rail(0).SendEager(ctx, 1, []byte("queued"))
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for f.Node(1).RecvQ().Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("delivery never reached RecvQ after SetSink(nil)")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

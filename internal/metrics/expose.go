@@ -114,7 +114,7 @@ func (m *MetricSnapshot) Quantile(q float64) float64 {
 
 // Find returns the first metric of the named family whose label set
 // includes every given label, or nil. Snapshot consumers (nmtop,
-// nmbench, tests) use it instead of hand-rolled loops.
+// tests) use it instead of hand-rolled loops.
 func (s Snapshot) Find(family string, labels ...Label) *MetricSnapshot {
 	for fi := range s.Families {
 		f := &s.Families[fi]

@@ -1,0 +1,59 @@
+package railcore_test
+
+import (
+	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/railcore/railcoretest"
+)
+
+// frameRoundTrip wires node 1's sink to hand each frame back on a
+// channel, released, and returns a function that sends one 512 B eager
+// frame from node 0 and waits for it: the link layer alone, no engine.
+func frameRoundTrip(f railcoretest.Fabric) func() {
+	got := make(chan struct{}, 1)
+	f.Node(1).(fabric.DirectNode).SetSink(func(d *fabric.Delivery) {
+		d.Release()
+		got <- struct{}{}
+	})
+	rail, frame := f.Node(0).Rail(0), make([]byte, 512)
+	return func() {
+		rail.SendEager(nil, 1, frame)
+		<-got
+	}
+}
+
+// A warmed frame allocates nothing on either transport: the sender's
+// write (inline or queued), the writer, the reader and the pooled receive
+// frame all reuse storage the link or the node owns.
+func TestFrameRoundTripAllocs(t *testing.T) {
+	for _, tr := range railcoretest.Transports {
+		t.Run(tr.Name, func(t *testing.T) {
+			_, f := tr.Open(t, 1, 0)
+			roundTrip := frameRoundTrip(f)
+			for i := 0; i < 100; i++ {
+				roundTrip()
+			}
+			if allocs := testing.AllocsPerRun(1000, roundTrip); allocs > 0 {
+				t.Fatalf("%.2f allocations per 512 B frame, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkDevelLinkFrame is the one-way cost of a 512 B frame through the
+// rail core on each transport — sender to sink, no engine — the floor
+// under BenchmarkLiveEagerRoundTrip (internal/core).
+func BenchmarkDevelLinkFrame(b *testing.B) {
+	for _, tr := range railcoretest.Transports {
+		b.Run(tr.Name, func(b *testing.B) {
+			_, f := tr.Open(b, 1, 0)
+			roundTrip := frameRoundTrip(f)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+		})
+	}
+}

@@ -1,7 +1,8 @@
 // Package railhealth tracks the health of a node's rails. It is the
-// shared implementation of the fabric.Health contract used by both
-// fabrics: internal/livenet reports transport faults and reconnections
-// into it, internal/simnet drives it from deterministic fault injection
+// shared implementation of the fabric.Health contract used by every
+// fabric: the live rail core (internal/railcore, under livenet and
+// shmnet) reports transport faults, kills and reconnections into it,
+// internal/simnet drives it from deterministic fault injection
 // (FailRail), and internal/core subscribes to its transition feed to
 // re-plan in-flight transfers when a rail dies.
 //

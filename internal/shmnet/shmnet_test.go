@@ -61,66 +61,6 @@ func engineOn(t *testing.T, env rt.Env, f fabric.Fabric, node int, profs []*samp
 	return eng
 }
 
-// Raw fabric: a frame pushed on a rail lands in the peer's receive queue
-// with the right origin, rail and bytes — no sockets involved.
-func TestRawFrameCrossesRing(t *testing.T) {
-	env := rt.NewLive()
-	f, err := shmnet.NewHosted(env, shmnet.Config{Nodes: 2, Rails: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	payload := []byte("bytes through a shared-memory ring")
-	done := make(chan struct{})
-	var got *fabric.Delivery
-	env.Go("recv", func(ctx rt.Ctx) {
-		defer close(done)
-		got = f.Node(1).RecvQ().Pop(ctx).(*fabric.Delivery)
-	})
-	sent := env.NewEvent()
-	env.Go("send", func(ctx rt.Ctx) {
-		f.Node(0).Rail(1).SendData(ctx, 1, payload, sent)
-	})
-	waitOrFatal(t, "raw frame", done)
-	if got.From != 0 || got.Rail != 1 || !bytes.Equal(got.Data, payload) {
-		t.Fatalf("delivery %+v", got)
-	}
-	// The writer accounts the frame after handing it over — the receiver
-	// can win that race; sent fires once the counters are in.
-	sent.Wait(nil)
-	st := f.Node(0).Rail(1).Stats()
-	if st.Messages != 1 || st.Bytes != uint64(len(payload)) {
-		t.Fatalf("sender stats %+v", st)
-	}
-}
-
-// A frame larger than the ring streams through in pieces.
-func TestFrameLargerThanRingStreams(t *testing.T) {
-	env := rt.NewLive()
-	f, err := shmnet.NewHosted(env, shmnet.Config{Nodes: 2, Rails: 1, RingBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(7)).Read(payload)
-	done := make(chan struct{})
-	var got *fabric.Delivery
-	env.Go("recv", func(ctx rt.Ctx) {
-		defer close(done)
-		got = f.Node(1).RecvQ().Pop(ctx).(*fabric.Delivery)
-	})
-	env.Go("send", func(ctx rt.Ctx) {
-		ev := env.NewEvent()
-		f.Node(0).Rail(0).SendData(ctx, 1, payload, ev)
-		ev.Wait(ctx)
-	})
-	waitOrFatal(t, "oversized frame", done)
-	if !bytes.Equal(got.Data, payload) {
-		t.Fatal("payload corrupted while streaming through the ring")
-	}
-}
-
 // The engine over shm: eager flows and a striped rendezvous arrive
 // intact, and every rail moves bytes.
 func TestEngineOverShmRails(t *testing.T) {
@@ -266,44 +206,6 @@ func TestChaosShmRailDiesMidTransfer(t *testing.T) {
 		}
 	})
 	waitOrFatal(t, "post-revive traffic", done2)
-}
-
-// ThrottleRail slows a lane without killing it: a throttled copy takes
-// measurably longer end to end, and removing the throttle restores it.
-func TestThrottleRailSlowsLane(t *testing.T) {
-	env := rt.NewLive()
-	f, err := shmnet.NewHosted(env, shmnet.Config{Nodes: 2, Rails: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	payload := make([]byte, 64<<10)
-
-	oneWay := func() time.Duration {
-		done := make(chan struct{})
-		var took time.Duration
-		start := time.Now()
-		env.Go("recv", func(ctx rt.Ctx) {
-			defer close(done)
-			f.Node(1).RecvQ().Pop(ctx)
-			took = time.Since(start)
-		})
-		env.Go("send", func(ctx rt.Ctx) {
-			f.Node(0).Rail(0).SendEager(ctx, 1, payload)
-		})
-		waitOrFatal(t, "throttled frame", done)
-		return took
-	}
-	base := oneWay()
-	f.ThrottleRail(0, 50)
-	slow := oneWay()
-	f.ThrottleRail(0, 1)
-	if slow < base+2*time.Millisecond && slow < 10*base {
-		t.Fatalf("throttle 50x: %v -> %v, want a clear slowdown", base, slow)
-	}
-	if st := f.Node(0).Rail(0).State(); st != fabric.RailUp {
-		t.Fatalf("throttled rail state %v, want up", st)
-	}
 }
 
 // The mmap-backed distributed shape: two fabrics in one test process,

@@ -3,7 +3,6 @@ package shmnet
 import (
 	"encoding/binary"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,9 +24,9 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 // parks sums the Parks counters of every rail of every node.
 func parks(f *Fabric) (n uint64) {
-	for _, node := range f.nodes {
-		for _, r := range node.rails {
-			n += r.Stats().Parks
+	for i := 0; i < f.NumNodes(); i++ {
+		for r := 0; r < f.NumRails(); r++ {
+			n += f.Node(i).Rail(r).Stats().Parks
 		}
 	}
 	return n
@@ -47,10 +46,10 @@ func TestIdleRingSidesStayParked(t *testing.T) {
 	const readers = 4 // 2 nodes x 2 rails, one receive ring each
 	eventually(t, "every reader to park", func() bool { return parks(f) == readers })
 	time.Sleep(50 * time.Millisecond)
-	for _, node := range f.nodes {
-		for _, r := range node.rails {
-			if st := r.Stats(); st.Parks > 1 {
-				t.Errorf("node %d rail %d: its ring sides parked %d times while idle, want once", node.id, r.index, st.Parks)
+	for i := 0; i < f.NumNodes(); i++ {
+		for r := 0; r < f.NumRails(); r++ {
+			if st := f.Node(i).Rail(r).Stats(); st.Parks > 1 {
+				t.Errorf("node %d rail %d: its ring sides parked %d times while idle, want once", i, r, st.Parks)
 			}
 		}
 	}
@@ -70,14 +69,14 @@ func TestParkedSidesWakeOnCloseKillGoodbye(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrived := make(chan int, 16)
-	f.nodes[1].SetSink(func(d *fabric.Delivery) { arrived <- len(d.Data) })
-	rail := f.nodes[0].rails[0]
+	f.Node(1).(fabric.DirectNode).SetSink(func(d *fabric.Delivery) { arrived <- len(d.Data) })
+	rail := f.Node(0).Rail(0)
 	eventually(t, "both readers to park", func() bool { return parks(f) == 2 })
 
 	f.FailRail(0, 0)
 	rail.SendEager(nil, 1, make([]byte, 100)) // lost with the rail
-	f.nodes[0].Health().Enable(0)
-	f.nodes[1].Health().Enable(0)
+	f.Node(0).Health().Enable(0)
+	f.Node(1).Health().Enable(0)
 	rail.SendEager(nil, 1, make([]byte, 200))
 	for n := 0; n != 200; { // the first frame arrives too if its writer saw the rail only after the revival
 		select {
@@ -88,13 +87,12 @@ func TestParkedSidesWakeOnCloseKillGoodbye(t *testing.T) {
 	}
 
 	// An oversized prefix makes node 1's reader fail the stream and leave.
-	l := rail.links[1]
-	var prefix [prefixSize]byte
-	binary.LittleEndian.PutUint32(prefix[0:], maxFrame)
-	binary.LittleEndian.PutUint32(prefix[4:], maxFrame)
-	l.producer.Lock()
-	l.sendR.write(prefix[:], func() bool { return false })
-	l.producer.Unlock()
+	// The link is idle — the last frame arrived, so no sender and no
+	// writer is inside a copy — and the test can be the ring's producer.
+	var prefix [8]byte
+	binary.LittleEndian.PutUint32(prefix[0:], 1<<30)
+	binary.LittleEndian.PutUint32(prefix[4:], 1<<30)
+	f.Link(0, 0, 1).Transport().(*lane).send.write(prefix[:], func() bool { return false })
 	eventually(t, "the reader to reject the stream", func() bool { return f.Err() != nil })
 	// Nobody drains the ring now: 1 KiB frames fill it, the first that does
 	// not fit goes to the writer, which stalls and parks.
@@ -117,114 +115,6 @@ func TestParkedSidesWakeOnCloseKillGoodbye(t *testing.T) {
 	}
 	if took := time.Since(start); took > 100*time.Millisecond {
 		t.Errorf("Close took %v with parked ring sides, want < 100ms", took)
-	}
-}
-
-// The link's frame order is the order of the send calls whichever route a
-// frame takes: numbered small frames from one sender, while the reader is
-// held so that a backlog builds in the ring and the writer's queue and
-// then drains, arrive in sending order with both routes used. And the
-// sender's own write is only for a frame that cannot make it wait: one
-// with a body, and one larger than the ring's free space, go to the writer.
-// Mutation tried: writing inline without the `pending == 0` test lets a
-// small frame overtake the queue in the moment its writer is between two
-// frames (the second phase opens that moment a hundred times).
-func TestInlineWriteKeepsLinkOrder(t *testing.T) {
-	env := rt.NewLive()
-	f, err := NewHosted(env, Config{Nodes: 2, Rails: 1, RingBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const frames = 2000
-	var mu sync.Mutex
-	var got []uint32
-	hold := make(chan struct{})
-	all := make(chan struct{})
-	f.nodes[1].SetSink(func(d *fabric.Delivery) {
-		seq := binary.LittleEndian.Uint32(d.Data)
-		if seq%500 == 1 {
-			<-hold // a held reader: the ring fills, frames queue behind it
-		}
-		mu.Lock()
-		got = append(got, seq)
-		n := len(got)
-		mu.Unlock()
-		d.Release()
-		if n == frames {
-			close(all)
-		}
-	})
-	rail := f.nodes[0].rails[0]
-	go func() {
-		for i := 0; i < frames/500; i++ {
-			// Let the backlog build: ring full, writer stalled, queue filling.
-			for len(rail.links[1].out) < 8 {
-				time.Sleep(50 * time.Microsecond)
-			}
-			hold <- struct{}{}
-		}
-	}()
-	for seq := uint32(0); seq < frames; seq++ {
-		frame := make([]byte, 300) // a queued frame this long aliases its sender's buffer
-		binary.LittleEndian.PutUint32(frame, seq)
-		rail.SendEager(nil, 1, frame)
-	}
-	select {
-	case <-all:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("not all %d frames arrived", frames)
-	}
-	for i, seq := range got {
-		if seq != uint32(i) {
-			t.Fatalf("frame %d arrived at position %d: a frame overtook the link's queue", seq, i)
-		}
-	}
-	st := rail.Stats()
-	if st.InlineWrites == 0 || st.InlineWrites >= frames || st.Stalls == 0 {
-		t.Fatalf("stats %+v: want some frames written by the sender, some by the writer behind a full ring", st)
-	}
-
-	// The window in which only the queue's emptiness can tell: frames are
-	// queued, the ring has room and the token is free, because the writer is
-	// between two frames. Holding the token while two frames are posted
-	// parks the writer just before its copy; letting go and posting a third
-	// at once races the writer for the token.
-	l := rail.links[1]
-	three := make(chan uint32, 3)
-	f.nodes[1].SetSink(func(d *fabric.Delivery) { three <- binary.LittleEndian.Uint32(d.Data) })
-	for round := 0; round < 100; round++ {
-		eventually(t, "the link to go idle", func() bool { return !rail.Busy() })
-		var abc [3][]byte
-		for i := range abc {
-			abc[i] = make([]byte, 300)
-			binary.LittleEndian.PutUint32(abc[i], uint32(i))
-		}
-		l.producer.Lock()
-		//railvet:ignore nolockio the test stands in for a sender mid-copy: with the token taken the two sends can only queue
-		rail.SendEager(nil, 1, abc[0])
-		//railvet:ignore nolockio as above
-		rail.SendEager(nil, 1, abc[1])
-		l.producer.Unlock()
-		rail.SendEager(nil, 1, abc[2])
-		for want := uint32(0); want < 3; want++ {
-			if seq := <-three; seq != want {
-				t.Fatalf("round %d: frame %d arrived in place of frame %d: it overtook the link's queue", round, seq, want)
-			}
-		}
-	}
-
-	// On the idle link: a head+body frame and a frame larger than the ring
-	// arrive through the writer.
-	eventually(t, "the link to go idle", func() bool { return !rail.Busy() })
-	inline := rail.Stats().InlineWrites
-	f.nodes[1].SetSink(func(d *fabric.Delivery) { hold <- struct{}{} })
-	rail.SendDataV(nil, 1, make([]byte, 44), make([]byte, 100), nil)
-	<-hold
-	rail.SendEager(nil, 1, make([]byte, 8<<10))
-	<-hold
-	if now := rail.Stats().InlineWrites; now != inline {
-		t.Fatalf("%d frames with a body or larger than the ring were written by their sender", now-inline)
 	}
 }
 
@@ -251,7 +141,7 @@ func BenchmarkDevelRingPingPong(b *testing.B) {
 		}
 		fwd, rev := newRing(), newRing()
 		send := func(r *ring) {
-			var prefix [prefixSize]byte
+			var prefix [8]byte
 			binary.LittleEndian.PutUint32(prefix[0:], uint32(len(frame)))
 			if onePublication {
 				r.tryWrite(prefix[:], frame)
@@ -271,7 +161,7 @@ func BenchmarkDevelRingPingPong(b *testing.B) {
 					*seen = (3**seen + n) / 4
 				}
 			}
-			var prefix [prefixSize]byte
+			var prefix [8]byte
 			r.read(prefix[:], frameBoundary, never)
 			r.read(buf, midFrame, never)
 		}

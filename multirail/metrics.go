@@ -22,7 +22,7 @@ func (c *Cluster) MetricsRegistry() *metrics.Registry { return c.metricsReg }
 
 // MetricsSnapshot returns a snapshot of every family — engine counters,
 // latency histograms, plan cache, telemetry fits, rail health and
-// traffic, trace event counts. cmd/nmbench embeds it in BENCH_*.json.
+// traffic, trace event counts.
 func (c *Cluster) MetricsSnapshot() MetricsSnapshot { return c.metricsReg.Snapshot() }
 
 // MetricsAddr returns the bound address of the metrics exporter, or ""
