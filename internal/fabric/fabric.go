@@ -13,9 +13,9 @@
 //     internal/livenet (a TCP connection per link) and internal/shmnet (a
 //     pair of shared-memory rings per link). Both are the rail core
 //     (internal/railcore) — one implementation of Node, Rail, DirectNode,
-//     TrySender and ObservableNode — over their own byte streams.
-//   - Mix (mix.go): several fabrics combined into one heterogeneous rail
-//     set, e.g. shm and TCP rails side by side.
+//     TrySender and ObservableNode — over their own byte streams, so
+//     NewMix can join them into one heterogeneous rail set, e.g. shm and
+//     TCP rails side by side on one node.
 //
 // The split mirrors the paper's own layering (NewMadeleine's
 // optimizer/scheduler above, Madeleine's network drivers below): the
@@ -366,4 +366,30 @@ type Fabric interface {
 	// Close releases transport resources (listeners, connections). It is
 	// a no-op for purely in-memory fabrics.
 	Close() error
+}
+
+// joiner is a fabric that can merge with others into one rail set: the
+// live fabrics, through the rail core they embed (railcore.Fabric.Join).
+type joiner interface {
+	// Join merges parts, the receiver among them, in rail order; local is
+	// the node this process hosts (-1: all of them).
+	Join(local int, parts ...Fabric) (Fabric, error)
+}
+
+// NewMix makes one heterogeneous rail set of several live fabrics — say
+// one shared-memory rail and two TCP rails as a single three-rail fabric:
+// the rails of subs[k] follow those of subs[0..k-1], and each node is one
+// node of the rail core whatever transport its rails run on. local is the
+// node id hosted by this process, or -1 when every node is hosted; it must
+// match how the subs were built. Fabrics that cannot join (the simulator)
+// are refused. Closing the result closes the subs.
+func NewMix(local int, subs ...Fabric) (Fabric, error) {
+	if len(subs) < 2 {
+		return nil, fmt.Errorf("fabric: mix needs at least 2 sub-fabrics, got %d", len(subs))
+	}
+	j, ok := subs[0].(joiner)
+	if !ok {
+		return nil, fmt.Errorf("fabric: %T cannot join a mixed rail set", subs[0])
+	}
+	return j.Join(local, subs...)
 }

@@ -9,13 +9,15 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/livenet"
+	"repro/internal/model"
 	"repro/internal/rt"
 	"repro/internal/shmnet"
+	"repro/internal/simnet"
 )
 
 // placerFabrics are the fabrics whose nodes take a Placer: both live
-// transports and their Mix (whose placer must see combined rail
-// indices). rail is the rail the test drives; kill severs it.
+// transports and the two joined by NewMix (whose placer must see combined
+// rail indices). rail is the rail the test drives; kill severs it.
 var placerFabrics = []struct {
 	name  string
 	rail  int
@@ -158,5 +160,29 @@ func TestPlacerContract(t *testing.T) {
 			dn.SetPlacer(nil)
 			quiet()
 		})
+	}
+}
+
+// NewMix joins live fabrics only: the simulator, first or not, is refused
+// with an error, and so is a set of one.
+func TestNewMixRefusesWhatCannotJoin(t *testing.T) {
+	env := rt.NewSim()
+	defer env.Close()
+	sim, err := simnet.New(env, simnet.Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shm, err := shmnet.NewHosted(rt.NewLive(), shmnet.Config{Rails: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shm.Close()
+	for name, subs := range map[string][]fabric.Fabric{
+		"sim first": {sim, shm}, "sim second": {shm, sim}, "one": {shm},
+	} {
+		if f, err := fabric.NewMix(-1, subs...); err == nil {
+			f.Close()
+			t.Errorf("%s: NewMix accepted it", name)
+		}
 	}
 }

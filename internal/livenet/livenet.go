@@ -462,7 +462,7 @@ func (f *Fabric) register(c net.Conn, owner, peer, r int) {
 // on purpose, go straight Down.
 func (f *Fabric) linkLost(l *railcore.Link, reason string, recoverable bool) {
 	l.Transport().(*conn).c.Close()
-	if !recoverable || f.cfg.ReconnectAttempts < 0 || l.Node().Killed(l.Rail()) {
+	if !recoverable || f.cfg.ReconnectAttempts < 0 || l.Killed() {
 		l.Report(fabric.RailDown, reason)
 		return
 	}
@@ -489,14 +489,14 @@ func (f *Fabric) goReconnect(l *railcore.Link, reason string) {
 				return
 			case <-time.After(f.cfg.ReconnectDelay):
 			}
-			if n.Killed(r) {
+			if l.Killed() {
 				return
 			}
-			if f.Link(n.ID(), r, peer) != l {
+			if f.Link(n, r, peer) != l {
 				return // accept side already replaced it
 			}
-			if n.ID() > peer && addr != "" {
-				if err := f.dialOnce(addr, n.ID(), peer, r, f.cfg.ReconnectDelay+time.Second); err == nil {
+			if n > peer && addr != "" {
+				if err := f.dialOnce(addr, n, peer, r, f.cfg.ReconnectDelay+time.Second); err == nil {
 					return
 				}
 			}
@@ -538,10 +538,10 @@ func (f *Fabric) DropLink(node, peer, rail int) {
 }
 
 // enableRail is the tracker's OnEnable hook (the core cleared the kill
-// flag): re-establish the node's dead links of the rail.
-func (f *Fabric) enableRail(n *railcore.Node, rail int) {
-	for _, l := range f.Links(rail) {
-		if l.Node() == n && l.Dead() {
+// flag): re-establish the rail's dead links.
+func (f *Fabric) enableRail(r *railcore.Rail) {
+	for _, l := range r.Links() {
+		if l.Dead() {
 			f.goReconnect(l, "re-enabled")
 		}
 	}

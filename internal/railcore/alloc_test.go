@@ -9,33 +9,38 @@ import (
 
 // frameRoundTrip wires node 1's sink to hand each frame back on a
 // channel, released, and returns a function that sends one 512 B eager
-// frame from node 0 and waits for it: the link layer alone, no engine.
-func frameRoundTrip(f railcoretest.Fabric) func() {
+// frame from node 0 on rail r and waits for it: the link layer alone, no
+// engine.
+func frameRoundTrip(f railcoretest.Fabric, r int) func() {
 	got := make(chan struct{}, 1)
 	f.Node(1).(fabric.DirectNode).SetSink(func(d *fabric.Delivery) {
 		d.Release()
 		got <- struct{}{}
 	})
-	rail, frame := f.Node(0).Rail(0), make([]byte, 512)
+	rail, frame := f.Node(0).Rail(r), make([]byte, 512)
 	return func() {
 		rail.SendEager(nil, 1, frame)
 		<-got
 	}
 }
 
-// A warmed frame allocates nothing on either transport: the sender's
-// write (inline or queued), the writer, the reader and the pooled receive
-// frame all reuse storage the link or the node owns.
+// A warmed frame allocates nothing on either transport, nor on either
+// kind of rail of the joined core: the sender's write (inline or queued),
+// the writer, the reader and the pooled receive frame all reuse storage
+// the link or the node owns.
 func TestFrameRoundTripAllocs(t *testing.T) {
 	for _, tr := range railcoretest.Transports {
 		t.Run(tr.Name, func(t *testing.T) {
 			_, f := tr.Open(t, 1, 0)
-			roundTrip := frameRoundTrip(f)
-			for i := 0; i < 100; i++ {
-				roundTrip()
-			}
-			if allocs := testing.AllocsPerRun(1000, roundTrip); allocs > 0 {
-				t.Fatalf("%.2f allocations per 512 B frame, want 0", allocs)
+			for r := 0; r < f.NumRails(); r++ {
+				roundTrip := frameRoundTrip(f, r)
+				for i := 0; i < 100; i++ {
+					roundTrip()
+				}
+				if allocs := testing.AllocsPerRun(1000, roundTrip); allocs > 0 {
+					t.Fatalf("rail %d (%s): %.2f allocations per 512 B frame, want 0",
+						r, f.Node(0).Rail(r).Profile().Name, allocs)
+				}
 			}
 		})
 	}
@@ -48,7 +53,7 @@ func BenchmarkDevelLinkFrame(b *testing.B) {
 	for _, tr := range railcoretest.Transports {
 		b.Run(tr.Name, func(b *testing.B) {
 			_, f := tr.Open(b, 1, 0)
-			roundTrip := frameRoundTrip(f)
+			roundTrip := frameRoundTrip(f, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -17,9 +17,23 @@ import (
 // Rail is one lane of a node: links to every peer plus the traffic
 // accounting behind the engine's idle-horizon prediction.
 type Rail struct {
-	node  *Node
+	// The owner: the core that built the rail, its node and the rail's
+	// transport-local index there. They never change.
+	c     *Fabric
+	node  int
 	index int
 	prof  *model.Profile
+	// home is the node the rail serves and its index there (see Join).
+	home atomic.Pointer[home]
+
+	// killed discards the rail's frames (FailRail); lock-free, since its
+	// writers and readers check it on every frame.
+	killed atomic.Bool
+	// downHint marks a rail reported Down after a kill was observed
+	// (locally or through the lane). The reader clears it — reporting the
+	// rail back Up — when frames flow again: arriving traffic is the proof
+	// of revival a peer process's EnableRail cannot deliver any other way.
+	downHint atomic.Bool
 
 	mu      sync.Mutex
 	links   []*Link // by peer
@@ -78,11 +92,14 @@ type Link struct {
 // Peer returns the remote node of the link.
 func (l *Link) Peer() int { return l.peer }
 
-// Rail returns the link's rail index.
+// Rail returns the link's rail index in its owner.
 func (l *Link) Rail() int { return l.rail.index }
 
-// Node returns the hosted node the link belongs to.
-func (l *Link) Node() *Node { return l.rail.node }
+// Node returns the owner's node the link belongs to.
+func (l *Link) Node() int { return l.rail.node }
+
+// Killed reports whether FailRail killed the link's rail.
+func (l *Link) Killed() bool { return l.rail.killed.Load() }
 
 // Transport returns the link's transport.
 func (l *Link) Transport() Transport { return l.t }
@@ -99,7 +116,13 @@ func (l *Link) Report(s fabric.RailState, reason string) bool {
 	r := l.rail
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.links[l.peer] == l && r.node.health.Report(r.index, s, reason)
+	return r.links[l.peer] == l && r.report(s, reason)
+}
+
+// report records a health transition of the rail in its home's tracker.
+func (r *Rail) report(s fabric.RailState, reason string) bool {
+	h := r.home.Load()
+	return h.node.health.Report(h.index, s, reason)
 }
 
 func (l *Link) retire() {
@@ -192,14 +215,14 @@ func (c *Fabric) writeLoop(l *Link) {
 		select {
 		case l.cur = <-l.out:
 			of := &l.cur
-			if r.node.killed[r.index].Load() || l.t.PeerKilled() {
+			if r.killed.Load() || l.t.PeerKilled() {
 				// Killed rail: the frame is lost, exactly as a dying NIC
 				// loses in-flight messages. Report Down (idempotent): a
 				// peer process's FailRail reaches this side only through
 				// the lane, and without the report the engine would never
 				// replan the dropped frames onto a surviving rail.
-				r.node.downHint[r.index].Store(true)
-				r.node.health.Report(r.index, fabric.RailDown, fmt.Sprintf("rail %d killed", r.index))
+				r.downHint.Store(true)
+				r.report(fabric.RailDown, fmt.Sprintf("rail %d killed", r.index))
 				r.finish(of, 0, 0, false)
 				l.cur = outFrame{}
 				continue
@@ -231,7 +254,7 @@ func (c *Fabric) writeLoop(l *Link) {
 			calib, took := clock.Between(writeStart, end), clock.Between(start, end)
 			r.finish(of, took, calib, err == nil)
 			if err == nil {
-				r.node.observeWrite(l.peer, r.index, of.size(), took)
+				r.observeWrite(l.peer, of.size(), took)
 			}
 			l.cur = outFrame{} // drop the sender's buffers
 			if err != nil && err != ErrClosing {
@@ -259,25 +282,28 @@ func (c *Fabric) writeLoop(l *Link) {
 	}
 }
 
-// readLoop decodes frames from the link's transport. A frame with a body
-// is first offered to the node's placer: if it names a destination the
-// body is read straight into it and the placement committed; otherwise —
-// no placer, body-less frame, placement declined — head and body land in
-// one buffer from the node's frame pool, delivered to the sink and
-// recycled if the consumer releases it. Frames read while the rail is
-// killed are discarded (a placed one aborted) — the chaos hook's message
-// loss — and the kill and revival are reported to the health tracker. A
-// stream that ends aborts a placement under way.
+// readLoop decodes frames from the link's transport into the rail's home
+// node, loaded once per frame. A frame with a body is first offered to the
+// home's placer: if it names a destination the body is read straight into
+// it and the placement committed; otherwise — no placer, body-less frame,
+// placement declined — head and body land in one buffer from the home's
+// frame pool, delivered to the sink and recycled if the consumer releases
+// it. Frames read while the rail is killed are discarded (a placed one
+// aborted) — the chaos hook's message loss — and the kill and revival are
+// reported to the health tracker. A stream that ends aborts a placement
+// under way.
 //
 //railvet:hotpath
 func (c *Fabric) readLoop(l *Link) {
 	defer c.readers.Done()
-	r, n := l.rail, l.rail.node
+	r := l.rail
 	for {
 		if err := l.t.Read(l.rprefix[:], true); err != nil {
 			c.readFailed(l, err)
 			return
 		}
+		h := r.home.Load()
+		n := h.node
 		hn := binary.LittleEndian.Uint32(l.rprefix[0:])
 		bn := binary.LittleEndian.Uint32(l.rprefix[4:])
 		if hn == goodbye {
@@ -297,7 +323,7 @@ func (c *Fabric) readLoop(l *Link) {
 				c.readFailed(l, err)
 				return
 			}
-			dst, placed = (*place)(l.peer, r.index, head, int(bn))
+			dst, placed = (*place)(l.peer, h.index, head, int(bn))
 		}
 		var d *fabric.Delivery
 		if dst == nil {
@@ -311,28 +337,28 @@ func (c *Fabric) readLoop(l *Link) {
 			c.readFailed(l, err)
 			return
 		}
-		if n.killed[r.index].Load() || l.t.PeerKilled() {
+		if r.killed.Load() || l.t.PeerKilled() {
 			// Discard: the rail is dead, this frame is the loss. Report
 			// Down once per kill episode.
 			if placed != nil {
 				placed(false)
 			}
-			if n.downHint[r.index].CompareAndSwap(false, true) {
-				n.health.Report(r.index, fabric.RailDown, fmt.Sprintf("rail %d killed", r.index))
+			if r.downHint.CompareAndSwap(false, true) {
+				r.report(fabric.RailDown, fmt.Sprintf("rail %d killed", r.index))
 			}
 			continue
 		}
-		if n.downHint[r.index].Load() && n.downHint[r.index].CompareAndSwap(true, false) {
+		if r.downHint.Load() && r.downHint.CompareAndSwap(true, false) {
 			// Traffic flows again on a revived lane, whichever side
 			// observed the kill. Admin-pinned rails stay Down (Report
 			// respects the pin).
-			n.health.Report(r.index, fabric.RailUp, "rail revived")
+			r.report(fabric.RailUp, "rail revived")
 		}
 		if placed != nil {
 			placed(true)
 			continue
 		}
-		d.From, d.Rail, d.SentAt = l.peer, r.index, c.env.Now()
+		d.From, d.Rail, d.SentAt = l.peer, h.index, c.env.Now()
 		n.deliver(d)
 	}
 }
@@ -366,15 +392,18 @@ func (c *Fabric) lost(l *Link, reason string, recoverable bool) {
 	c.cfg.LinkLost(l, reason, recoverable)
 }
 
-// Index returns the rail number.
-func (r *Rail) Index() int { return r.index }
+// Index returns the rail number in its home node.
+func (r *Rail) Index() int { return r.home.Load().index }
 
 // Profile returns the rail's synthetic profile: zero modeled costs (real
 // costs elapse on the wall clock) with the configured EagerMax.
 func (r *Rail) Profile() *model.Profile { return r.prof }
 
-// State returns the rail's health state.
-func (r *Rail) State() fabric.RailState { return r.node.health.State(r.index) }
+// State returns the rail's health state, as its home's tracker holds it.
+func (r *Rail) State() fabric.RailState {
+	h := r.home.Load()
+	return h.node.health.State(h.index)
+}
 
 func (r *Rail) link(peer int) *Link {
 	r.mu.Lock()
@@ -383,6 +412,19 @@ func (r *Rail) link(peer int) *Link {
 		return nil
 	}
 	return r.links[peer]
+}
+
+// Links returns the rail's current links.
+func (r *Rail) Links() []*Link {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ls []*Link
+	for _, l := range r.links {
+		if l != nil {
+			ls = append(ls, l)
+		}
+	}
+	return ls
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -398,7 +440,7 @@ func (r *Rail) Stats() fabric.Stats {
 // from the throughput EWMA — the live analogue of the modeled NIC
 // busy-until horizon that drives the paper's Fig 2 rail selection.
 func (r *Rail) IdleAt() time.Duration {
-	now := r.node.c.env.Now()
+	now := r.c.env.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pending <= 0 {
@@ -481,7 +523,7 @@ func (r *Rail) post(to int, head, body []byte, done fabric.Completion, wait bool
 		// Refuse at the source: a larger frame would be rejected by the
 		// receiver (or wrap the uint32 prefix past 4 GiB and desync the
 		// stream). Mirrors simnet's MaxMsg panic.
-		r.node.c.panicf("frame of %d bytes exceeds the %d-byte limit", size, maxFrame)
+		r.c.panicf("frame of %d bytes exceeds the %d-byte limit", size, maxFrame)
 	}
 	r.mu.Lock()
 	var l *Link
@@ -490,7 +532,7 @@ func (r *Rail) post(to int, head, body []byte, done fabric.Completion, wait bool
 	}
 	if l == nil {
 		r.mu.Unlock()
-		r.node.c.panicf("node %d has no rail-%d link to node %d", r.node.id, r.index, to)
+		r.c.panicf("node %d has no rail-%d link to node %d", r.node, r.index, to)
 	}
 	// An idle rail (pending counts every frame from here to noteWritten)
 	// has an empty queue and a free token, except for the moment between a
@@ -499,7 +541,7 @@ func (r *Rail) post(to int, head, body []byte, done fabric.Completion, wait bool
 	// Messages/Bytes are counted when the frame is actually written
 	// (noteWritten), so traffic dropped at shutdown is not overstated.
 	r.pending += int64(size) + prefixSize
-	r.stats.LastStart = r.node.c.env.Now()
+	r.stats.LastStart = r.c.env.Now()
 	r.mu.Unlock()
 	if direct {
 		took, ok := r.writeNow(l, head)
@@ -507,7 +549,7 @@ func (r *Rail) post(to int, head, body []byte, done fabric.Completion, wait bool
 		if ok {
 			r.inlineWrites.Add(1)
 			r.noteWritten(size, took, took, true)
-			r.node.observeWrite(l.peer, r.index, size, took)
+			r.observeWrite(l.peer, size, took)
 			return true
 		}
 	}
@@ -548,7 +590,7 @@ func (r *Rail) post(to int, head, body []byte, done fabric.Completion, wait bool
 //
 //railvet:hotpath
 func (r *Rail) writeNow(l *Link, head []byte) (time.Duration, bool) {
-	if r.node.c.closed.Load() || r.node.killed[r.index].Load() || r.throttleFactor() > 1 {
+	if r.c.closed.Load() || r.killed.Load() || r.throttleFactor() > 1 {
 		return 0, false
 	}
 	putPrefix(&l.prefix, len(head), 0)

@@ -21,6 +21,16 @@
 //     the kill flags (discard, report Down, revive on traffic);
 //   - Stats, telemetry, and delivery to the sink or RecvQ.
 //
+// One node may hold rails of several transports. Every rail has an owner
+// and a home. The owner is the core that built it, for good: its
+// goroutines, its transport policies and its transport-local index (what
+// the TCP hello carries, what Link, FailRail and the ring files address).
+// The home is the node the rail serves: its sink, placer, telemetry, frame
+// pool and health tracker, and the index the engine sees. A fabric's rails
+// are at home in their owner's nodes until Join re-homes the rails of
+// several fabrics into one node per id — how fabric.NewMix makes a mixed
+// shm+TCP cluster one rail set. Links and transports stay as they were.
+//
 // The split is the one the Distributed Network Processor makes (PAPERS.md):
 // on-chip and off-chip ports share one packet format and one
 // network-processor interface; only the physical layer and its buffering
@@ -126,9 +136,9 @@ type Config struct {
 	// fabric is open (not a goodbye); recoverable says whether the
 	// transport may re-establish it.
 	LinkLost func(l *Link, reason string, recoverable bool)
-	// RailEnabled runs after Health().Enable on node n cleared its kill
-	// flag of rail.
-	RailEnabled func(n *Node, rail int)
+	// RailEnabled runs after Health().Enable on the rail's home node
+	// cleared its kill flag.
+	RailEnabled func(r *Rail)
 }
 
 // Fabric is the core of a live fabric: its nodes, their rails and links.
@@ -150,33 +160,42 @@ type Fabric struct {
 
 // New builds the core of a fabric; links are added with AddLink.
 func New(env *rt.LiveEnv, cfg Config) *Fabric {
+	c := newCore(env, cfg)
+	for _, n := range c.nodes {
+		for r := 0; n.hosted && r < cfg.Rails; r++ {
+			n.adopt(&Rail{
+				c:     c,
+				node:  n.id,
+				index: r,
+				rate:  cfg.Rate,
+				links: make([]*Link, cfg.Nodes),
+				prof: &model.Profile{
+					Name:          fmt.Sprintf("%s-r%d", cfg.Kind, r),
+					EagerRate:     cfg.Rate,
+					RecvCopyRate:  cfg.Rate,
+					WireBandwidth: cfg.Rate,
+					EagerMax:      cfg.EagerMax,
+				},
+			})
+		}
+	}
+	return c
+}
+
+// newCore builds a core's nodes without rails. Enabling a rail clears its
+// kill flag and runs its owner's RailEnabled, whichever core that is.
+func newCore(env *rt.LiveEnv, cfg Config) *Fabric {
 	c := &Fabric{env: env, cfg: cfg, closing: make(chan struct{})}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{c: c, id: i, hosted: cfg.Local < 0 || i == cfg.Local}
 		if n.hosted {
 			n.recvq = env.NewQueue()
 			n.health = railhealth.New(env, i, cfg.Rails)
-			n.killed = make([]atomic.Bool, cfg.Rails)
-			n.downHint = make([]atomic.Bool, cfg.Rails)
 			n.health.SetOnEnable(func(rail int) {
-				n.killed[rail].Store(false)
-				cfg.RailEnabled(n, rail)
+				r := n.rails[rail]
+				r.killed.Store(false)
+				r.c.cfg.RailEnabled(r)
 			})
-			for r := 0; r < cfg.Rails; r++ {
-				n.rails = append(n.rails, &Rail{
-					node:  n,
-					index: r,
-					rate:  cfg.Rate,
-					links: make([]*Link, cfg.Nodes),
-					prof: &model.Profile{
-						Name:          fmt.Sprintf("%s-r%d", cfg.Kind, r),
-						EagerRate:     cfg.Rate,
-						RecvCopyRate:  cfg.Rate,
-						WireBandwidth: cfg.Rate,
-						EagerMax:      cfg.EagerMax,
-					},
-				})
-			}
 		}
 		c.nodes = append(c.nodes, n)
 	}
@@ -294,8 +313,8 @@ func (c *Fabric) AddLink(owner, peer, r int, t Transport) (prev *Link, ok bool) 
 		prev.dead.Store(true)
 		prev.retire()
 		// Before the new link runs: a failure it sees must come after this.
-		n.killed[r].Store(false)
-		n.health.Report(r, fabric.RailUp, "reconnected")
+		rail.killed.Store(false)
+		rail.report(fabric.RailUp, "reconnected")
 	}
 	go c.writeLoop(l)
 	go c.readLoop(l)
@@ -315,20 +334,21 @@ func (c *Fabric) Link(node, r, peer int) *Link {
 // Links returns every hosted node's current links of rail r.
 func (c *Fabric) Links(r int) []*Link {
 	var ls []*Link
-	for _, n := range c.nodes {
-		if !n.hosted || r < 0 || r >= len(n.rails) {
-			continue
-		}
-		rail := n.rails[r]
-		rail.mu.Lock()
-		for _, l := range rail.links {
-			if l != nil {
-				ls = append(ls, l)
-			}
-		}
-		rail.mu.Unlock()
+	for _, rail := range c.rails(r) {
+		ls = append(ls, rail.Links()...)
 	}
 	return ls
+}
+
+// rails returns every hosted node's rail r.
+func (c *Fabric) rails(r int) []*Rail {
+	var rs []*Rail
+	for _, n := range c.nodes {
+		if n.hosted && r >= 0 && r < len(n.rails) {
+			rs = append(rs, n.rails[r])
+		}
+	}
+	return rs
 }
 
 // Kill is FailRail's shared half: rail r stops carrying frames on every
@@ -336,18 +356,15 @@ func (c *Fabric) Links(r int) []*Link {
 // cut severs each hosted link of the rail the transport's way, and the
 // rail is reported Down everywhere.
 func (c *Fabric) Kill(r int, cut func(*Link)) {
-	for _, n := range c.nodes {
-		if n.hosted && r >= 0 && r < len(n.killed) {
-			n.killed[r].Store(true)
-		}
+	rails := c.rails(r)
+	for _, rail := range rails {
+		rail.killed.Store(true)
 	}
 	for _, l := range c.Links(r) {
 		cut(l)
 	}
-	for _, n := range c.nodes {
-		if n.hosted {
-			n.health.Report(r, fabric.RailDown, fmt.Sprintf("rail %d killed", r))
-		}
+	for _, rail := range rails {
+		rail.report(fabric.RailDown, fmt.Sprintf("rail %d killed", r))
 	}
 }
 
@@ -363,10 +380,8 @@ func (c *Fabric) ThrottleRail(r int, factor float64) {
 	if factor > 1 {
 		bits = math.Float64bits(factor)
 	}
-	for _, n := range c.nodes {
-		if n.hosted && r >= 0 && r < len(n.rails) {
-			n.rails[r].throttle.Store(bits)
-		}
+	for _, rail := range c.rails(r) {
+		rail.throttle.Store(bits)
 	}
 }
 
@@ -377,7 +392,10 @@ func (c *Fabric) Counters(node, r int) (stalls, parks *atomic.Uint64) {
 	return &rail.stalls, &rail.parks
 }
 
-// Node is one endpoint of a live fabric.
+// Node is one endpoint of a live fabric: its core's rails, by their index
+// (a node Join built holds every part's rails, in part order). It is their
+// home — sink, placer, telemetry, frame pool, tracker — until Join moves
+// them; its core keeps addressing them by their index here.
 type Node struct {
 	c      *Fabric
 	id     int
@@ -385,14 +403,6 @@ type Node struct {
 	rails  []*Rail
 	recvq  rt.Queue
 	health *railhealth.Tracker
-	// killed discards the rail's frames (FailRail); per rail, lock-free,
-	// since writers and readers check it on every frame.
-	killed []atomic.Bool
-	// downHint marks a rail this node reported Down after observing a kill
-	// (locally or through the lane). The reader clears it — reporting the
-	// rail back Up — when frames flow again: arriving traffic is the proof
-	// of revival a peer process's EnableRail cannot deliver any other way.
-	downHint []atomic.Bool
 
 	// frames recycles the contiguous receive frames consumers release.
 	frames fabric.FramePool
@@ -433,17 +443,19 @@ func (n *Node) SetTelemetry(t fabric.Telemetry) {
 	n.teleMu.Unlock()
 }
 
-// observeWrite reports one completed frame write to the telemetry sink,
-// if one is installed and the frame is in the bandwidth regime.
-func (n *Node) observeWrite(peer, rail, bytes int, d time.Duration) {
+// observeWrite reports one completed frame write of the rail to its
+// home's telemetry sink, if one is installed and the frame is in the
+// bandwidth regime.
+func (r *Rail) observeWrite(peer, bytes int, d time.Duration) {
 	if bytes < rateCalibMin || d <= 0 {
 		return
 	}
-	n.teleMu.RLock()
-	t := n.tele
-	n.teleMu.RUnlock()
+	h := r.home.Load()
+	h.node.teleMu.RLock()
+	t := h.node.tele
+	h.node.teleMu.RUnlock()
 	if t != nil {
-		t.ObserveTransfer(peer, rail, bytes, d)
+		t.ObserveTransfer(peer, h.index, bytes, d)
 	}
 }
 
@@ -511,9 +523,6 @@ func (n *Node) Health() fabric.Health {
 	n.mustHost()
 	return n.health
 }
-
-// Killed reports whether FailRail killed the rail on this node.
-func (n *Node) Killed(rail int) bool { return n.killed[rail].Load() }
 
 // Cores returns the configured core count.
 func (n *Node) Cores() int { return n.c.cfg.Cores }

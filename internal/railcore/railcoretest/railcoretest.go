@@ -1,8 +1,9 @@
 // Package railcoretest is the rail core's contract suite: what every live
 // transport over internal/railcore does, written once. Each transport's
 // own tests run every suite function on it (livenet on TCP, shmnet on its
-// rings) under their own test names, and internal/railcore's tests range
-// over Transports. Like testing/fstest it is imported by tests only.
+// rings, internal/railcore on the two joined) under their own test names,
+// and internal/railcore's tests range over Transports. Like testing/fstest
+// it is imported by tests only.
 //
 // Transport-specific behaviour — reconnection, mmap pairs, the ring's wait
 // policy — is tested in the transport's package.
@@ -36,8 +37,8 @@ type Transport struct {
 	// ringBytes sizes shm's rings (0: the default) and means nothing to TCP.
 	hosted func(env *rt.LiveEnv, rails, ringBytes int) (Fabric, error)
 	// pair builds two fabrics hosting one node each, joined like two
-	// processes.
-	pair func(t *testing.T) (f0, f1 Fabric)
+	// processes, on the environments given.
+	pair func(t *testing.T, env0, env1 *rt.LiveEnv) (f0, f1 Fabric)
 }
 
 var (
@@ -49,8 +50,13 @@ var (
 	TCP = Transport{"tcp", func(env *rt.LiveEnv, rails, _ int) (Fabric, error) {
 		return live(livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: rails}))
 	}, tcpPair}
+	// Joined is both, joined by fabric.NewMix into one rail set: hosted, one
+	// shm rail (rail 0, rings of ringBytes) and one TCP rail (rail 1),
+	// whatever the rail count asked for; as a pair, each side's two
+	// distributed fabrics joined.
+	Joined = Transport{"joined", joinedHosted, joinedPair}
 	// Transports is every live transport.
-	Transports = []Transport{SHM, TCP}
+	Transports = []Transport{SHM, TCP, Joined}
 )
 
 // live keeps a failed constructor's nil pointer out of the interface.
@@ -75,14 +81,62 @@ func (tr Transport) Open(tb testing.TB, rails, ringBytes int) (*rt.LiveEnv, Fabr
 	return env, f
 }
 
-func shmPair(t *testing.T) (Fabric, Fabric) {
+// Pair builds two fabrics of the transport hosting one node each, joined
+// like two processes, on env0 and env1; they close when the test ends.
+func (tr Transport) Pair(t *testing.T, env0, env1 *rt.LiveEnv) (f0, f1 Fabric) {
+	t.Helper()
+	f0, f1 = tr.pair(t, env0, env1)
+	t.Cleanup(func() { f0.Close(); f1.Close() })
+	return f0, f1
+}
+
+func joinedHosted(env *rt.LiveEnv, _, ringBytes int) (Fabric, error) {
+	shm, err := shmnet.NewHosted(env, shmnet.Config{Nodes: 2, Rails: 1, RingBytes: ringBytes})
+	if err != nil {
+		return nil, err
+	}
+	tcp, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 1})
+	if err != nil {
+		shm.Close()
+		return nil, err
+	}
+	return join(-1, shm, tcp)
+}
+
+func joinedPair(t *testing.T, env0, env1 *rt.LiveEnv) (Fabric, Fabric) {
+	s0, s1 := shmPair(t, env0, env1)
+	t.Cleanup(func() { s0.Close(); s1.Close() })
+	t0, t1 := tcpPair(t, env0, env1)
+	t.Cleanup(func() { t0.Close(); t1.Close() })
+	f0, err0 := join(0, s0, t0)
+	f1, err1 := join(1, s1, t1)
+	if err0 != nil || err1 != nil {
+		t.Fatalf("join: %v / %v", err0, err1)
+	}
+	return f0, f1
+}
+
+// join is fabric.NewMix for the suite's fabrics; it closes them if it fails.
+func join(local int, parts ...fabric.Fabric) (Fabric, error) {
+	f, err := fabric.NewMix(local, parts...)
+	if err != nil {
+		for _, p := range parts {
+			p.Close()
+		}
+		return nil, err
+	}
+	return f.(Fabric), nil
+}
+
+func shmPair(t *testing.T, env0, env1 *rt.LiveEnv) (Fabric, Fabric) {
 	cfg := shmnet.Config{Nodes: 2, Rails: 2, Dir: t.TempDir(), RingBytes: 32 << 10}
+	envs := [2]*rt.LiveEnv{env0, env1}
 	var fs [2]*shmnet.Fabric
 	var errs [2]error
 	var wg sync.WaitGroup
 	for i := range fs {
 		wg.Add(1)
-		go func() { defer wg.Done(); fs[i], errs[i] = shmnet.NewDistributed(rt.NewLive(), i, cfg) }()
+		go func() { defer wg.Done(); fs[i], errs[i] = shmnet.NewDistributed(envs[i], i, cfg) }()
 	}
 	wg.Wait()
 	if errs[0] != nil || errs[1] != nil {
@@ -96,14 +150,14 @@ func shmPair(t *testing.T) (Fabric, Fabric) {
 	return fs[0], fs[1]
 }
 
-func tcpPair(t *testing.T) (Fabric, Fabric) {
+func tcpPair(t *testing.T, env0, env1 *rt.LiveEnv) (Fabric, Fabric) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f0c := make(chan Fabric, 1)
 	go func() {
-		f, err := livenet.NewDistributed(rt.NewLive(), 0, livenet.Config{Nodes: 2, Rails: 2, Listener: ln})
+		f, err := livenet.NewDistributed(env0, 0, livenet.Config{Nodes: 2, Rails: 2, Listener: ln})
 		if err != nil {
 			t.Error(err)
 			f0c <- nil
@@ -111,7 +165,7 @@ func tcpPair(t *testing.T) (Fabric, Fabric) {
 		}
 		f0c <- f
 	}()
-	f1, err := livenet.NewDistributed(rt.NewLive(), 1, livenet.Config{
+	f1, err := livenet.NewDistributed(env1, 1, livenet.Config{
 		Nodes: 2, Rails: 2, Peers: map[int]string{0: ln.Addr().String()},
 	})
 	if err != nil {
@@ -294,7 +348,7 @@ func DirectSinkBypassesRecvQ(t *testing.T, tr Transport) {
 // transport error: the goodbye tells the survivor this was a shutdown,
 // not a death.
 func GracefulPeerCloseIsNotAnError(t *testing.T, tr Transport) {
-	f0, f1 := tr.pair(t)
+	f0, f1 := tr.pair(t, rt.NewLive(), rt.NewLive())
 	defer f1.Close()
 	f0.Close()
 	time.Sleep(200 * time.Millisecond) // let f1's readers observe the goodbye

@@ -173,7 +173,7 @@ func newFabric(env *rt.LiveEnv, cfg Config, local int) *Fabric {
 		LinkLost: func(l *railcore.Link, reason string, _ bool) {
 			l.Report(fabric.RailDown, reason)
 		},
-		RailEnabled: f.enableRail,
+		RailEnabled: reopenRings,
 	})
 	return f
 }
@@ -216,10 +216,10 @@ func (f *Fabric) FailRail(node, rail int) {
 	f.Kill(rail, func(l *railcore.Link) { l.Transport().(*lane).setStatus(ringKilled) })
 }
 
-// enableRail is the health tracker's OnEnable hook (the core cleared the
+// reopenRings is the health tracker's OnEnable hook (the core cleared the
 // kill flag): reopen the rail's rings.
-func (f *Fabric) enableRail(_ *railcore.Node, rail int) {
-	for _, l := range f.Links(rail) {
+func reopenRings(r *railcore.Rail) {
+	for _, l := range r.Links() {
 		ln := l.Transport().(*lane)
 		ln.send.status.CompareAndSwap(ringKilled, ringOpen)
 		ln.recv.status.CompareAndSwap(ringKilled, ringOpen)

@@ -104,7 +104,7 @@ func TestDistributedPairInProcess(t *testing.T) {
 // one process: one mmap-backed shared-memory rail plus two TCP rails,
 // exactly the examples/tcp2proc shape with -shm-rails 1. Covers the
 // ring-file attach handshake, the distributed sampling twin for mixed
-// rail sets, and cross-fabric delivery remapping under -race.
+// rail sets, and the join of both fabrics into one rail set under -race.
 func TestDistributedMixedShmTCPPairInProcess(t *testing.T) {
 	const big = 2 << 20
 	addr := "127.0.0.1:9643"

@@ -54,25 +54,6 @@ var railStateNames = map[fabric.RailState]string{
 	fabric.RailDown:    "down",
 }
 
-// healthTracker resolves the railhealth tracker owning one (node, rail)
-// and the rail's index inside it. On single-substrate fabrics this is
-// the node's tracker itself; on the mixed fabric each sub-fabric keeps
-// its own tracker and the global rail index is offset (shm rails come
-// first). Returns nil for fabrics without a railhealth-backed surface.
-func (c *Cluster) healthTracker(node, rail int) (*railhealth.Tracker, int) {
-	if c.shmFab != nil && c.tcpFab != nil { // mixed: split by rail range
-		if n := c.shmFab.NumRails(); rail < n {
-			t, _ := c.shmFab.Node(node).Health().(*railhealth.Tracker)
-			return t, rail
-		} else {
-			t, _ := c.tcpFab.Node(node).Health().(*railhealth.Tracker)
-			return t, rail - n
-		}
-	}
-	t, _ := c.fab.Node(node).Health().(*railhealth.Tracker)
-	return t, rail
-}
-
 // initClusterMetrics registers the cluster-level families for one hosted
 // node: per-rail traffic and health, plus (once) the per-kind trace
 // event counts. Everything is a func instrument over state the fabrics
@@ -110,12 +91,13 @@ func (c *Cluster) initClusterMetrics(node int) {
 		reg.GaugeFunc("nm_rail_state",
 			"Current rail health: 0 up, 1 suspect, 2 down.",
 			func() float64 { return float64(health.State(r)) }, stateLbl...)
-		if tracker, local := c.healthTracker(node, r); tracker != nil {
+		// One tracker per node, the mixed fabric's included.
+		if tracker, ok := health.(*railhealth.Tracker); ok {
 			for st, name := range railStateNames {
 				st := st
 				reg.CounterFunc("nm_rail_transitions_total",
 					"Times the rail entered a health state (initial Up excluded).",
-					func() uint64 { return tracker.Transitions(local, st) },
+					func() uint64 { return tracker.Transitions(r, st) },
 					metrics.L("node", nodeL, "rail", strconv.Itoa(r), "state", name)...)
 			}
 		}

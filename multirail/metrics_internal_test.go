@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/railhealth"
 	"repro/internal/rt"
 )
 
@@ -30,9 +32,10 @@ func drainRailEvents(q rt.Queue) map[fabric.RailState]int {
 }
 
 // testHealthTransitionMetrics forces a full Suspect → Down → Enable
-// cycle on one rail and checks that the transition counters and the
-// state gauge move exactly as the railhealth event feed says.
-func testHealthTransitionMetrics(t *testing.T, cfg Config) {
+// cycle on one rail through node 0's own tracker and checks that the
+// transition counters and the state gauge move exactly as the railhealth
+// event feed says.
+func testHealthTransitionMetrics(t *testing.T, cfg Config, rail int) {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -40,16 +43,16 @@ func testHealthTransitionMetrics(t *testing.T, cfg Config) {
 	}
 	defer c.Close()
 
-	const node, rail = 0, 0
-	tracker, local := c.healthTracker(node, rail)
-	if tracker == nil {
+	tracker, ok := c.fab.Node(0).Health().(*railhealth.Tracker)
+	if !ok {
 		t.Fatalf("fabric %q has no railhealth tracker", c.FabricKind())
 	}
 	q := tracker.Subscribe()
 
+	railL := strconv.Itoa(rail)
 	transitions := func(state string) uint64 {
 		m := c.MetricsSnapshot().Find("nm_rail_transitions_total",
-			metrics.L("node", "0", "rail", "0", "state", state)...)
+			metrics.L("node", "0", "rail", railL, "state", state)...)
 		if m == nil {
 			t.Fatalf("nm_rail_transitions_total{state=%q} missing", state)
 		}
@@ -57,7 +60,7 @@ func testHealthTransitionMetrics(t *testing.T, cfg Config) {
 	}
 	stateGauge := func() float64 {
 		m := c.MetricsSnapshot().Find("nm_rail_state",
-			metrics.L("node", "0", "rail", "0")...)
+			metrics.L("node", "0", "rail", railL)...)
 		if m == nil {
 			t.Fatal("nm_rail_state missing")
 		}
@@ -68,16 +71,16 @@ func testHealthTransitionMetrics(t *testing.T, cfg Config) {
 	}
 
 	// Fault observed → bounded recovery running → recovery exhausted.
-	tracker.Report(local, fabric.RailSuspect, "test: transport fault")
+	tracker.Report(rail, fabric.RailSuspect, "test: transport fault")
 	if g := stateGauge(); g != float64(fabric.RailSuspect) {
 		t.Fatalf("after Suspect: nm_rail_state = %v, want %d", g, fabric.RailSuspect)
 	}
-	tracker.Report(local, fabric.RailDown, "test: recovery exhausted")
+	tracker.Report(rail, fabric.RailDown, "test: recovery exhausted")
 	if g := stateGauge(); g != float64(fabric.RailDown) {
 		t.Fatalf("after Down: nm_rail_state = %v, want %d", g, fabric.RailDown)
 	}
 	// Repair: the rail returns to Up.
-	tracker.Enable(local)
+	tracker.Enable(rail)
 	if g := stateGauge(); g != float64(fabric.RailUp) {
 		t.Fatalf("after Enable: nm_rail_state = %v, want %d", g, fabric.RailUp)
 	}
@@ -102,7 +105,7 @@ func testHealthTransitionMetrics(t *testing.T, cfg Config) {
 }
 
 func TestHealthTransitionMetricsSim(t *testing.T) {
-	testHealthTransitionMetrics(t, Config{})
+	testHealthTransitionMetrics(t, Config{}, 0)
 }
 
 func TestHealthTransitionMetricsTCP(t *testing.T) {
@@ -111,7 +114,42 @@ func TestHealthTransitionMetricsTCP(t *testing.T) {
 	}
 	testHealthTransitionMetrics(t, Config{
 		Fabric: FabricTCP, Nodes: 2, TCPRails: 2, SamplingMax: 64 << 10,
-	})
+	}, 0)
+}
+
+// On the mixed fabric the TCP rail (rail 1, after the shm rail) lives in
+// the node's one tracker, under its own index.
+func TestHealthTransitionMetricsMixed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock fabric")
+	}
+	testHealthTransitionMetrics(t, Config{
+		Fabric: FabricTCP, Nodes: 2, ShmRails: 1, TCPRails: 1, SamplingMax: 64 << 10,
+	}, 1)
+}
+
+// A mixed cluster's rails share one health tracker per node, which
+// publishes a transition before the call that caused it returns: the Down
+// event of DisableRail is already queued for every subscriber, with no
+// forwarding goroutine in between.
+func TestMixedHealthPublishesSynchronously(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock fabric")
+	}
+	c, err := New(Config{Fabric: FabricTCP, Nodes: 2, ShmRails: 1, TCPRails: 1, SamplingMax: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := c.fab.Node(0).Health().Subscribe()
+	c.DisableRail(1)
+	item, ok := q.TryPop()
+	if !ok {
+		t.Fatal("no health event queued when DisableRail returned")
+	}
+	if ev := item.(*fabric.RailEvent); ev.Node != 0 || ev.Rail != 1 || ev.State != fabric.RailDown {
+		t.Fatalf("first event %+v, want node 0 rail 1 down", ev)
+	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

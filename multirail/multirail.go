@@ -34,7 +34,9 @@ package multirail
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -297,10 +299,9 @@ type Cluster struct {
 	sim      *rt.SimEnv // nil when live
 	live     *rt.LiveEnv
 	fab      fabric.Fabric
-	tcpFab   *livenet.Fabric // the TCP substrate, when one exists
-	shmFab   *shmnet.Fabric  // the shm substrate, when one exists
-	kinds    []string        // per-rail kind ("shm", "tcp", or a profile name)
-	engines  []*core.Engine  // indexed by node id; nil when not hosted
+	listen   string         // the TCP rails' accept address, when there are any
+	kinds    []string       // per-rail kind ("shm", "tcp", or a profile name)
+	engines  []*core.Engine // indexed by node id; nil when not hosted
 	profiles []*sampling.RailProfile
 
 	metricsReg  *metrics.Registry     // always built; exporter optional
@@ -367,9 +368,6 @@ func New(cfg Config) (*Cluster, error) {
 			CoresPerNode: cfg.CoresPerNode,
 			TimeScale:    cfg.TimeScale,
 		})
-		for _, p := range cfg.Rails {
-			c.kinds = append(c.kinds, p.Name)
-		}
 	case FabricTCP, FabricShm:
 		// A stalling shm ring is backpressure worth a flight-recorder
 		// dump: the ring around the stall shows which messages filled it.
@@ -377,24 +375,20 @@ func New(cfg Config) (*Cluster, error) {
 			c.flight.NoteAnomaly(c.env.Now(), c.Local(),
 				"shm ring stall: rail "+strconv.Itoa(rail))
 		}
-		c.fab, c.shmFab, c.tcpFab, err = buildLiveFabric(c.live, cfg, kind, onStall)
-		if err == nil {
-			if c.shmFab != nil {
-				for r := 0; r < c.shmFab.NumRails(); r++ {
-					c.kinds = append(c.kinds, "shm")
-				}
-			}
-			if c.tcpFab != nil {
-				for r := 0; r < c.tcpFab.NumRails(); r++ {
-					c.kinds = append(c.kinds, "tcp")
-				}
-			}
-		}
+		c.fab, c.listen, err = buildLiveFabric(c.live, cfg, kind, onStall)
 	default:
 		err = fmt.Errorf("multirail: unknown fabric %q", kind)
 	}
 	if err != nil {
 		return nil, err
+	}
+	hosted := c.fab.Node(max(c.Local(), 0))
+	for r := 0; r < c.fab.NumRails(); r++ {
+		name := hosted.Rail(r).Profile().Name
+		if kind != FabricSim {
+			name, _, _ = strings.Cut(name, "-r") // a live rail's profile is "<kind>-r<index>"
+		}
+		c.kinds = append(c.kinds, name)
 	}
 	if c.profiles, err = c.sampleProfiles(kind); err != nil {
 		c.fab.Close()
@@ -498,15 +492,22 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // buildLiveFabric constructs the wall-clock byte-moving substrate:
-// shared-memory rails, TCP rails, or both mixed into one heterogeneous
-// rail set (shm rails first). Exactly the sub-fabrics that exist are
-// returned alongside the combined one.
-func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail int)) (fabric.Fabric, *shmnet.Fabric, *livenet.Fabric, error) {
-	var (
-		shmF *shmnet.Fabric
-		tcpF *livenet.Fabric
-		err  error
-	)
+// shared-memory rails, TCP rails, or both joined into one heterogeneous
+// rail set (shm rails first). It also returns the TCP rails' accept
+// address ("" without TCP rails).
+func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail int)) (f fabric.Fabric, listen string, err error) {
+	var parts []fabric.Fabric
+	defer func() {
+		if err != nil {
+			for _, p := range parts {
+				p.Close()
+			}
+		}
+	}()
+	local := -1
+	if cfg.Distributed {
+		local = cfg.LocalNode
+	}
 	if kind == FabricShm || cfg.ShmRails > 0 {
 		scfg := shmnet.Config{
 			Nodes:        cfg.Nodes,
@@ -517,14 +518,16 @@ func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail
 			Dir:          cfg.ShmDir,
 			OnStall:      onStall,
 		}
+		var shmF *shmnet.Fabric
 		if cfg.Distributed {
-			shmF, err = shmnet.NewDistributed(env, cfg.LocalNode, scfg)
+			shmF, err = shmnet.NewDistributed(env, local, scfg)
 		} else {
 			shmF, err = shmnet.NewHosted(env, scfg)
 		}
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, "", err
 		}
+		parts = append(parts, shmF)
 	}
 	if kind == FabricTCP {
 		lcfg := livenet.Config{
@@ -535,36 +538,23 @@ func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail
 			ListenAddr:   cfg.ListenAddr,
 			Peers:        cfg.Peers,
 		}
+		var tcpF *livenet.Fabric
 		if cfg.Distributed {
-			tcpF, err = livenet.NewDistributed(env, cfg.LocalNode, lcfg)
+			tcpF, err = livenet.NewDistributed(env, local, lcfg)
 		} else {
 			tcpF, err = livenet.NewLoopback(env, lcfg)
 		}
 		if err != nil {
-			if shmF != nil {
-				shmF.Close()
-			}
-			return nil, nil, nil, err
+			return nil, "", err
 		}
+		parts = append(parts, tcpF)
+		listen = tcpF.LocalAddr()
 	}
-	switch {
-	case shmF != nil && tcpF != nil:
-		local := -1
-		if cfg.Distributed {
-			local = cfg.LocalNode
-		}
-		mixed, merr := fabric.NewMix(local, shmF, tcpF)
-		if merr != nil {
-			shmF.Close()
-			tcpF.Close()
-			return nil, nil, nil, merr
-		}
-		return mixed, shmF, tcpF, nil
-	case shmF != nil:
-		return shmF, shmF, nil, nil
-	default:
-		return tcpF, nil, tcpF, nil
+	if len(parts) == 1 {
+		return parts[0], listen, nil
 	}
+	f, err = fabric.NewMix(local, parts...)
+	return f, listen, err
 }
 
 // pathGroups assigns each rail to a shared host path for the telemetry
@@ -639,7 +629,7 @@ func (c *Cluster) sampleProfiles(kind string) ([]*sampling.RailProfile, error) {
 	tcfg.Peers = nil
 	tcfg.ListenAddr = ""
 	tcfg.ShmDir = "" // the hosted twin uses heap rings, not the ring files
-	twin, _, _, err := buildLiveFabric(rt.NewLive(), tcfg, kind, nil)
+	twin, _, err := buildLiveFabric(rt.NewLive(), tcfg, kind, nil)
 	if err != nil {
 		return nil, fmt.Errorf("multirail: sampling twin: %w", err)
 	}
@@ -667,25 +657,21 @@ func (c *Cluster) Local() int {
 
 // ListenAddr returns the TCP fabric's accept address (useful with the
 // default ephemeral port); empty for fabrics without TCP rails.
-func (c *Cluster) ListenAddr() string {
-	if c.tcpFab != nil {
-		return c.tcpFab.LocalAddr()
-	}
-	return ""
-}
+func (c *Cluster) ListenAddr() string { return c.listen }
 
 // FabricKind returns the resolved substrate — FabricSim, FabricTCP,
-// FabricShm, or "shm+tcp" for the mixed heterogeneous fabric.
+// FabricShm, or "shm+tcp" when the rails are of both live kinds (the
+// mixed heterogeneous fabric).
 func (c *Cluster) FabricKind() string {
-	if c.shmFab != nil && c.tcpFab != nil {
+	if slices.Contains(c.kinds, "shm") && slices.Contains(c.kinds, "tcp") {
 		return "shm+tcp"
 	}
 	return c.kind
 }
 
-// RailKind returns what rail r is made of: "shm", "tcp", or the modeled
-// profile's name on the simulated fabric. On the mixed fabric the shm
-// rails come first.
+// RailKind returns what rail r is made of, as its profile says: "shm",
+// "tcp", or the modeled profile's name on the simulated fabric. On the
+// mixed fabric the shm rails come first.
 func (c *Cluster) RailKind(rail int) string { return c.kinds[rail] }
 
 // Err returns the first transport error the fabric observed (TCP read
@@ -694,15 +680,8 @@ func (c *Cluster) RailKind(rail int) string { return c.kinds[rail] }
 // on a rail that died is re-planned onto the survivors (see README,
 // "Fault tolerance") — it is the diagnostic for why a rail went Down.
 func (c *Cluster) Err() error {
-	if c.tcpFab != nil {
-		if err := c.tcpFab.Err(); err != nil {
-			return err
-		}
-	}
-	if c.shmFab != nil {
-		if err := c.shmFab.Err(); err != nil {
-			return err
-		}
+	if f, ok := c.fab.(interface{ Err() error }); ok {
+		return f.Err()
 	}
 	return nil
 }
