@@ -151,8 +151,8 @@ func render(b *strings.Builder, addr string, cur metrics.Snapshot, prev *metrics
 	fmt.Fprintf(b, "nmtop — %s — %s\n\n", addr, time.Now().Format("15:04:05"))
 
 	rows := railRows(cur)
-	fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12s %12s %10s %7s %7s %9s %9s\n",
-		"node", "rail", "kind", "state", "frames/s", "bytes/s", "total", "reconn", "stalls", "parks/s", "inline/s")
+	fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12s %12s %10s %7s %7s %9s %9s %9s\n",
+		"node", "rail", "kind", "state", "frames/s", "bytes/s", "total", "reconn", "stalls", "parks/s", "inline/s", "moved/s")
 	nodes := map[int]bool{}
 	for _, r := range rows {
 		nodes[r.node] = true
@@ -166,7 +166,7 @@ func render(b *strings.Builder, addr string, cur metrics.Snapshot, prev *metrics
 		if st := int(value(&cur, "nm_rail_state", sel...)); st >= 0 && st < len(stateNames) {
 			state = stateNames[st]
 		}
-		fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12.0f %12s %10s %7.0f %7.0f %9.0f %9.0f\n",
+		fmt.Fprintf(b, "%-5s %-5s %-5s %-8s %12.0f %12s %10s %7.0f %7.0f %9.0f %9.0f %9.0f\n",
 			nodeL, railL, kind, state,
 			rate(&cur, prev, dt, "nm_rail_frames_total", sel...),
 			stats.SizeLabel(int(rate(&cur, prev, dt, "nm_rail_bytes_total", sel...))),
@@ -174,7 +174,8 @@ func render(b *strings.Builder, addr string, cur metrics.Snapshot, prev *metrics
 			value(&cur, "nm_rail_reconnects_total", sel...),
 			value(&cur, "nm_rail_ring_stalls_total", sel...),
 			rate(&cur, prev, dt, "nm_rail_ring_parks_total", sel...),
-			rate(&cur, prev, dt, "nm_rail_inline_writes_total", sel...))
+			rate(&cur, prev, dt, "nm_rail_inline_writes_total", sel...),
+			rate(&cur, prev, dt, "nm_rail_moved_total", sel...))
 	}
 
 	nodeIDs := make([]int, 0, len(nodes))

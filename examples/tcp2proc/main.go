@@ -22,8 +22,18 @@
 // The client sends a burst of small messages (aggregated into eager
 // containers) followed by a large payload (striped over every rail via
 // RTS/CTS rendezvous); the server verifies both and answers with its own
-// large payload, so data flows in both directions. Both sides print
-// per-rail byte counts, showing that every TCP rail carried traffic.
+// large payload, so data flows in both directions. Then the client
+// streams -bulk 1 MiB messages, four in flight, and the server verifies
+// every one and prints the rate it received them at. Both sides print
+// per-rail byte counts, showing that every TCP rail carried traffic, and
+// for shm rails how many chunk bodies moved: copied once by the receiver,
+// straight from the sender's memory with process_vm_readv, instead of
+// streaming through the ring. A receiver that may not read its peer
+// (Yama ptrace_scope, seccomp) says why, and its bodies stream. Both
+// processes take the same -bulk; -rails 0 leaves only the shm rails:
+//
+//	tcp2proc -role server -rails 0 -shm-rails 1 -shm-dir /tmp/nm2proc -bulk 256
+//	tcp2proc -role client -rails 0 -shm-rails 1 -shm-dir /tmp/nm2proc -bulk 256
 package main
 
 import (
@@ -45,6 +55,11 @@ const (
 	burst    = 8
 	smallSz  = 2 << 10
 	bigSz    = 4 << 20
+
+	tagBulk     = 200 // bulk stream: tags 200..200+bulkWindow-1, one per buffer
+	tagVerified = 9   // server -> client: the bulk stream arrived intact
+	bulkSz      = 1 << 20
+	bulkWindow  = 4
 )
 
 func main() {
@@ -54,6 +69,7 @@ func main() {
 	rails := flag.Int("rails", 2, "number of TCP rails")
 	shmRails := flag.Int("shm-rails", 0, "number of mmap-backed shared-memory rails (both processes must run on one host)")
 	shmDir := flag.String("shm-dir", "", "directory for the shm ring files (required with -shm-rails; same on both sides)")
+	bulk := flag.Int("bulk", 16, "1 MiB messages the client streams after the exchange (same on both sides)")
 	flag.Parse()
 
 	if *shmRails > 0 && *shmDir == "" {
@@ -67,6 +83,9 @@ func main() {
 		TCPRails:    *rails,
 		ShmRails:    *shmRails,
 		ShmDir:      *shmDir,
+	}
+	if *rails == 0 {
+		cfg.Fabric = multirail.FabricShm
 	}
 	var local, remote int
 	switch *role {
@@ -140,6 +159,7 @@ func main() {
 			// dead process cannot fail over).
 			sr.RemoteDone().Wait(ctx)
 		}
+		bulkPhase(ctx, me, local, remote, *bulk)
 	})
 	c.Run()
 
@@ -150,8 +170,87 @@ func main() {
 		st.RdvSent, st.ChunksSent, stats.SizeLabel(int(st.BytesSent)))
 	for r := 0; r < c.Rails(); r++ {
 		rs := c.RailStats(local)[r]
-		fmt.Printf("#   rail %d (%s): %d msgs, %s sent\n", r, c.RailKind(r), rs.Messages, stats.SizeLabel(int(rs.Bytes)))
+		fmt.Printf("#   rail %d (%s): %d msgs, %s sent", r, c.RailKind(r), rs.Messages, stats.SizeLabel(int(rs.Bytes)))
+		if c.RailKind(r) == "shm" {
+			fmt.Printf(", %d bodies moved", rs.Moved)
+			if rs.MoveRefused > 0 {
+				fmt.Printf(", move refused: %s", rs.MoveRefusedReason)
+			}
+		}
+		fmt.Println()
 	}
+}
+
+// bulkPayloads returns the bulk stream's buffers, the same in both
+// processes: the message on tag tagBulk+k carries buffer k.
+func bulkPayloads() [bulkWindow][]byte {
+	var p [bulkWindow][]byte
+	for k := range p {
+		p[k] = make([]byte, bulkSz)
+		rand.New(rand.NewSource(int64(100 + k))).Read(p[k])
+	}
+	return p
+}
+
+// bulkPhase streams n 1 MiB messages from the client to the server, one
+// in flight per tag and buffer, and has the server verify every one and
+// report the rate it received them at. It ends as the exchange before it
+// does: the server sends last and waits for the client's ack, so it does
+// not close — retiring its last acks of the stream unwritten — while the
+// client still waits for them.
+func bulkPhase(ctx multirail.Ctx, me *multirail.Node, local, remote, n int) {
+	if n <= 0 {
+		return
+	}
+	payloads := bulkPayloads()
+	start := time.Now()
+	if local == 1 {
+		var sends [bulkWindow]*multirail.SendRequest
+		for i := 0; i < n; i++ {
+			k := i % bulkWindow
+			if sends[k] != nil {
+				sends[k].Wait(ctx)
+			}
+			sends[k] = me.Isend(remote, tagBulk+uint32(k), payloads[k])
+		}
+		for _, s := range sends {
+			if s != nil {
+				s.RemoteDone().Wait(ctx)
+			}
+		}
+		_, err := me.Recv(ctx, remote, tagVerified, make([]byte, 1))
+		check(err)
+		return
+	}
+	var recvs [bulkWindow]*multirail.RecvRequest
+	var bufs [bulkWindow][]byte
+	verify := func(k int) {
+		got, err := recvs[k].Wait(ctx)
+		check(err)
+		if got != bulkSz || !bytes.Equal(bufs[k], payloads[k]) {
+			check(fmt.Errorf("bulk message on tag %d corrupted (%d bytes)", tagBulk+k, got))
+		}
+	}
+	for i := 0; i < n; i++ {
+		k := i % bulkWindow
+		if recvs[k] != nil {
+			verify(k)
+		} else {
+			bufs[k] = make([]byte, bulkSz)
+		}
+		recvs[k] = me.Irecv(remote, tagBulk+uint32(k), bufs[k])
+	}
+	for k := range recvs {
+		if recvs[k] != nil {
+			verify(k)
+		}
+	}
+	el := time.Since(start)
+	fmt.Printf("# server: verified %d bulk messages of %s in %v: %.0f MB/s\n",
+		n, stats.SizeLabel(bulkSz), el.Round(time.Millisecond), float64(n*bulkSz)/el.Seconds()/1e6)
+	sr := me.Isend(remote, tagVerified, []byte{1})
+	sr.Wait(ctx)
+	sr.RemoteDone().Wait(ctx)
 }
 
 func check(err error) {

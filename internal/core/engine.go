@@ -235,10 +235,13 @@ type unitShard struct {
 }
 
 // pendingRdv is a rendezvous awaiting its CTS, remembering the rail the
-// RTS travelled on so it can be replayed if that rail dies.
+// RTS travelled on so it can be replayed if that rail dies. It is the
+// rendezvous' one sender-side object: once the CTS arrives, the units of a
+// plan of up to len(units) chunks live in it until acknowledged.
 type pendingRdv struct {
-	req  *SendRequest
-	rail int
+	req   *SendRequest
+	rail  int
+	units [2]unit
 }
 
 // key identifies a matching queue.
@@ -703,17 +706,20 @@ func (e *Engine) PlanFor(to, n int) []strategy.Chunk {
 // currently-losing mode's plan (so the loser keeps producing outcomes
 // and can win again). outcome is the mode to train the chooser with,
 // or nil when the result must not train it.
-func (e *Engine) planRdv(to, n int) (chunks []strategy.Chunk, outcome *strategy.Mode) {
+//
+// ps, when not nil, is the caller's scratch: the plan is built in it (see
+// split) and valid until ps is used again.
+func (e *Engine) planRdv(to, n int, ps *planScratch) (chunks []strategy.Chunk, outcome *strategy.Mode) {
 	now := e.env.Now()
 	modeOf := func(chunks []strategy.Chunk) *strategy.Mode {
-		m := strategy.ModeSingle
+		m := &modeSingle
 		if len(chunks) > 1 {
-			m = strategy.ModeSplit
+			m = &modeSplit
 		}
-		return &m
+		return m
 	}
 	if e.tele == nil {
-		chunks = e.cfg.Splitter.Split(n, now, e.railViewsFor(to))
+		chunks = e.split(to, n, now, ps)
 		return chunks, modeOf(chunks)
 	}
 	if pe := e.probeEvery(); pe > 0 {
@@ -748,11 +754,59 @@ func (e *Engine) planRdv(to, n int) (chunks []strategy.Chunk, outcome *strategy.
 			}
 		}
 	}
-	chunks = e.cfg.Splitter.Split(n, now, e.railViewsFor(to))
+	chunks = e.split(to, n, now, ps)
 	if e.cache != nil && len(chunks) > 0 {
 		e.cache.Put(key, telemetry.NewPlan(e.cfg.Splitter.Name(), chunks, n))
 	}
 	return chunks, modeOf(chunks)
+}
+
+// The two modes a plan trains the chooser with, shared read-only so a
+// plan's outcome points at them instead of a fresh copy.
+var modeSingle, modeSplit = strategy.ModeSingle, strategy.ModeSplit
+
+// planScratch is what planning one rendezvous borrows: the rail views and
+// the chunks, before and after capChunks, owned by the work item that runs
+// the CTS step.
+type planScratch struct {
+	views        []strategy.RailView
+	plan, capped []strategy.Chunk
+}
+
+// capChunks bounds each chunk of a plan to `to` by its rail's current
+// limit (fabric.ChunkCapper: a shm rail whose bodies stream through its
+// ring), splitting larger ones on the same rail — in ps's storage when
+// there is one. A plan within its limits is returned as it is.
+func (e *Engine) capChunks(to int, chunks []strategy.Chunk, ps *planScratch) []strategy.Chunk {
+	var dst []strategy.Chunk
+	if ps != nil {
+		dst = ps.capped[:0]
+	}
+	out := strategy.CapChunks(dst, chunks, func(rail int) int {
+		if c, ok := e.node.Rail(rail).(fabric.ChunkCapper); ok {
+			return c.MaxChunk(to)
+		}
+		return 0
+	})
+	if ps != nil && len(out) != len(chunks) {
+		ps.capped = out
+	}
+	return out
+}
+
+// split runs the configured splitter over to's current rail views — in
+// ps's storage when there is one, the plan too when the splitter can
+// append (strategy.Appender).
+func (e *Engine) split(to, n int, now time.Duration, ps *planScratch) []strategy.Chunk {
+	if ps == nil {
+		return e.cfg.Splitter.Split(n, now, e.railViewsFor(to))
+	}
+	ps.views = e.appendRailViews(ps.views[:0], to)
+	if a, ok := e.cfg.Splitter.(strategy.Appender); ok {
+		ps.plan = a.AppendSplit(ps.plan[:0], n, now, ps.views)
+		return ps.plan
+	}
+	return e.cfg.Splitter.Split(n, now, ps.views)
 }
 
 // trace records a timeline event about one of this node's own messages

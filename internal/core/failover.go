@@ -393,7 +393,7 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 // configured splitter over the surviving rails, registering the
 // resulting sub-chunks as fresh outstanding units.
 func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
-	chunks := e.cfg.Splitter.Split(u.size, e.env.Now(), views)
+	chunks := e.capChunks(u.to, e.cfg.Splitter.Split(u.size, e.env.Now(), views), nil)
 	if len(chunks) == 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,5 +163,71 @@ func TestRendezvousCTSFromLatePostedRecv(t *testing.T) {
 				t.Fatalf("%d units outstanding after remote completion", out)
 			}
 		})
+	}
+}
+
+// cappedNode is a live node whose rails report a chunk limit, as a shm
+// rail does whose peer may not copy bodies out of this process
+// (fabric.ChunkCapper), and record the largest body they are handed.
+type cappedNode struct {
+	liveNode
+	max     int
+	biggest *atomic.Int64
+}
+
+type liveNode interface {
+	fabric.Node
+	fabric.DirectNode
+	fabric.ObservableNode
+}
+
+func (n cappedNode) Rail(i int) fabric.Rail { return cappedRail{n.liveNode.Rail(i), n} }
+
+type cappedRail struct {
+	fabric.Rail
+	n cappedNode
+}
+
+func (r cappedRail) MaxChunk(int) int { return r.n.max }
+
+func (r cappedRail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {
+	for b := r.n.biggest.Load(); int64(len(body)) > b && !r.n.biggest.CompareAndSwap(b, int64(len(body))); {
+		b = r.n.biggest.Load()
+	}
+	r.Rail.SendDataV(ctx, to, head, body, done)
+}
+
+// A rendezvous over rails that cap their chunks leaves in chunks no larger
+// than the cap — the plan's share of each rail split on that rail — and
+// arrives whole, acknowledged chunk by chunk. Mutation tried: without the
+// capChunks call in onCTS each rail carries its half in one chunk.
+func TestRendezvousChunksRespectRailCap(t *testing.T) {
+	env := rt.NewLive()
+	f, err := shmnet.NewHosted(env, shmnet.Config{Rails: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const max = 64 << 10
+	var biggest atomic.Int64
+	var eng [2]*Engine
+	for i := range eng {
+		node := cappedNode{f.Node(i).(liveNode), max, &biggest}
+		if eng[i], err = NewEngine(env, node, liveProfiles(t), Config{DirectProgress: true}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng[i].Stop)
+	}
+	payload := make([]byte, 1<<20)
+	rand.New(rand.NewSource(27)).Read(payload)
+	buf := make([]byte, len(payload))
+	rr := eng[1].Irecv(0, 1, buf)
+	sr := eng[0].Isend(1, 1, payload)
+	if n, err := rr.Wait(nil); err != nil || n != len(payload) || !bytes.Equal(buf, payload) {
+		t.Fatalf("recv: n=%d err=%v, or payload corrupted", n, err)
+	}
+	sr.RemoteDone().Wait(nil)
+	if b := biggest.Load(); b == 0 || b > max {
+		t.Fatalf("largest chunk body %d bytes, want at most the rails' cap of %d", b, max)
 	}
 }

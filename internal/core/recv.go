@@ -18,8 +18,11 @@ import (
 // several writers — transport readers placing bodies straight from the
 // ring or socket, workers copying contiguous frames — fill one large
 // message in parallel.
+//
+// A rendezvous' partial lives in its RecvRequest (attachRdv): the receive
+// owns one heap object, whatever the message's size.
 type partial struct {
-	re      *wire.Reassembly
+	re      wire.Reassembly
 	req     *RecvRequest // nil while unexpected
 	from    int
 	tag     uint32
@@ -27,7 +30,8 @@ type partial struct {
 	rdv     bool // announced via RTS (a CTS was sent)
 	ctsRail int  // rail the CTS travelled on (replayed if it dies)
 
-	inflight []wire.Span // ranges being written outside the shard lock
+	inflight  []wire.Span // ranges being written outside the shard lock
+	inflight0 [2]wire.Span
 	// parked holds replays whose missing bytes overlapped an in-flight
 	// range. They are acknowledged on arrival (the bytes are in receiver
 	// memory) and delivered again when a range is released: the write may
@@ -47,8 +51,7 @@ type parkedChunk struct {
 // pa.buf[off:end] outside the shard lock, then releases the range and
 // Marks it (or, aborting, only releases it).
 func (pa *partial) claim(off, end int) bool {
-	gaps := pa.re.Missing(off, end-off)
-	if len(gaps) != 1 || gaps[0] != (wire.Span{Off: off, End: end}) || pa.overlapsInflight(off, end) {
+	if !pa.re.Fresh(off, end-off) || pa.overlapsInflight(off, end) {
 		return false
 	}
 	pa.inflight = append(pa.inflight, wire.Span{Off: off, End: end})
@@ -147,16 +150,24 @@ func (e *Engine) attachRdv(s *flowShard, req *RecvRequest, msgID uint64, total, 
 	if total > len(req.Buf) {
 		return false, fmt.Errorf("core: message of %d bytes exceeds receive buffer %d", total, len(req.Buf))
 	}
-	re, err := wire.NewReassembly(msgID, req.Buf, total)
-	if err != nil {
+	pa := &req.rdv
+	if err := pa.init(msgID, req.Buf, total); err != nil {
 		return false, err
 	}
 	if total == 0 {
 		return true, nil
 	}
-	s.partials[pkey{req.From, msgID}] = &partial{re: re, req: req, from: req.From, tag: req.Tag,
-		buf: req.Buf, rdv: true, ctsRail: ctsRail}
+	pa.req, pa.from, pa.tag, pa.rdv, pa.ctsRail = req, req.From, req.Tag, true, ctsRail
+	s.partials[pkey{req.From, msgID}] = pa
 	return false, nil
+}
+
+// init starts the reassembly of an n-byte message into buf, in place: pa
+// must not be copied afterwards.
+func (pa *partial) init(msgID uint64, buf []byte, n int) error {
+	*pa = partial{buf: buf}
+	pa.inflight = pa.inflight0[:0]
+	return pa.re.Init(msgID, buf, n)
 }
 
 // sendCTS answers a rendezvous on the rail the RTS used. The CTS echoes
@@ -357,12 +368,13 @@ func (e *Engine) deliverEager(from, origin int, p wire.Packet) {
 // placeChunk is the engine's fabric.Placer: a transport reader holding
 // the head of a head+body frame asks where the body goes. A rendezvous
 // chunk whose range can be claimed in the posted receive buffer is
-// placed there — the reader fills req.Buf straight from the ring or
-// socket, the only copy on the receive side — and committed by the
-// returned func: Mark, complete the request if that was the last byte,
-// acknowledge the unit from a pool worker (the reader never blocks on a
-// rail send). Everything else is declined and arrives as a contiguous
-// frame through dispatch: chunks of unknown messages (late replays,
+// placed there — the reader fills req.Buf straight from the ring, the
+// socket or the sender's buffer, the only copy on the receive side — and
+// committed by the returned work item (work.Placed, recycled, so a placed
+// chunk allocates nothing): Mark, complete the request if that was the
+// last byte, acknowledge the unit from a pool worker (the reader never
+// blocks on a rail send). Everything else is declined and arrives as a
+// contiguous frame through dispatch: chunks of unknown messages (late replays,
 // unexpected striped eager), duplicate or partially covered ranges,
 // ranges another writer holds.
 //
@@ -372,7 +384,7 @@ func (e *Engine) deliverEager(from, origin int, p wire.Packet) {
 // req.Buf is harmless — the replay rewrites the same bytes from the
 // sender's one buffer. Replays parked while the claim was held are
 // delivered again on either outcome.
-func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, func(ok bool)) {
+func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, fabric.Placed) {
 	h, rest, err := wire.DecodeHeader(head)
 	if err != nil || h.Kind != wire.KindData || len(rest) != 0 || h.ChunkLen != uint64(n) {
 		return nil, nil
@@ -386,25 +398,35 @@ func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, func(ok
 	if !ok {
 		return nil, nil
 	}
-	return pa.buf[off:end], func(filled bool) {
-		s.mu.Lock()
-		parked := pa.release(off, end)
-		var req *RecvRequest
-		if filled {
-			pa.re.Mark(off, n)
-			req = e.retire(s, pa, from, h)
-		}
-		s.mu.Unlock()
-		if req != nil {
-			e.completeRecv(req, pa, h)
-		}
-		for _, p := range parked {
-			e.deliverChunk(from, p.h, p.payload)
-		}
-		if filled {
-			e.ackNow(progress.ChunkKey(from, h.Tag, h.Offset), from, rail, h)
-		}
+	w := e.getWork(workPlaced, from, rail) // the commit: recycled, not a closure per chunk
+	w.h, w.pa = h, pa
+	return pa.buf[off:end], w
+}
+
+// Placed commits or aborts a placement placeChunk accepted (fabric.Placed)
+// and recycles the item.
+func (w *work) Placed(filled bool) {
+	e, pa, h, from := w.e, w.pa, w.h, w.from
+	off, n := int(h.Offset), int(h.ChunkLen)
+	s := e.flow(from, h.Tag)
+	s.mu.Lock()
+	parked := pa.release(off, off+n)
+	var req *RecvRequest
+	if filled {
+		pa.re.Mark(off, n)
+		req = e.retire(s, pa, from, h)
 	}
+	s.mu.Unlock()
+	if req != nil {
+		e.completeRecv(req, pa, h)
+	}
+	for _, p := range parked {
+		e.deliverChunk(from, p.h, p.payload)
+	}
+	if filled {
+		e.ackNow(progress.ChunkKey(from, h.Tag, h.Offset), from, w.rail, h)
+	}
+	e.putWork(w)
 }
 
 // deliverChunk routes a contiguous chunk frame into its reassembly,
@@ -438,13 +460,12 @@ func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 		}
 		// Unexpected striped eager message: reassemble into a temporary
 		// buffer, matching a posted receive if one exists.
-		buf := make([]byte, h.TotalLen)
-		re, err := wire.NewReassembly(h.MsgID, buf, int(h.TotalLen))
-		if err != nil {
+		pa = new(partial)
+		if err := pa.init(h.MsgID, make([]byte, h.TotalLen), int(h.TotalLen)); err != nil {
 			s.mu.Unlock()
 			return
 		}
-		pa = &partial{re: re, from: from, tag: h.Tag, buf: buf}
+		pa.from, pa.tag = from, h.Tag
 		if req, ok := s.recvs.pop(k); ok {
 			pa.req = req
 			s.matched++

@@ -132,6 +132,9 @@ type RecvRequest struct {
 	done     rt.Event
 	doneSlot rt.LiveEvent // done's storage on a live environment
 
+	// rdv is the reassembly of a rendezvous into Buf (attachRdv).
+	rdv partial
+
 	mu  sync.Mutex
 	n   int
 	err error

@@ -193,7 +193,7 @@ func TestPlacementAbortReleasesClaimAndDeliversParkedReplay(t *testing.T) {
 			t.Errorf("before abort: done=%v claims=%d, want pending with 1 claim", rr.Done().Fired(), rx.InflightClaims())
 		}
 
-		done(false)
+		done.Placed(false)
 		if rr.Done().Fired() || rx.InflightClaims() != 0 {
 			t.Errorf("after abort: done=%v claims=%d, want pending with no claim", rr.Done().Fired(), rx.InflightClaims())
 		}
@@ -205,7 +205,7 @@ func TestPlacementAbortReleasesClaimAndDeliversParkedReplay(t *testing.T) {
 			t.Fatal("released range not placeable again")
 		}
 		copy(dst, payload[:32<<10])
-		done(true)
+		done.Placed(true)
 		n, rerr = rr.Wait(ctx)
 	})
 	env.Run()
@@ -273,7 +273,7 @@ func TestCommitDeliversParkedReplayPastItsRange(t *testing.T) {
 			t.Error("receive completed with a range still in flight")
 		}
 		copy(dst, payload)
-		done(true)
+		done.Placed(true)
 		n, rerr = rr.Wait(ctx)
 	})
 	env.Run()

@@ -352,9 +352,10 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 // itself, and each chunk's unit is its own completion (unit.Fire): a
 // rendezvous starts no goroutine. The simulator keeps a transfer actor per
 // message and an event per chunk, so its modeled descriptor posts occupy
-// that actor and its figures stay what they are. hdr is the work item's
-// scratch for the chunk headers (direct-progress path only).
-func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, hdr *[wire.HeaderSize]byte) {
+// that actor and its figures stay what they are. w is the work item
+// running the step, whose scratch takes the plan and the chunk headers
+// (direct-progress path only; nil otherwise).
+func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 	us := e.unit(peer, msgID)
 	us.mu.Lock()
 	p := us.rdvOut[msgID]
@@ -364,7 +365,13 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, hdr *[wire.HeaderSize
 		return
 	}
 	r := p.req
-	chunks, outcome := e.planRdv(r.To, len(r.Data))
+	var ps *planScratch
+	var hdr *[wire.HeaderSize]byte
+	if w != nil {
+		ps, hdr = &w.plan, &w.hdr
+	}
+	chunks, outcome := e.planRdv(r.To, len(r.Data), ps)
+	chunks = e.capChunks(r.To, chunks, ps)
 	if outcome != nil {
 		e.observeOutcome(r, *outcome, false)
 	}
@@ -374,7 +381,12 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, hdr *[wire.HeaderSize
 	r.addPending(len(chunks))
 	// Register every chunk before the first one is posted: a chunk acked
 	// while its siblings are still unregistered must not fire RemoteDone.
-	units := make([]unit, len(chunks))
+	// The units of a short plan live in the rendezvous' own object.
+	units := p.units[:0]
+	if len(chunks) > len(p.units) {
+		units = make([]unit, 0, len(chunks))
+	}
+	units = units[:len(chunks)]
 	for i, c := range chunks {
 		e.registerChunk(&units[i], r, r.To, c.Rail, c.Offset, c.Size)
 	}

@@ -28,6 +28,7 @@ const (
 	workCTS
 	workOnAck
 	workSendCTS // answer a parked RTS its late receive matched (h: Tag, MsgID)
+	workPlaced  // commit a chunk placed straight into its reassembly (h, pa; not queued)
 )
 
 // work is one delivery's engine step as the progress pool carries it: by
@@ -52,10 +53,14 @@ type work struct {
 	share *work
 	left  atomic.Int32
 
+	// pa is the reassembly a placed chunk's commit marks (workPlaced).
+	pa *partial
+
 	// hdr is where this item's ack or CTS is encoded: fabrics copy short
 	// heads at enqueue, so the scratch is free again when the send call
-	// returns.
-	hdr [wire.HeaderSize]byte
+	// returns. plan is where a CTS step plans its rendezvous.
+	hdr  [wire.HeaderSize]byte
+	plan planScratch
 
 	next *work // free-list link
 }
@@ -87,7 +92,7 @@ func (e *Engine) submitWork(key uint32, kind workKind, from, rail int, h wire.He
 }
 
 func (e *Engine) putWork(w *work) {
-	w.p, w.frame, w.share = wire.Packet{}, nil, nil
+	w.p, w.frame, w.share, w.pa = wire.Packet{}, nil, nil, nil
 	e.workMu.Lock()
 	if e.workFreeN < workFreeMax {
 		w.next, e.workFree, e.workFreeN = e.workFree, w, e.workFreeN+1
@@ -141,7 +146,7 @@ func (w *work) Do(ctx rt.Ctx) {
 	case workRTS:
 		e.handleRTS(ctx, w.from, w.rail, w.h, &w.hdr)
 	case workCTS:
-		e.onCTS(ctx, w.from, w.h.MsgID, &w.hdr)
+		e.onCTS(ctx, w.from, w.h.MsgID, w)
 	case workSendCTS:
 		e.sendCTS(ctx, w.from, w.rail, w.h.Tag, w.h.MsgID, &w.hdr)
 	}

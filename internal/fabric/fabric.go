@@ -31,11 +31,13 @@
 // belong installs a Placer next to its sink (DirectNode.SetPlacer): the
 // transport reader reads the head into a scratch buffer, asks the placer
 // for the body's destination and fills that slice straight from the ring
-// or socket — no frame-sized buffer, no second copy. Fabrics stay
-// ignorant of what the head says. Whatever the placer declines, every
-// body-less frame (eager containers, control messages, one-slice
-// SendData) and every fabric without a placer takes the contiguous path:
-// one Delivery whose Data is head followed by body.
+// or socket — no frame-sized buffer, no second copy — or, on shmnet,
+// straight from the sender's buffer, when the body was large enough to
+// leave the ring (see internal/railcore's Mover). Fabrics stay ignorant of
+// what the head says. Whatever the placer declines, every frame missing a
+// head or a body (eager containers, control messages, SendData's bare
+// body) and every fabric without a placer takes the contiguous path: one
+// Delivery whose Data is head followed by body.
 //
 // Who writes a frame. A send is allowed to finish on the sender's
 // goroutine when that cannot make it wait: on a transport that can write
@@ -125,6 +127,17 @@ type Stats struct {
 	// the rail itself instead of handing them to the rail's writer (shmnet:
 	// a small frame on an idle link). Zero on fabrics whose writes can block.
 	InlineWrites uint64
+	// Moved counts the frames (of Messages) whose body the peer copied
+	// straight from the sender's buffer instead of reading it from the
+	// rail (shmnet: a body at or above the move floor). Zero on fabrics
+	// whose bytes must cross the wire.
+	Moved uint64
+	// MoveRefused counts the rail's links whose peer's bodies cannot be
+	// moved (shmnet over mmap: process_vm_readv refused when the peer
+	// attached), and MoveRefusedReason says why; those bodies stream
+	// through the rail.
+	MoveRefused       uint64
+	MoveRefusedReason string
 }
 
 // RailState is the health of one rail. Rails are a dynamic set: a NIC
@@ -231,7 +244,7 @@ type Rail interface {
 	// SendData streams a rendezvous chunk. The calling actor is blocked
 	// only for the descriptor post; done (may be nil) fires when the
 	// transfer drains and the sender may reuse the buffer. It is
-	// SendDataV with no body.
+	// SendDataV with no head: data is the body.
 	SendData(ctx rt.Ctx, to int, data []byte, done Completion)
 	// SendDataV streams a rendezvous chunk given as head followed by
 	// body, gathering from both slices without coalescing them: the
@@ -254,6 +267,16 @@ type Rail interface {
 // deadlock.
 type TrySender interface {
 	TrySend(to int, data []byte) bool
+}
+
+// ChunkCapper is an optional Rail capability: MaxChunk returns the largest
+// rendezvous chunk worth sending to `to` in one frame right now, or 0 for
+// no limit. A shm rail whose peer cannot copy bodies out of this process
+// streams them through its ring, which a chunk larger than a fraction of
+// the ring would fill by itself; the engine then plans that rail's share
+// as several chunks.
+type ChunkCapper interface {
+	MaxChunk(to int) int
 }
 
 // Completion is how a rail reports that a transfer drained: it calls Fire,
@@ -335,15 +358,26 @@ type DirectNode interface {
 // this frame go?". from and rail identify the link, head is the frame's
 // head (valid only during the call) and bodyLen the number of body bytes
 // that follow. It returns the destination — exactly bodyLen bytes the
-// reader may write until it calls done — or a nil dst to decline, in
-// which case the frame is delivered contiguously to the sink.
+// reader may write until it reports the outcome to done — or a nil dst to
+// decline, in which case the frame is delivered contiguously to the sink.
 //
 // The placer runs on the reader goroutine and must not block. For every
-// accepted placement the reader calls done exactly once: done(true)
-// after dst was filled completely, done(false) when the frame was lost
-// mid-body (read error, shutdown, killed rail) and dst holds garbage.
-// done must not block either.
-type Placer func(from, rail int, head []byte, bodyLen int) (dst []byte, done func(ok bool))
+// accepted placement the reader calls done.Placed exactly once:
+// Placed(true) after dst was filled completely, Placed(false) when the
+// frame was lost mid-body (read error, shutdown, killed rail) and dst
+// holds garbage. Placed must not block either. done is an interface so a
+// consumer can answer with an object it recycles rather than a fresh
+// closure per frame.
+type Placer func(from, rail int, head []byte, bodyLen int) (dst []byte, done Placed)
+
+// Placed receives the outcome of one accepted placement (see Placer).
+type Placed interface{ Placed(ok bool) }
+
+// PlacedFunc adapts a function to Placed.
+type PlacedFunc func(ok bool)
+
+// Placed calls f(ok).
+func (f PlacedFunc) Placed(ok bool) { f(ok) }
 
 // PlaceHeadMax bounds the head a reader offers to a Placer (it is read
 // into a per-link scratch buffer of this size); frames with a longer

@@ -96,12 +96,12 @@ func TestPlacerContract(t *testing.T) {
 			outcome := make(chan bool, 4)
 			var decline atomic.Bool
 			dn.SetSink(func(d *fabric.Delivery) { sunk <- d })
-			dn.SetPlacer(func(from, rail int, head []byte, n int) ([]byte, func(bool)) {
+			dn.SetPlacer(func(from, rail int, head []byte, n int) ([]byte, fabric.Placed) {
 				calls <- placeCall{from, rail, n, append([]byte(nil), head...)}
 				if decline.Load() {
 					return nil, nil
 				}
-				return dst, func(ok bool) { outcome <- ok }
+				return dst, fabric.PlacedFunc(func(ok bool) { outcome <- ok })
 			})
 			quiet := func() {
 				t.Helper()
@@ -149,9 +149,9 @@ func TestPlacerContract(t *testing.T) {
 
 			// Abort: the lane dies between the head and the end of the
 			// body — the claim must be handed back, exactly once.
-			dn.SetPlacer(func(from, rail int, head []byte, n int) ([]byte, func(bool)) {
+			dn.SetPlacer(func(from, rail int, head []byte, n int) ([]byte, fabric.Placed) {
 				kill()
-				return make([]byte, n), func(ok bool) { outcome <- ok }
+				return make([]byte, n), fabric.PlacedFunc(func(ok bool) { outcome <- ok })
 			})
 			rail.SendDataV(nil, 1, head, make([]byte, 4<<20), nil)
 			if ok := recv(t, "abort", outcome); ok {

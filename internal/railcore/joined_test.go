@@ -29,6 +29,14 @@ func TestJoinedGracefulPeerCloseIsNotAnError(t *testing.T) {
 	railcoretest.GracefulPeerCloseIsNotAnError(t, joined)
 }
 
+// The mover contract on the joined core's shm rail (rail 0).
+func TestJoinedMovePlaced(t *testing.T)      { railcoretest.MovePlaced(t, joined) }
+func TestJoinedMoveDeclined(t *testing.T)    { railcoretest.MoveDeclined(t, joined) }
+func TestJoinedMoveRailKilled(t *testing.T)  { railcoretest.MoveRailKilled(t, joined) }
+func TestJoinedMoveCloseSweeps(t *testing.T) { railcoretest.MoveCloseSweeps(t, joined) }
+func TestJoinedMoveFloor(t *testing.T)       { railcoretest.MoveFloor(t, joined) }
+func TestJoinedMoveSlotsFull(t *testing.T)   { railcoretest.MoveSlotsFull(t, joined) }
+
 // A join can happen under traffic: in a distributed pair, node 1 sends
 // numbered frames on its shm rail before, during and after node 0 joins
 // its TCP and shm fabrics (TCP first, so the shm rail moves from index 0

@@ -49,8 +49,8 @@ type Rail struct {
 	// stalls counts backpressure episodes on this rail's transports and
 	// parks the times one of their sides gave up yielding and parked (shm:
 	// the ring sides, through Counters); inlineWrites the frames senders
-	// wrote themselves.
-	stalls, parks, inlineWrites atomic.Uint64
+	// wrote themselves; moved the frames whose body a Mover took.
+	stalls, parks, inlineWrites, moved atomic.Uint64
 }
 
 // Link is one endpoint of the stream joining a hosted node to a peer on
@@ -61,6 +61,7 @@ type Link struct {
 	peer int
 	t    Transport
 	tw   TryWriter // t's inline capability; nil when it has none
+	mv   Mover     // t's body mover; nil when it has none
 	out  chan outFrame
 	// stop is closed when the link retires (Close, or a replacement);
 	// retired says so to senders that must not wait on a gone writer.
@@ -202,7 +203,8 @@ func drain(l *Link) {
 // prefix, then head and body written from their own slices — a rendezvous
 // chunk goes from the caller's buffer to the ring or socket uncopied — out
 // of storage the link owns, so a frame allocates nothing. done fires when
-// the frame has been handed over (the live "the DMA drained"). Per-frame
+// the frame has been handed over (the live "the DMA drained"), or, for a
+// body the transport's Mover took, once the peer has copied it. Per-frame
 // timestamps use internal/clock, and one pair of them serves both the
 // occupancy and the rate calibration unless a throttle sleep separates
 // them.
@@ -240,21 +242,38 @@ func (c *Fabric) writeLoop(l *Link) {
 			if l.tw != nil {
 				l.takeProducer()
 			}
-			putPrefix(&l.prefix, of.head.Len(), len(of.body))
-			err := l.t.WriteV(l.prefix[:], of.head.Bytes(), of.body)
+			var err error
+			moved := false
+			if l.mv != nil {
+				if floor := l.mv.MoveFloor(); floor > 0 && len(of.body) >= floor {
+					putPrefix(&l.prefix, of.head.Len()|movedBit, len(of.body))
+					moved, err = l.mv.WriteMove(l.prefix[:], of.head.Bytes(),
+						Move{Body: of.body, link: l, done: of.done, size: of.size(), start: start, calibFrom: writeStart})
+				}
+			}
+			if !moved && err == nil {
+				putPrefix(&l.prefix, of.head.Len(), len(of.body))
+				err = l.t.WriteV(l.prefix[:], of.head.Bytes(), of.body)
+			}
 			if l.tw != nil {
 				l.releaseProducer()
 			}
-			// The rate EWMA calibrates on the raw write only: folding the
-			// throttle sleep in would shrink the rate, stretch the next
-			// sleep, and spiral. Occupancy (took) keeps the full delay. A
-			// failed write is not traffic, and its near-instant failure
-			// must not calibrate the rate.
-			end := clock.Now()
-			calib, took := clock.Between(writeStart, end), clock.Between(start, end)
-			r.finish(of, took, calib, err == nil)
-			if err == nil {
-				r.observeWrite(l.peer, of.size(), took)
+			if moved {
+				// The transport finishes the frame once the peer copied the
+				// body: the completion and the accounting wait for that.
+				r.moved.Add(1)
+			} else {
+				// The rate EWMA calibrates on the raw write only: folding
+				// the throttle sleep in would shrink the rate, stretch the
+				// next sleep, and spiral. Occupancy (took) keeps the full
+				// delay. A failed write is not traffic, and its near-instant
+				// failure must not calibrate the rate.
+				end := clock.Now()
+				calib, took := clock.Between(writeStart, end), clock.Between(start, end)
+				r.finish(of, took, calib, err == nil)
+				if err == nil {
+					r.observeWrite(l.peer, of.size(), took)
+				}
 			}
 			l.cur = outFrame{} // drop the sender's buffers
 			if err != nil && err != ErrClosing {
@@ -283,14 +302,17 @@ func (c *Fabric) writeLoop(l *Link) {
 }
 
 // readLoop decodes frames from the link's transport into the rail's home
-// node, loaded once per frame. A frame with a body is first offered to the
-// home's placer: if it names a destination the body is read straight into
-// it and the placement committed; otherwise — no placer, body-less frame,
-// placement declined — head and body land in one buffer from the home's
-// frame pool, delivered to the sink and recycled if the consumer releases
-// it. Frames read while the rail is killed are discarded (a placed one
-// aborted) — the chaos hook's message loss — and the kill and revival are
-// reported to the health tracker. A stream that ends aborts a placement
+// node, loaded once per frame. A frame with a head and a body is first
+// offered to the home's placer: if it names a destination the body is read
+// straight into it and the placement committed; otherwise — no placer, a
+// frame without head or body, placement declined — head and body land in
+// one buffer from the home's frame pool, delivered to the sink and
+// recycled if the consumer releases it. A moved frame's body is not in the
+// stream: the transport's Mover copies it from the sender's buffer into
+// whichever destination that was, the one copy it takes. Frames read while
+// the rail is killed are discarded (a placed one aborted) — the chaos
+// hook's message loss — and the kill and revival are reported to the
+// health tracker. A stream that ends aborts a placement
 // under way.
 //
 //railvet:hotpath
@@ -310,14 +332,16 @@ func (c *Fabric) readLoop(l *Link) {
 			c.readFailed(l, ErrGoodbye)
 			return
 		}
-		if uint64(hn)+uint64(bn) > maxFrame {
-			c.fail(fmt.Errorf("frame of %d bytes exceeds limit", uint64(hn)+uint64(bn)))
-			c.lost(l, "oversized frame", false)
+		moved := hn&movedBit != 0
+		hn &^= movedBit
+		if uint64(hn)+uint64(bn) > maxFrame || moved && l.mv == nil {
+			c.fail(fmt.Errorf("frame of %d bytes exceeds limit or names a body the transport cannot move", uint64(hn)+uint64(bn)))
+			c.lost(l, "malformed frame", false)
 			return
 		}
 		var head, dst []byte
-		var placed func(ok bool)
-		if place := n.placer.Load(); place != nil && bn > 0 && hn <= fabric.PlaceHeadMax {
+		var placed fabric.Placed
+		if place := n.placer.Load(); place != nil && bn > 0 && hn > 0 && hn <= fabric.PlaceHeadMax {
 			head = l.scratch[:hn]
 			if err := l.t.Read(head, false); err != nil {
 				c.readFailed(l, err)
@@ -330,9 +354,23 @@ func (c *Fabric) readLoop(l *Link) {
 			d = n.frames.Get(int(hn + bn))
 			dst = d.Data[copy(d.Data, head):]
 		}
-		if err := l.t.Read(dst, false); err != nil {
+		var err error
+		if moved {
+			// The stream holds the head, then the body's descriptor: one
+			// copy from the sender's buffer fills dst, placed or not.
+			if head == nil {
+				err = l.t.Read(d.Data[:hn], false)
+				dst = d.Data[hn:]
+			}
+			if err == nil {
+				err = l.mv.ReadMove(dst)
+			}
+		} else {
+			err = l.t.Read(dst, false)
+		}
+		if err != nil {
 			if placed != nil {
-				placed(false)
+				placed.Placed(false)
 			}
 			c.readFailed(l, err)
 			return
@@ -341,7 +379,7 @@ func (c *Fabric) readLoop(l *Link) {
 			// Discard: the rail is dead, this frame is the loss. Report
 			// Down once per kill episode.
 			if placed != nil {
-				placed(false)
+				placed.Placed(false)
 			}
 			if r.downHint.CompareAndSwap(false, true) {
 				r.report(fabric.RailDown, fmt.Sprintf("rail %d killed", r.index))
@@ -355,7 +393,7 @@ func (c *Fabric) readLoop(l *Link) {
 			r.report(fabric.RailUp, "rail revived")
 		}
 		if placed != nil {
-			placed(true)
+			placed.Placed(true)
 			continue
 		}
 		d.From, d.Rail, d.SentAt = l.peer, h.index, c.env.Now()
@@ -414,6 +452,18 @@ func (r *Rail) link(peer int) *Link {
 	return r.links[peer]
 }
 
+// MaxChunk returns the largest rendezvous chunk the rail should carry to
+// peer in one frame (fabric.ChunkCapper): no limit (0) unless the link's
+// transport is a Mover that moves no bodies, whose buffer a larger chunk
+// would fill by itself.
+func (r *Rail) MaxChunk(peer int) int {
+	l := r.link(peer)
+	if l == nil || l.mv == nil || l.mv.MoveFloor() > 0 {
+		return 0
+	}
+	return l.mv.StreamMax()
+}
+
 // Links returns the rail's current links.
 func (r *Rail) Links() []*Link {
 	r.mu.Lock()
@@ -433,6 +483,7 @@ func (r *Rail) Stats() fabric.Stats {
 	st := r.stats
 	r.mu.Unlock()
 	st.Stalls, st.Parks, st.InlineWrites = r.stalls.Load(), r.parks.Load(), r.inlineWrites.Load()
+	st.Moved = r.moved.Load()
 	return st
 }
 
@@ -485,10 +536,11 @@ func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost ti
 	r.post(to, data, nil, nil, true)
 }
 
-// SendData streams a rendezvous chunk; done fires when the frame has been
-// handed to the transport and the sender may reuse the buffer.
+// SendData streams a rendezvous chunk as a head-less frame, data its body
+// — a large one leaves the rail for the transport's Mover; done fires when
+// the sender may reuse the buffer.
 func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
-	r.post(to, data, nil, done, true)
+	r.post(to, nil, data, done, true)
 }
 
 // SendDataV posts head and body as one frame. A frame with neither body
@@ -500,7 +552,9 @@ func (r *Rail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion)
 // own slices, so the body — and a head longer than fabric.PlaceHeadMax —
 // stay aliased until done fires; a shorter head is copied here. Frames
 // with a body go that way on purpose: the two rails of a striped message
-// then copy in parallel on two cores.
+// then copy in parallel on two cores — the writers into the rings, or,
+// for bodies a Mover takes, the peer's two readers out of the sender's
+// buffer.
 //
 //railvet:hotpath
 func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Completion) {

@@ -36,13 +36,29 @@
 // network-processor interface; only the physical layer and its buffering
 // differ.
 //
-// What a transport can block on, and who can wake it, is all that differs
-// between the two: a socket write can block and nothing tells beforehand,
-// so TCP offers no TryWriter and every frame takes the writer; a ring
-// write waits only for space the consumer frees, so small frames on an
-// idle ring are written by their sender. A TCP side is woken by its
-// kernel; a ring side by the other side's nudge, which is why Close
-// calls every transport's Unblock.
+// What a transport can block on, who can wake it, and who copies a body
+// is all that differs between the two. Two optional capabilities say so:
+//
+//   - TryWriter: a socket write can block and nothing tells beforehand,
+//     so TCP offers none and every frame takes the writer; a ring write
+//     waits only for space the consumer frees, so small frames on an idle
+//     ring are written by their sender. The frame's completion fires when
+//     the write returns.
+//   - Mover: a ring's peer can read the sender's memory (the same
+//     process, or another one through process_vm_readv), so a body at or
+//     above the transport's floor does not stream at all: the writer
+//     publishes prefix, head and a descriptor of the body, and the peer's
+//     reader copies the body once, straight into the placed buffer (or a
+//     pool frame). The completion then fires when that copy is done — the
+//     transport calls Move.Finish, once — not when the writer moves on, and
+//     the rail's rate is measured from descriptor to copy. TCP has no
+//     mover: its bytes must cross the socket. A mover that moves nothing
+//     (its peer may not read this process) streams every body, and the
+//     rail then caps the chunks the engine plans at the mover's StreamMax,
+//     so no chunk fills the ring by itself.
+//
+// A TCP side is woken by its kernel; a ring side by the other side's
+// nudge, which is why Close calls every transport's Unblock.
 package railcore
 
 import (
@@ -53,6 +69,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/railhealth"
@@ -69,6 +86,10 @@ const (
 	// goodbye is the head-length sentinel a closing writer sends so the peer
 	// can tell a graceful shutdown (no error) from a death (an error).
 	goodbye = 0xFFFFFFFF
+	// movedBit flags, in the head length, a frame whose body was handed to
+	// a Mover: the stream carries a descriptor of the body in its place.
+	// Heads are below maxFrame, so the bit is otherwise always clear.
+	movedBit = 1 << 31
 	// rateCalibMin is the smallest write that updates the throughput EWMA or
 	// reaches telemetry: tiny frames measure latency, not bandwidth.
 	rateCalibMin = 4 << 10
@@ -110,6 +131,67 @@ type Transport interface {
 // prefix and head together or not at all.
 type TryWriter interface {
 	TryWrite(prefix, head []byte) bool
+}
+
+// Mover is the capability of a transport whose peer can copy a body
+// straight out of the sender's buffer. The link's writer hands it every
+// body of at least MoveFloor bytes; the reader on the other side copies
+// that body once, into the destination its placer names.
+type Mover interface {
+	// MoveFloor returns the smallest body the transport moves, or 0 while
+	// it moves none (its peer could not read this process's memory).
+	MoveFloor() int
+	// StreamMax returns the largest body worth streaming in one frame, a
+	// fraction of the transport's buffer: while MoveFloor is 0 the engine
+	// plans no larger chunk on the link (Rail.MaxChunk).
+	StreamMax() int
+	// WriteMove publishes prefix and head followed by a descriptor of
+	// m.Body instead of the body, waiting for ring space as WriteV does.
+	// taken false means nothing was written: with a nil error — no free
+	// slot for a body small enough to stream — the frame takes WriteV;
+	// with ErrClosing it is dropped. A taken move belongs to the transport, which calls
+	// m.Finish exactly once: when the peer has copied the body, or, the
+	// copy abandoned, when the fabric closes.
+	WriteMove(prefix, head []byte, m Move) (taken bool, err error)
+	// ReadMove reads the descriptor that follows a moved frame's head and
+	// copies the body it names into dst, which is exactly the body's
+	// length, then tells the sender's side.
+	ReadMove(dst []byte) error
+}
+
+// Move is one body handed to a Mover, from its descriptor's publication
+// until the peer's copy. It is passed by value into a slot of the
+// transport's own table, so a moved frame allocates nothing.
+type Move struct {
+	// Body is the bytes to copy; it stays aliased from the sender until
+	// Finish.
+	Body []byte
+
+	link             *Link
+	done             fabric.Completion
+	size             int   // head + body: the frame's traffic
+	start, calibFrom int64 // clock stamps: dequeued; the write began (after any throttle)
+}
+
+// Finish retires a moved frame: copied, it counts as traffic and its
+// rail's rate calibrates on descriptor-to-copy time; either way its
+// posted bytes leave IdleAt and the frame's completion fires — the
+// sender may reuse the body. The transport calls it exactly once per
+// taken move, on whichever goroutine saw the copy end.
+//
+//railvet:hotpath
+func (m Move) Finish(copied bool) {
+	r := m.link.rail
+	var took, calib time.Duration
+	if copied {
+		end := clock.Now()
+		took, calib = clock.Between(m.start, end), clock.Between(m.calibFrom, end)
+		r.observeWrite(m.link.peer, m.size, took)
+	}
+	r.noteWritten(m.size, took, calib, copied)
+	if m.done != nil {
+		m.done.Fire()
+	}
 }
 
 // ErrGoodbye is what a Transport's Read returns when the peer ended the
@@ -293,6 +375,7 @@ func (c *Fabric) AddLink(owner, peer, r int, t Transport) (prev *Link, ok bool) 
 	if l.tw, _ = t.(TryWriter); l.tw != nil {
 		l.tokenWake = make(chan struct{}, 1)
 	}
+	l.mv, _ = t.(Mover)
 	c.mu.Lock()
 	if c.closed.Load() {
 		c.mu.Unlock()
@@ -390,6 +473,17 @@ func (c *Fabric) ThrottleRail(r int, factor float64) {
 func (c *Fabric) Counters(node, r int) (stalls, parks *atomic.Uint64) {
 	rail := c.nodes[node].rails[r]
 	return &rail.stalls, &rail.parks
+}
+
+// MoveRefused records that a hosted node's rail-r link cannot take moved
+// bodies from its peer, and why (shm: process_vm_readv was refused when
+// the peer attached): that peer's bodies stream through the transport.
+func (c *Fabric) MoveRefused(node, r int, reason string) {
+	rail := c.nodes[node].rails[r]
+	rail.mu.Lock()
+	rail.stats.MoveRefused++
+	rail.stats.MoveRefusedReason = reason
+	rail.mu.Unlock()
 }
 
 // Node is one endpoint of a live fabric: its core's rails, by their index

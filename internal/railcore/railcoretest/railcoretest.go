@@ -28,6 +28,9 @@ type Fabric interface {
 	fabric.Fabric
 	fabric.Throttler
 	Err() error
+	// FailRail kills rail r on every hosted node (the transports' chaos
+	// hook).
+	FailRail(node, r int)
 }
 
 // Transport builds the suite's fabrics of one live transport.
@@ -117,15 +120,44 @@ func joinedPair(t *testing.T, env0, env1 *rt.LiveEnv) (Fabric, Fabric) {
 }
 
 // join is fabric.NewMix for the suite's fabrics; it closes them if it fails.
-func join(local int, parts ...fabric.Fabric) (Fabric, error) {
-	f, err := fabric.NewMix(local, parts...)
+func join(local int, parts ...Fabric) (Fabric, error) {
+	subs := make([]fabric.Fabric, len(parts))
+	for i, p := range parts {
+		subs[i] = p
+	}
+	f, err := fabric.NewMix(local, subs...)
 	if err != nil {
 		for _, p := range parts {
 			p.Close()
 		}
 		return nil, err
 	}
-	return f.(Fabric), nil
+	return joinedFabric{f.(joinedCore), parts}, nil
+}
+
+// joinedCore is what fabric.NewMix returns for live fabrics.
+type joinedCore interface {
+	fabric.Fabric
+	fabric.Throttler
+	Err() error
+}
+
+// joinedFabric is a joined core that keeps its parts' chaos hook: the
+// core's rails are the parts' rails, in part order.
+type joinedFabric struct {
+	joinedCore
+	parts []Fabric
+}
+
+// FailRail kills the joined rail r through the part that owns it.
+func (j joinedFabric) FailRail(node, r int) {
+	for _, p := range j.parts {
+		if r < p.NumRails() {
+			p.FailRail(node, r)
+			return
+		}
+		r -= p.NumRails()
+	}
 }
 
 func shmPair(t *testing.T, env0, env1 *rt.LiveEnv) (Fabric, Fabric) {

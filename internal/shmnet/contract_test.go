@@ -21,3 +21,10 @@ func TestThrottleRailSlowsLane(t *testing.T)      { railcoretest.ThrottleRailSlo
 func TestGracefulPeerCloseIsNotAnError(t *testing.T) {
 	railcoretest.GracefulPeerCloseIsNotAnError(t, shm)
 }
+
+func TestMovePlaced(t *testing.T)      { railcoretest.MovePlaced(t, shm) }
+func TestMoveDeclined(t *testing.T)    { railcoretest.MoveDeclined(t, shm) }
+func TestMoveRailKilled(t *testing.T)  { railcoretest.MoveRailKilled(t, shm) }
+func TestMoveCloseSweeps(t *testing.T) { railcoretest.MoveCloseSweeps(t, shm) }
+func TestMoveFloor(t *testing.T)       { railcoretest.MoveFloor(t, shm) }
+func TestMoveSlotsFull(t *testing.T)   { railcoretest.MoveSlotsFull(t, shm) }

@@ -19,7 +19,25 @@
 // Frames stream through the ring in pieces (the producer copies as space
 // frees, the consumer copies as bytes arrive), so a frame larger than
 // the ring still flows — the ring behaves like a socket, not a datagram
-// slot, and the engine's rendezvous chunks need no special casing.
+// slot. Except for large bodies: a rendezvous chunk's body is not copied
+// into the ring and out again. The lane is a railcore.Mover (move.go):
+// only the frame's prefix, head and an 8-byte descriptor of the body
+// travel, and the consumer's reader copies the body once, from the
+// sender's buffer straight into the placed buffer — with copy when both
+// nodes share this process, with process_vm_readv across two. Copies per
+// body byte, then:
+//
+//   - eager containers, control frames, and bodies below the lane's move
+//     floor (32 KiB, never above a quarter of the ring, so a
+//     streamed body cannot fill the ring by itself): two, sender → ring →
+//     destination;
+//   - bodies at or above the floor: one, sender → destination, on the
+//     receiving reader's core — with two rails, two readers copy their
+//     halves of a striped message at once;
+//   - an mmap pair whose reader may not read its peer (process_vm_readv
+//     refused by Yama ptrace_scope or seccomp, probed once per lane): two,
+//     every body streams — in chunks of at most a quarter of the ring,
+//     which the engine plans (lane.StreamMax).
 package shmnet
 
 import (
@@ -37,7 +55,17 @@ const (
 	ringHeadOff   = 0   // consumer cursor (uint64, monotonically grows)
 	ringTailOff   = 64  // producer cursor (uint64, monotonically grows)
 	ringStatusOff = 128 // ring status word (uint32)
-	ringHdrSize   = 192 // data starts here
+	// The move words (mmap pairs; see move.go): moved bodies the consumer
+	// has copied (uint64) and whether it can copy them at all (uint32),
+	// both the consumer's; the producer's pid and the address of its probe
+	// word (uint64 each), written before its first frame, and whether it
+	// revoked its moves at close (uint32), the producer's.
+	ringMoveDoneOff    = 136
+	ringMoveOKOff      = 144
+	ringPidOff         = 152
+	ringProbeOff       = 160
+	ringMoveRevokedOff = 168
+	ringHdrSize        = 192 // data starts here
 )
 
 // Ring status values. The producer side owns transitions to goodbye;
@@ -57,6 +85,14 @@ type ring struct {
 	status *atomic.Uint32
 	data   []byte
 	size   uint64
+
+	// The move words of the shared header (see the layout above).
+	moveDone, producerPid, probeAddr *atomic.Uint64
+	moveOK, moveRevoked              *atomic.Uint32
+	// moves is the producer's table of bodies handed to the consumer:
+	// shared by both lanes of a hosted ring, the producer's own in an mmap
+	// pair.
+	moves moveTable
 
 	region []byte // keeps the backing slice (or mapping) alive
 
@@ -110,11 +146,22 @@ func newRing(region []byte, init bool) *ring {
 		data:   region[ringHdrSize:],
 		size:   uint64(len(region) - ringHdrSize),
 		region: region,
+
+		moveDone:    (*atomic.Uint64)(unsafe.Pointer(&region[ringMoveDoneOff])),
+		moveOK:      (*atomic.Uint32)(unsafe.Pointer(&region[ringMoveOKOff])),
+		moveRevoked: (*atomic.Uint32)(unsafe.Pointer(&region[ringMoveRevokedOff])),
+		producerPid: (*atomic.Uint64)(unsafe.Pointer(&region[ringPidOff])),
+		probeAddr:   (*atomic.Uint64)(unsafe.Pointer(&region[ringProbeOff])),
 	}
 	if init {
 		r.head.Store(0)
 		r.tail.Store(0)
 		r.status.Store(ringOpen)
+		r.moveDone.Store(0)
+		r.moveOK.Store(moveUnprobed)
+		r.moveRevoked.Store(0)
+		r.producerPid.Store(0)
+		r.probeAddr.Store(0)
 	}
 	return r
 }

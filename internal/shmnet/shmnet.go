@@ -38,7 +38,8 @@ type Config struct {
 	// peer's ring files to appear (default 10s).
 	AttachTimeout time.Duration
 	// OnStall, when set, fires once per ring-full backpressure episode
-	// on any of a hosted node's send rings, with the rail index. It is
+	// on any of a hosted node's send rings, with the rail index — the ring
+	// path's only: a moved body never occupies the ring. It is
 	// called from the producer goroutine mid-write, so it must be cheap
 	// and must not block — multirail wires it to the flight recorder's
 	// anomaly dump, which is rate-limited internally.
@@ -89,8 +90,9 @@ type Fabric struct {
 	*railcore.Fabric
 	cfg Config
 
-	mu   sync.Mutex
-	maps []*mapping // mmap regions to release at Close
+	mu    sync.Mutex
+	maps  []*mapping // mmap regions to release at Close
+	swept bool       // a Close finished the moves
 }
 
 // NewHosted builds a fabric hosting all cfg.Nodes in this process,
@@ -109,8 +111,8 @@ func NewHosted(env *rt.LiveEnv, cfg Config) (*Fabric, error) {
 				// wakeups so an idle lane answers its first frame fast.
 				fwd := newRing(alignedRegion(ringRegionSize(cfg.RingBytes)), true).enableWake()
 				rev := newRing(alignedRegion(ringRegionSize(cfg.RingBytes)), true).enableWake()
-				f.attach(j, i, r, fwd, rev)
-				f.attach(i, j, r, rev, fwd)
+				f.attach(j, i, r, fwd, rev, false)
+				f.attach(i, j, r, rev, fwd, false)
 			}
 		}
 	}
@@ -155,9 +157,9 @@ func NewDistributed(env *rt.LiveEnv, local int, cfg Config) (*Fabric, error) {
 			loHi := newRing(m.region(0, ringRegionSize(cfg.RingBytes)), false)
 			hiLo := newRing(m.region(ringRegionSize(cfg.RingBytes), ringRegionSize(cfg.RingBytes)), false)
 			if local == lo {
-				f.attach(local, peer, r, loHi, hiLo)
+				f.attach(local, peer, r, loHi, hiLo, true)
 			} else {
-				f.attach(local, peer, r, hiLo, loHi)
+				f.attach(local, peer, r, hiLo, loHi, true)
 			}
 		}
 	}
@@ -179,25 +181,46 @@ func newFabric(env *rt.LiveEnv, cfg Config, local int) *Fabric {
 }
 
 // attach adds owner's rail-r link to peer over a ring pair: sendR carries
-// owner -> peer traffic, recvR the reverse. The rings count their stalls
-// and parks on the owner's rail.
-func (f *Fabric) attach(owner, peer, r int, sendR, recvR *ring) {
+// owner -> peer traffic, recvR the reverse; remote says the peer is
+// another process (mmap rings). The rings count their stalls and parks on
+// the owner's rail.
+func (f *Fabric) attach(owner, peer, r int, sendR, recvR *ring, remote bool) {
 	stalls, parks := f.Counters(owner, r)
 	sendR.stalls, sendR.writeParks, recvR.readParks = stalls, parks, parks
 	if hook := f.cfg.OnStall; hook != nil {
 		sendR.onStall = func() { hook(r) }
 	}
-	f.AddLink(owner, peer, r, &lane{send: sendR, recv: recvR, abort: f.Closed})
+	ln := &lane{send: sendR, recv: recvR, abort: f.Closed, readAbort: f.Closed, remote: remote,
+		floor: min(MoveFloor, f.cfg.RingBytes/4)}
+	if remote {
+		publishProducer(sendR)
+		// The reader reaps the peer's copies whenever it polls.
+		ln.readAbort = func() bool { ln.reap(); return f.Closed() }
+		ln.refused = func(reason string) { f.MoveRefused(owner, r, reason) }
+	}
+	f.AddLink(owner, peer, r, ln)
 }
 
 // Close tears the fabric down: writers drain and say goodbye, readers
-// join, mappings unmap. Safe to call more than once.
+// join, the moves no reader copied finish uncopied — a peer process's
+// reader may no longer deliver them — and mappings unmap. Safe to call
+// more than once.
 func (f *Fabric) Close() error {
 	err := f.Fabric.Close(nil)
 	f.mu.Lock()
-	maps := f.maps
-	f.maps = nil
+	swept, maps := f.swept, f.maps
+	f.swept, f.maps = true, nil
 	f.mu.Unlock()
+	if swept {
+		return err
+	}
+	for r := 0; r < f.NumRails(); r++ {
+		for _, l := range f.Links(r) {
+			ln := l.Transport().(*lane)
+			ln.revoke()
+			ln.send.moves.sweep()
+		}
+	}
 	for _, m := range maps {
 		m.close()
 	}
@@ -232,6 +255,22 @@ func reopenRings(r *railcore.Rail) {
 type lane struct {
 	send, recv *ring
 	abort      func() bool // the fabric is closing
+	// readAbort is abort for the reader's waits; an mmap lane's also reaps
+	// the peer's copies of moved bodies.
+	readAbort func() bool
+
+	// floor is the smallest body the lane moves (0: none);
+	// remote says the peer is another process.
+	floor  int
+	remote bool
+	// The mmap reader's: whether it probed its peer yet, the peer's pid
+	// once the probe succeeded, and where a refusal is reported.
+	probed  bool
+	peerPid int
+	refused func(reason string)
+
+	// The writer's and the reader's descriptor of a moved body.
+	desc, rdesc [descSize]byte
 }
 
 // WriteV copies prefix, head and body into the send ring, waiting for
@@ -264,10 +303,16 @@ func (ln *lane) Read(dst []byte, atBoundary bool) error {
 	if atBoundary {
 		at = frameBoundary
 	}
-	if ln.recv.read(dst, at, ln.abort) {
-		return nil
+	if !ln.recv.read(dst, at, ln.readAbort) {
+		return railcore.ErrGoodbye
 	}
-	return railcore.ErrGoodbye
+	if ln.remote {
+		if !ln.probed {
+			ln.probePeer()
+		}
+		ln.reap()
+	}
+	return nil
 }
 
 // PeerKilled reports the lane's status word: killed by FailRail in this

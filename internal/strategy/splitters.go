@@ -100,8 +100,15 @@ func (h HeteroSplit) Name() string { return "hetero-split" }
 
 // Split implements Splitter.
 func (h HeteroSplit) Split(n int, now time.Duration, rails []RailView) []Chunk {
+	return h.AppendSplit(nil, n, now, rails)
+}
+
+// AppendSplit implements Appender: Split into dst's storage. The per-rail
+// sizes live on the stack for up to eight rails, so a caller that reuses
+// dst plans without allocating.
+func (h HeteroSplit) AppendSplit(dst []Chunk, n int, now time.Duration, rails []RailView) []Chunk {
 	if n == 0 {
-		return nil
+		return dst
 	}
 	rails = Usable(rails)
 	minChunk := h.MinChunk
@@ -126,7 +133,7 @@ func (h HeteroSplit) Split(n int, now time.Duration, rails []RailView) []Chunk {
 	if capacity(hi) < n {
 		// Estimators can be slightly non-inverting at the boundary; fall
 		// back to the single best rail.
-		return SingleRail{}.Split(n, now, rails)
+		return append(dst, Chunk{Rail: BestRail(n, now, rails), Size: n})
 	}
 	lo := time.Duration(0)
 	iters := h.MaxIter
@@ -142,7 +149,12 @@ func (h HeteroSplit) Split(n int, now time.Duration, rails []RailView) []Chunk {
 		}
 	}
 	// Allocate chunk sizes at the equalising completion time hi.
-	sizes := make([]int, len(rails))
+	var stack [8]int
+	sizes := stack[:0]
+	if len(rails) > len(stack) {
+		sizes = make([]int, 0, len(rails))
+	}
+	sizes = sizes[:len(rails)]
 	total := 0
 	for i := range rails {
 		sizes[i] = h.railCap(&rails[i], now, hi, n)
@@ -181,19 +193,18 @@ func (h HeteroSplit) Split(n int, now time.Duration, rails []RailView) []Chunk {
 		}
 	}
 	// Emit chunks in rail order for deterministic offsets.
-	chunks := make([]Chunk, 0, len(rails))
-	off := 0
+	from, off := len(dst), 0
 	for i := range rails {
 		if sizes[i] == 0 {
 			continue
 		}
-		chunks = append(chunks, Chunk{Rail: rails[i].Index, Offset: off, Size: sizes[i]})
+		dst = append(dst, Chunk{Rail: rails[i].Index, Offset: off, Size: sizes[i]})
 		off += sizes[i]
 	}
-	if len(chunks) == 0 {
-		return SingleRail{}.Split(n, now, rails)
+	if len(dst) == from {
+		return append(dst, Chunk{Rail: BestRail(n, now, rails), Size: n})
 	}
-	return chunks
+	return dst
 }
 
 // railCap returns how many bytes rail r can finish within T of now,

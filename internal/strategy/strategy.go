@@ -118,6 +118,38 @@ type Splitter interface {
 	Split(n int, now time.Duration, rails []RailView) []Chunk
 }
 
+// Appender is a Splitter that can plan into the caller's storage:
+// AppendSplit appends what Split would return to dst. A caller that owns
+// a reusable slice (the engine's work items) then plans a rendezvous
+// without allocating.
+type Appender interface {
+	AppendSplit(dst []Chunk, n int, now time.Duration, rails []RailView) []Chunk
+}
+
+// CapChunks bounds a plan's chunks by their rails' limits: a chunk larger
+// than max(its rail) — 0 is no limit — becomes consecutive chunks of at
+// most that size on the same rail. The result is appended to dst, unless
+// no chunk is over its limit: chunks is then returned as it is.
+func CapChunks(dst, chunks []Chunk, max func(rail int) int) []Chunk {
+	over := false
+	for _, c := range chunks {
+		if m := max(c.Rail); m > 0 && c.Size > m {
+			over = true
+			break
+		}
+	}
+	if !over {
+		return chunks
+	}
+	for _, c := range chunks {
+		for m := max(c.Rail); m > 0 && c.Size > m; c.Offset, c.Size = c.Offset+m, c.Size-m {
+			dst = append(dst, Chunk{Rail: c.Rail, Offset: c.Offset, Size: m})
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
 // Validate checks that chunks exactly cover [0, n) in order. It is used
 // by tests and by the engine in debug builds.
 func Validate(n int, chunks []Chunk) error {

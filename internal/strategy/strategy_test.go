@@ -43,6 +43,30 @@ func TestValidateAcceptsAndRejects(t *testing.T) {
 	}
 }
 
+// CapChunks splits only the chunks over their rail's limit, in place on
+// that rail and in order, and returns an unaffected plan as it is.
+func TestCapChunks(t *testing.T) {
+	max := func(rail int) int { return []int{0, 3}[rail] }
+	plan := []Chunk{{0, 0, 5}, {1, 5, 7}}
+	got := CapChunks(nil, plan, max)
+	want := []Chunk{{0, 0, 5}, {1, 5, 3}, {1, 8, 3}, {1, 11, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("capped plan %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("capped plan %v, want %v", got, want)
+		}
+	}
+	if err := Validate(12, got); err != nil {
+		t.Fatal(err)
+	}
+	fits := []Chunk{{0, 0, 9}, {1, 9, 3}}
+	if got := CapChunks(make([]Chunk, 0, 8), fits, max); &got[0] != &fits[0] {
+		t.Fatalf("a plan within its limits was rebuilt: %v", got)
+	}
+}
+
 func TestSingleRailPicksFastest(t *testing.T) {
 	rails := testbed()
 	// Large message: Myri-10G (rail 0) has the higher bandwidth.

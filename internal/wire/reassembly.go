@@ -12,6 +12,10 @@ import (
 // acknowledged, so the same byte range can legitimately arrive twice
 // (with identical bytes, both copies coming from the sender's buffer);
 // only out-of-range chunks are rejected.
+//
+// A Reassembly may live inside its owner (Init) and must not be copied
+// once initialised: its span set starts in storage of its own, so the
+// ranges of a message striped over two rails grow nothing.
 type Reassembly struct {
 	msgID    uint64
 	buf      []byte
@@ -19,6 +23,7 @@ type Reassembly struct {
 	received int
 	chunks   int
 	seen     []span // sorted, non-overlapping, merged
+	seen0    [2]span
 }
 
 type span struct{ off, end int }
@@ -26,10 +31,21 @@ type span struct{ off, end int }
 // NewReassembly starts reassembling a message of totalLen bytes into buf
 // (which must be at least totalLen long).
 func NewReassembly(msgID uint64, buf []byte, totalLen int) (*Reassembly, error) {
-	if totalLen < 0 || len(buf) < totalLen {
-		return nil, fmt.Errorf("wire: reassembly buffer %d < total %d", len(buf), totalLen)
+	r := new(Reassembly)
+	if err := r.Init(msgID, buf, totalLen); err != nil {
+		return nil, err
 	}
-	return &Reassembly{msgID: msgID, buf: buf, total: totalLen}, nil
+	return r, nil
+}
+
+// Init is NewReassembly in place, for a Reassembly embedded in its owner.
+func (r *Reassembly) Init(msgID uint64, buf []byte, totalLen int) error {
+	if totalLen < 0 || len(buf) < totalLen {
+		return fmt.Errorf("wire: reassembly buffer %d < total %d", len(buf), totalLen)
+	}
+	*r = Reassembly{msgID: msgID, buf: buf, total: totalLen}
+	r.seen = r.seen0[:0]
+	return nil
 }
 
 // MsgID returns the message being reassembled.
@@ -69,8 +85,14 @@ func (r *Reassembly) merge(s span) {
 			merged.end = r.seen[j].end
 		}
 	}
-	out := append(r.seen[:i:i], merged)
-	r.seen = append(out, r.seen[j:]...)
+	if j == i { // nothing absorbed: insert at i
+		r.seen = append(r.seen, span{})
+		copy(r.seen[i+1:], r.seen[i:])
+		r.seen[i] = merged
+	} else { // seen[i:j] absorbed into one span
+		r.seen[i] = merged
+		r.seen = append(r.seen[:i+1], r.seen[j:]...)
+	}
 	r.received += fresh
 }
 
@@ -137,6 +159,17 @@ func (r *Reassembly) Missing(offset, n int) []Span {
 		out = append(out, Span{at, end})
 	}
 	return out
+}
+
+// Fresh reports whether all of [offset, offset+n) is in the message and
+// still missing — Missing would return it whole — without allocating.
+func (r *Reassembly) Fresh(offset, n int) bool {
+	end := offset + n
+	if offset < 0 || n <= 0 || end > r.total {
+		return false
+	}
+	i := sort.Search(len(r.seen), func(i int) bool { return r.seen[i].end > offset })
+	return i == len(r.seen) || r.seen[i].off >= end
 }
 
 // Total returns the total length of the message being reassembled.

@@ -85,6 +85,12 @@ func (c *Cluster) initClusterMetrics(node int) {
 		reg.CounterFunc("nm_rail_inline_writes_total",
 			"Frames the sender copied into the rail itself, past the writer goroutine (shm rails; 0 elsewhere).",
 			func() uint64 { return rail.Stats().InlineWrites }, lbl...)
+		reg.CounterFunc("nm_rail_moved_total",
+			"Frames whose body the peer copied straight from the sender's buffer, off the ring (shm rails; 0 elsewhere).",
+			func() uint64 { return rail.Stats().Moved }, lbl...)
+		reg.GaugeFunc("nm_rail_move_refused",
+			"Links of the rail whose peer's bodies cannot be moved and stream through the ring: process_vm_readv refused (mmap shm rails; 0 elsewhere).",
+			func() float64 { return float64(rail.Stats().MoveRefused) }, lbl...)
 
 		stateLbl := metrics.L("node", nodeL, "rail", strconv.Itoa(r))
 		health := n.Health()

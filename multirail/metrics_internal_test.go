@@ -234,6 +234,12 @@ func TestMetricsExporterMixedCluster(t *testing.T) {
 			t.Fatalf("nm_rail_frames_total{kind=%q} = %+v, want > 0 (sampling alone crosses every rail)", kind, m)
 		}
 	}
+	if m := snap.Find("nm_rail_moved_total", metrics.L("node", "0", "kind", "shm")...); m == nil || m.Value == 0 {
+		t.Fatalf("nm_rail_moved_total{kind=shm} = %+v, want > 0 (a 1 MiB rendezvous crossed the shm rail)", m)
+	}
+	if m := snap.Find("nm_rail_move_refused", metrics.L("node", "0", "kind", "shm")...); m == nil || m.Value != 0 {
+		t.Fatalf("nm_rail_move_refused{kind=shm} = %+v, want 0 on a hosted rail", m)
+	}
 	if m := snap.Find("nm_engine_events_total", metrics.L("node", "0", "kind", "eager_sent")...); m == nil || m.Value == 0 {
 		t.Fatalf("nm_engine_events_total{kind=eager_sent} = %+v, want > 0", m)
 	}
@@ -272,6 +278,8 @@ func TestMetricsExporterMixedCluster(t *testing.T) {
 		`nm_eager_latency_seconds_bucket{node="0",le=`,
 		"nm_rail_state{",
 		"nm_rail_transitions_total{",
+		"# TYPE nm_rail_moved_total counter",
+		"# TYPE nm_rail_move_refused gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text[:min(len(text), 2000)])

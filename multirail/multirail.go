@@ -193,7 +193,11 @@ type Config struct {
 	// the PIO regime stretches further on a memory path).
 	ShmEagerMax int
 	// ShmRingBytes is each shm ring direction's payload capacity
-	// (default 256 KiB). Larger frames stream through in pieces.
+	// (default 256 KiB). Larger frames stream through in pieces; a
+	// rendezvous chunk body of 32 KiB or more (at most a quarter of the
+	// ring) does not enter the ring at all: the receiver copies it once,
+	// straight from the sender's buffer (across processes with
+	// process_vm_readv).
 	ShmRingBytes int
 	// ShmDir is the directory for the mmap-backed ring files
 	// (Distributed mode with shm rails only). Every process of the
