@@ -2,29 +2,98 @@ package figures
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
-	"repro/internal/stats"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/stats"
+	"repro/internal/workload"
+	"repro/multirail"
 )
 
-// Figures are deterministic but not free; generate each once.
+// Figures are deterministic but not free; generate them once.
 var (
 	once sync.Once
-	f3   *Table
-	f8   *Table
-	f9   *Table
+	all  map[string]*Table
 )
 
 func gen(t *testing.T) (*Table, *Table, *Table) {
 	t.Helper()
-	once.Do(func() {
-		f3 = Fig3()
-		f8 = Fig8()
-		f9 = Fig9()
-	})
-	return f3, f8, f9
+	once.Do(func() { all = All() })
+	return all["fig3"], all["fig8"], all["fig9"]
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden")
+
+// TestFiguresGolden pins every regenerated figure, at full precision, and
+// the three one-way transfers the benchmark reports as
+// simnet.virtual_us_*: the simulator is deterministic, so any byte that
+// moves here means the reproduction changed. After a deliberate change,
+// regenerate with -update and explain the diff.
+func TestFiguresGolden(t *testing.T) {
+	gen(t)
+	var b bytes.Buffer
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if _, err := all[name].WriteDat(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []struct {
+		name string
+		cfg  multirail.Config
+		size int
+	}{
+		{"simnet.virtual_us_hetero_4m", multirail.Config{}, 4 << 20},
+		{"simnet.virtual_us_iso_4m", multirail.Config{Splitter: multirail.IsoSplit()}, 4 << 20},
+		{"simnet.virtual_us_eager_4k", multirail.Config{}, 4 << 10},
+	} {
+		c := newCluster(p.cfg)
+		d := workload.OneWay(c, 0, 1, p.size, 1)[0]
+		c.Close()
+		fmt.Fprintf(&b, "%s %.3f\n", p.name, float64(d)/1e3)
+	}
+	const golden = "testdata/figures.golden"
+	if *update {
+		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("figures differ from %s:\n%s", golden, lineDiff(string(want), b.String()))
+	}
+}
+
+// lineDiff lists the lines that differ between two renderings.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n  - %s\n  + %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }
 
 func seriesByName(t *testing.T, tab *Table, name string) map[float64]float64 {
