@@ -136,7 +136,7 @@ func BenchmarkFig9SmallMessages(b *testing.B) {
 	b.Run("engine", func(b *testing.B) {
 		for _, size := range sizes {
 			b.Run(stats.SizeLabel(size), func(b *testing.B) {
-				c := mustCluster(b, multirail.Config{EagerParallel: true, RecvWorkers: 2})
+				c := mustCluster(b, multirail.Config{EagerParallel: true})
 				virt := median(workload.OneWay(c, 0, 1, size, 3))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("== Eager scheduling policies under multi-flow load ==")
 	run("aggregate (paper)", multirail.Config{})
 	run("greedy (Fig 3)", multirail.Config{GreedyEager: true})
-	run("aggregate+offload", multirail.Config{EagerParallel: true, RecvWorkers: 2})
+	run("aggregate+offload", multirail.Config{EagerParallel: true})
 
 	fmt.Println("\n== Concurrent flows of mixed sizes ==")
 	c, err := multirail.New(multirail.Config{})

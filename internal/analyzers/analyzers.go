@@ -274,14 +274,26 @@ func isIOCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isTransportEnqueue reports whether call hands work to the transport
-// or to another core: a transport write, or a tasklet submission
-// (marcel.Scheduler.SubmitIdle) whose closure will perform one.
+// or to another core: a transport write, or a call handed a function
+// literal — a pool task such as progress.Task{Run: ...} — that will
+// perform one.
 func isTransportEnqueue(info *types.Info, call *ast.CallExpr) bool {
 	if isIOCall(info, call) {
 		return true
 	}
-	fn := calleeFunc(info, call)
-	return fn != nil && fn.Name() == "SubmitIdle" && recvType(fn) != nil
+	for _, arg := range call.Args {
+		found := false
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok && isIOCall(info, c) {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // mutexOp classifies a call as a mutex operation on sync.Mutex or

@@ -8,7 +8,7 @@ import (
 
 // StatsOrder enforces the PR 5 "eager stats before enqueue" fix as a
 // standing rule: in any function that hands a frame to the transport
-// (a fabric Rail send, a net.Conn write, or a tasklet submission that
+// (a fabric Rail send, a net.Conn write, or a pool task submission that
 // will perform one), stats counters must be bumped BEFORE the enqueue.
 // The moment the frame is enqueued, the receiver can process it and
 // its ack can fire RemoteDone on another worker; a counter that lags

@@ -37,6 +37,27 @@ func closureOrdersItself(r *Rail, b []byte) func() {
 	return func() { r.stats.eagerSent.Add(1) }
 }
 
+// Task and Pool mimic a progress pool: the task's closure sends on
+// another core once Submit has handed it over.
+type Task struct{ Run func() }
+
+type Pool struct{}
+
+func (p *Pool) Submit(key uint32, t Task) {}
+
+// bumpAfterHandOff: the hand-off of a task that sends is the enqueue (the
+// parallel eager path).
+func bumpAfterHandOff(p *Pool, r *Rail, b []byte) {
+	p.Submit(1, Task{Run: func() { r.SendEager(0, b) }})
+	r.stats.eagerSent.Add(1) // want "stats counter bumped after the transport enqueue"
+}
+
+// bumpAfterQuietHandOff: a task that sends nothing is no enqueue.
+func bumpAfterQuietHandOff(p *Pool, r *Rail) {
+	p.Submit(1, Task{Run: func() {}})
+	r.stats.eagerSent.Add(1)
+}
+
 func suppressed(r *Rail, b []byte) {
 	r.SendEager(0, b)
 	r.stats.eagerSent.Add(1) //railvet:ignore statsorder fixture: counter is process-local debug only, never compared against acks

@@ -7,9 +7,11 @@
 // (a NIC becomes idle / a rendezvous arrives / an eager packet is about
 // to be emitted) and decides, from the sampled performance profiles and
 // the NICs' and cores' activity, the best combination of transfers; the
-// transfer layer is the fabric (internal/fabric: simnet or livenet) driven directly or
-// through offloaded tasklets (internal/marcel). Event detection is
-// delegated to the progression engine (internal/pioman).
+// transfer layer is the fabric (internal/fabric: simnet, or the live
+// transports of internal/railcore). The fabric detects events and hands
+// each delivery to dispatch, which queues its steps on the progress
+// workers — the roles PIOMan and Marcel's tasklets play for the paper's
+// library.
 //
 // Multicore progression (internal/progress): the engine's state is
 // sharded by flow so concurrent flows never contend on one lock —
@@ -18,8 +20,8 @@
 // pending rendezvous shard by (peer, unit id) hash (a container ack
 // carries no single tag). A per-core worker pool executes all engine
 // work: sends are aggregated off the caller's goroutine through
-// per-destination submit queues flushed by workers, and on live fabrics
-// deliveries are fed to the workers directly (eager packets and RTS on
+// per-destination submit queues flushed by workers, and deliveries are
+// fed to the workers directly (eager packets and RTS on
 // their flow's worker, preserving matching order; chunks of one striped
 // message spread across workers, copying into the receive buffer in
 // parallel).
@@ -55,9 +57,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/marcel"
 	"repro/internal/metrics"
-	"repro/internal/pioman"
 	"repro/internal/progress"
 	"repro/internal/rt"
 	"repro/internal/sampling"
@@ -102,23 +102,15 @@ type Config struct {
 	// preliminary implementation being "still too costly"; the Fig 9
 	// bench turns it on to cross-validate the estimation.
 	EagerParallel bool
-	// Pioman tunes event detection.
-	Pioman pioman.Config
-	// Cores overrides the number of cores (default: cluster setting).
-	Cores int
-	// Workers is the progression/submit worker count (default: Cores).
-	// Every worker is one actor of the engine's progress pool; flushes
-	// and deliveries for distinct flows run on distinct workers.
+	// Workers is the progression/submit worker count (default: the
+	// node's cores). Every worker is one actor of the engine's progress
+	// pool; flushes and deliveries for distinct flows run on distinct
+	// workers.
 	Workers int
 	// Shards is the flow-shard count for the matching/pending/unacked
 	// tables (default: smallest power of two >= 4*Workers, min 8).
 	// Rounded up to a power of two.
 	Shards int
-	// DirectProgress routes deliveries through the progress worker pool
-	// instead of handling them inline on the progression actor: the live
-	// multicore path. Off for the modeled simulator, whose per-delivery
-	// CPU charges belong on the progression actor.
-	DirectProgress bool
 	// Telemetry, when non-nil, turns the adaptive feedback loop on: the
 	// engine records every completed transfer unit into the tracker (on
 	// the progress workers — never on the Isend caller), builds its
@@ -155,9 +147,7 @@ type Config struct {
 // Engine is one node's communication engine.
 type Engine struct {
 	env      rt.Env
-	node     fabric.Node
-	sched    *marcel.Scheduler
-	pm       *pioman.Manager
+	node     directNode
 	profiles []*sampling.RailProfile
 	cfg      Config
 
@@ -204,12 +194,21 @@ type Engine struct {
 	scratch    map[int]*destScratch // per-destination flush scratch
 	sendFrames fabric.FramePool     // eager container frames, recycled on ack
 	// recycle is set when the node's transport copies every frame off the
-	// sender's buffer (the live DirectNode fabrics): only then is a
-	// container's frame free again once its ack arrived. In-memory fabrics
-	// hand the receiver the sender's own slice.
+	// sender's buffer before the peer sees it — a rail that can post a frame
+	// without waiting (fabric.TrySender) writes it into a ring or a socket:
+	// only then is a container's frame free again once its ack arrived. The
+	// simulator hands the receiver the sender's own slice.
 	recycle bool
 
 	stats engineCounters
+}
+
+// directNode is a fabric node that hands its deliveries to a consumer
+// (fabric.DirectNode), as every fabric's nodes do: the engine installs
+// dispatch there, and its workers do the rest.
+type directNode interface {
+	fabric.Node
+	fabric.DirectNode
 }
 
 // flowShard holds one shard of the receiver-side matching state. Every
@@ -330,21 +329,21 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	if len(profiles) != node.NumRails() {
 		return nil, fmt.Errorf("core: %d profiles for %d rails", len(profiles), node.NumRails())
 	}
+	dn, ok := node.(directNode)
+	if !ok {
+		return nil, fmt.Errorf("core: node %T cannot feed the progress workers (fabric.DirectNode)", node)
+	}
 	if cfg.Splitter == nil {
 		cfg.Splitter = strategy.HeteroSplit{}
 	}
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = node.Cores()
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = cores
+		workers = node.Cores()
 	}
 	shards := progress.Shards(cfg.Shards, max(8, 4*workers))
 	e := &Engine{
 		env:      env,
-		node:     node,
+		node:     dn,
 		profiles: profiles,
 		cfg:      cfg,
 		flowMask: uint32(shards - 1),
@@ -408,19 +407,12 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 		e.initMetrics(cfg.Metrics) // after the pool it reports on, before the first delivery
 	}
 	e.sub = progress.NewSubmitter[*SendRequest](e.pool, e.flushDest)
-	e.sched = marcel.New(env, cores)
-	pcfg := cfg.Pioman
-	if cfg.DirectProgress {
-		pcfg.Dispatch = e.dispatch
-	}
-	e.pm = pioman.New(env, node, e.sched, pcfg)
-	e.pm.Start(e.handle)
-	if dn, ok := node.(fabric.DirectNode); ok && cfg.DirectProgress {
-		// Rendezvous chunks land in the posted buffer straight from the
-		// transport reader; everything else still arrives through dispatch.
-		dn.SetPlacer(e.placeChunk)
-		e.recycle = true
-	}
+	_, e.recycle = node.Rail(0).(fabric.TrySender)
+	// Rendezvous chunks land in the posted buffer straight from the
+	// transport reader where the fabric can place them; everything else
+	// arrives through dispatch.
+	dn.SetPlacer(e.placeChunk)
+	dn.SetSink(e.dispatch)
 	e.healthQ = node.Health().Subscribe()
 	env.Go(fmt.Sprintf("nmad-health-%d", node.ID()), e.healthLoop)
 	return e, nil
@@ -428,9 +420,6 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 
 // NodeID returns the node this engine serves.
 func (e *Engine) NodeID() int { return e.node.ID() }
-
-// Scheduler exposes the core scheduler (tests, examples).
-func (e *Engine) Scheduler() *marcel.Scheduler { return e.sched }
 
 // Workers returns the progress-pool worker count.
 func (e *Engine) Workers() int { return e.pool.Size() }
@@ -504,19 +493,17 @@ func (e *Engine) rdvQueued() int {
 	return n
 }
 
-// Stop halts progression and the core workers. In a simulation the
-// parked actors are reclaimed when the simulator closes.
+// Stop halts progression and the workers: later deliveries park in the
+// node's RecvQ. In a simulation the parked actors are reclaimed when the
+// simulator closes.
 func (e *Engine) Stop() {
 	if e.tele != nil {
 		if on, ok := e.node.(fabric.ObservableNode); ok {
 			on.SetTelemetry(nil)
 		}
 	}
-	if dn, ok := e.node.(fabric.DirectNode); ok && e.cfg.DirectProgress {
-		dn.SetPlacer(nil)
-	}
-	e.pm.Stop()
-	e.sched.Shutdown()
+	e.node.SetPlacer(nil)
+	e.node.SetSink(nil)
 	e.pool.Stop()
 	e.healthQ.Push(nil)
 }
@@ -579,7 +566,7 @@ func (e *Engine) probeEvery() int {
 // containers additionally feed the eager observation plane with the
 // ack-leg-compensated round trip (see ackLeg) — the quantity comparable
 // to the sampled eager curve the plane blends with. It runs on the
-// progress worker (or progression actor) handling the ack.
+// progress worker handling the ack.
 func (e *Engine) observeUnit(peer, rail, bytes int, sentAt time.Duration, eager bool) {
 	if sentAt <= 0 {
 		return
@@ -707,8 +694,8 @@ func (e *Engine) PlanFor(to, n int) []strategy.Chunk {
 // and can win again). outcome is the mode to train the chooser with,
 // or nil when the result must not train it.
 //
-// ps, when not nil, is the caller's scratch: the plan is built in it (see
-// split) and valid until ps is used again.
+// ps is the caller's scratch: the plan is built in it (see split) and
+// valid until ps is used again.
 func (e *Engine) planRdv(to, n int, ps *planScratch) (chunks []strategy.Chunk, outcome *strategy.Mode) {
 	now := e.env.Now()
 	modeOf := func(chunks []strategy.Chunk) *strategy.Mode {
@@ -795,12 +782,9 @@ func (e *Engine) capChunks(to int, chunks []strategy.Chunk, ps *planScratch) []s
 }
 
 // split runs the configured splitter over to's current rail views — in
-// ps's storage when there is one, the plan too when the splitter can
-// append (strategy.Appender).
+// ps's storage, the plan too when the splitter can append
+// (strategy.Appender).
 func (e *Engine) split(to, n int, now time.Duration, ps *planScratch) []strategy.Chunk {
-	if ps == nil {
-		return e.cfg.Splitter.Split(n, now, e.railViewsFor(to))
-	}
 	ps.views = e.appendRailViews(ps.views[:0], to)
 	if a, ok := e.cfg.Splitter.(strategy.Appender); ok {
 		ps.plan = a.AppendSplit(ps.plan[:0], n, now, ps.views)

@@ -165,14 +165,11 @@ func (e *Engine) onAck(from int, h wire.Header) {
 // first healthy rail.
 //
 // The ack is encoded into hdr, the caller's scratch (fabrics copy short
-// heads at enqueue); nil allocates one.
+// heads at enqueue).
 //
 //railvet:hotpath
 func (e *Engine) ackUnit(ctx rt.Ctx, from int, id, offset uint64, arrival int, hdr *[wire.HeaderSize]byte) {
 	rail := e.ackRailFor(arrival)
-	if hdr == nil {
-		hdr = new([wire.HeaderSize]byte)
-	}
 	e.node.Rail(rail).SendControl(ctx, from, wire.AppendAck(hdr[:0], uint8(rail), uint32(from), id, offset), 0, 0)
 }
 

@@ -116,8 +116,8 @@ func TestDuplicateEagerContainerIgnored(t *testing.T) {
 	frame := wire.EncodeEagerID(0, 0xC1D, 0, []wire.Packet{{Tag: 3, MsgID: 0xC1D, Payload: []byte("once")}})
 	env.Go("app", func(ctx rt.Ctx) {
 		rr := eng[1].Irecv(0, 3, make([]byte, 8))
-		eng[1].node.RecvQ().Push(&fabric.Delivery{From: 0, Rail: 0, Data: frame})
-		eng[1].node.RecvQ().Push(&fabric.Delivery{From: 0, Rail: 0, Data: frame}) // replay
+		inject(eng[1], 0, frame)
+		inject(eng[1], 0, frame) // replay
 		if n, err := rr.Wait(ctx); err != nil || n != 4 {
 			t.Errorf("first delivery n=%d err=%v", n, err)
 		}

@@ -13,8 +13,8 @@ import (
 
 // gateFabric is a minimal in-memory fabric whose rails can be made to
 // block mid-write toward chosen destinations — the "slow rail" of the
-// flush regression test. Frames are delivered straight to the
-// destination node's receive queue.
+// flush regression test. Frames are handed straight to the destination
+// node's sink.
 type gateFabric struct {
 	env   rt.Env
 	nodes []*gateNode
@@ -26,6 +26,9 @@ type gateNode struct {
 	recvq  rt.Queue
 	health *railhealth.Tracker
 	rails  []*gateRail
+
+	mu   sync.Mutex
+	sink func(*fabric.Delivery)
 }
 
 type gateRail struct {
@@ -55,12 +58,30 @@ func (f *gateFabric) NumRails() int          { return len(f.nodes[0].rails) }
 func (f *gateFabric) Node(i int) fabric.Node { return f.nodes[i] }
 func (f *gateFabric) Close() error           { return nil }
 
-func (n *gateNode) ID() int                { return n.id }
-func (n *gateNode) NumRails() int          { return len(n.rails) }
-func (n *gateNode) Rail(i int) fabric.Rail { return n.rails[i] }
-func (n *gateNode) RecvQ() rt.Queue        { return n.recvq }
-func (n *gateNode) Health() fabric.Health  { return n.health }
-func (n *gateNode) Cores() int             { return 2 }
+func (n *gateNode) ID() int                 { return n.id }
+func (n *gateNode) NumRails() int           { return len(n.rails) }
+func (n *gateNode) Rail(i int) fabric.Rail  { return n.rails[i] }
+func (n *gateNode) RecvQ() rt.Queue         { return n.recvq }
+func (n *gateNode) Health() fabric.Health   { return n.health }
+func (n *gateNode) Cores() int              { return 2 }
+func (n *gateNode) SetPlacer(fabric.Placer) {}
+func (n *gateNode) SetSink(fn func(*fabric.Delivery)) {
+	n.mu.Lock()
+	n.sink = fn
+	n.mu.Unlock()
+}
+
+// deliver hands d to the node's engine, or parks it once the engine stopped.
+func (n *gateNode) deliver(d *fabric.Delivery) {
+	n.mu.Lock()
+	sink := n.sink
+	n.mu.Unlock()
+	if sink == nil {
+		n.recvq.Push(d)
+		return
+	}
+	sink(d)
+}
 
 func (r *gateRail) Index() int              { return r.idx }
 func (r *gateRail) Profile() *model.Profile { return r.prof }
@@ -84,7 +105,7 @@ func (r *gateRail) send(to int, data []byte) {
 	if len(data) <= fabric.PlaceHeadMax {
 		data = append([]byte(nil), data...) // the Rail contract: short frames are copied
 	}
-	r.n.f.nodes[to].recvq.Push(&fabric.Delivery{From: r.n.id, Rail: r.idx, Data: data})
+	r.n.f.nodes[to].deliver(&fabric.Delivery{From: r.n.id, Rail: r.idx, Data: data})
 }
 
 func (r *gateRail) SendEager(ctx rt.Ctx, to int, data []byte) { r.send(to, data) }

@@ -40,10 +40,9 @@ func livePair(tb testing.TB, env *rt.LiveEnv, f fabric.Fabric) [2]*Engine {
 		flight := trace.NewFlightRecorder(0)
 		var err error
 		eng[i], err = NewEngine(env, f.Node(i), liveProfiles(tb), Config{
-			DirectProgress: true,
-			Metrics:        metrics.NewRegistry(),
-			Tracer:         trace.Tee(trace.NewCounts(), flight),
-			Flight:         flight,
+			Metrics: metrics.NewRegistry(),
+			Tracer:  trace.Tee(trace.NewCounts(), flight),
+			Flight:  flight,
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -213,7 +212,7 @@ func TestRendezvousChunksRespectRailCap(t *testing.T) {
 	var eng [2]*Engine
 	for i := range eng {
 		node := cappedNode{f.Node(i).(liveNode), max, &biggest}
-		if eng[i], err = NewEngine(env, node, liveProfiles(t), Config{DirectProgress: true}); err != nil {
+		if eng[i], err = NewEngine(env, node, liveProfiles(t), Config{}); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(eng[i].Stop)

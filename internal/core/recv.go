@@ -174,86 +174,31 @@ func (pa *partial) init(msgID uint64, buf []byte, n int) error {
 // the RTS sender's node id (`to`) as the frame origin — the trace id of
 // the message it clears belongs to that node.
 //
-// Who sends it: on the direct-progress path the caller itself when it may
-// block (a worker handling the RTS, the health actor replaying) — encoded
-// into hdr, its scratch, when it has one — and one queued work item on the
-// flow's worker when it may not (ctx nil: Irecv matching a parked RTS).
-// The simulator keeps a transient actor per CTS: its modeled handshake
-// cost must not occupy the progression actor.
+// Who sends it: the caller itself when it may block (a worker handling the
+// RTS, the health actor replaying) — encoded into hdr, its scratch, when it
+// has one — and one queued work item on the flow's worker when it may not
+// (ctx nil: Irecv matching a parked RTS). The modeled handshake cost
+// occupies whoever sends.
 func (e *Engine) sendCTS(ctx rt.Ctx, to, rail int, tag uint32, msgID uint64, hdr *[wire.HeaderSize]byte) {
-	e.traceFrom(to, trace.CTSSent, msgID, rail, 0, "")
-	if e.cfg.DirectProgress && ctx == nil {
+	if ctx == nil {
 		e.submitWork(progress.FlowKey(to, tag), workSendCTS, to, rail, wire.Header{Tag: tag, MsgID: msgID})
 		return
 	}
+	e.traceFrom(to, trace.CTSSent, msgID, rail, 0, "")
 	var cts []byte
 	if hdr != nil {
 		cts = hdr[:0]
 	}
 	cts = wire.AppendControl(cts, wire.KindCTS, uint8(rail), uint32(to), tag, msgID, 0)
 	prof := e.node.Rail(rail).Profile()
-	if e.cfg.DirectProgress {
-		e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
-		e.settle(ctx, rail)
-		return
-	}
-	e.env.Go("cts", func(ctx rt.Ctx) {
-		e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
-		e.settle(ctx, rail)
-	})
+	e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
+	e.settle(ctx, rail)
 }
 
-// handle is the inline progression handler (the modeled simulator's
-// path): it runs on a pioman actor for every delivery, in arrival
-// order. Eager containers and data chunks are acknowledged back to the
-// sender — duplicates included, since a replay means the sender never
-// saw the first ack — which is what lets the sender retire (or fail
-// over) its outstanding units.
-func (e *Engine) handle(ctx rt.Ctx, d *fabric.Delivery) {
-	h, _, err := wire.DecodeHeader(d.Data)
-	if err != nil {
-		return // corrupt frame: drop (counted nowhere; cannot happen in-process)
-	}
-	switch h.Kind {
-	case wire.KindEager:
-		pkts, err := wire.DecodeEager(d.Data)
-		if err != nil {
-			return
-		}
-		// h.MsgID is the container id. A replayed container (its rail
-		// died after delivery but before the ack crossed) must not
-		// deliver its packets twice.
-		if h.MsgID == 0 || e.seen.Mark(d.From, h.MsgID) {
-			for _, p := range pkts {
-				e.deliverEager(d.From, int(h.Origin), p)
-			}
-		} else {
-			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, d.Rail,
-				int(h.TotalLen), "eager container replay dropped")
-		}
-		if h.MsgID != 0 {
-			e.ackUnit(ctx, d.From, h.MsgID, 0, d.Rail, nil)
-		}
-	case wire.KindData:
-		hdr, payload, err := wire.DecodeData(d.Data)
-		if err != nil {
-			return
-		}
-		e.deliverChunk(d.From, hdr, payload)
-		e.ackUnit(ctx, d.From, hdr.MsgID, hdr.Offset, d.Rail, nil)
-	case wire.KindRTS:
-		e.handleRTS(ctx, d.From, int(h.Rail), h, nil)
-	case wire.KindCTS:
-		e.onCTS(ctx, d.From, h.MsgID, nil)
-	case wire.KindAck:
-		e.onAck(d.From, h)
-	}
-}
-
-// dispatch is the multicore progression path: it classifies one delivery
+// dispatch is the engine's progression path: it classifies one delivery
 // and decides, step by step, who runs the engine work. It runs on the
-// transport's reader goroutine (or a pioman detection actor) and never
-// blocks.
+// transport's reader goroutine — on the simulator, at the virtual instant
+// the frame lands — and never blocks.
 //
 // The rule is rt's: a handler has no Ctx and cannot block, an actor has
 // one and may. The steps that send nothing — deliverEager (match, copy at
@@ -276,6 +221,10 @@ func (e *Engine) handle(ctx rt.Ctx, d *fabric.Delivery) {
 // packet has been delivered (work.Handle), on whichever goroutine that
 // was; a chunk frame never — a parked replay may keep its payload.
 //
+// A modeled delivery's receive costs ride on its steps: RecvCPU on the
+// first, CopyCPU on the last (work.Do). Such steps are always queued, since
+// only a worker has a Ctx to charge them with.
+//
 //railvet:hotpath
 func (e *Engine) dispatch(d *fabric.Delivery) {
 	h, _, err := wire.DecodeHeader(d.Data)
@@ -286,7 +235,7 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 	// handed over — it may already have run, here or on a worker. The packet
 	// walk below is safe: the frame lives until its last packet's item ran,
 	// and that item does not exist before the walk has produced it.
-	from, rail := d.From, d.Rail
+	from, rail, recv, cp := d.From, d.Rail, d.RecvCPU, d.CopyCPU
 	switch h.Kind {
 	case wire.KindEager:
 		_, pkts, err := wire.ScanEager(d.Data)
@@ -295,15 +244,20 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 		}
 		var own *work
 		if h.MsgID == 0 || e.seen.Mark(from, h.MsgID) {
+			left := int(h.Count)
 			for p, ok := pkts.Next(); ok; p, ok = pkts.Next() {
 				w := e.getWork(workEager, from, rail)
 				w.h.Origin, w.p = h.Origin, p
 				if own == nil {
 					own, w.frame = w, d
-					w.left.Store(int32(h.Count))
+					w.left.Store(int32(left))
+					w.recvCPU = recv
+				}
+				if left--; left == 0 {
+					w.copyCPU = cp
 				}
 				w.share = own
-				e.pool.Handle(progress.FlowKey(from, p.Tag), w)
+				e.step(progress.FlowKey(from, p.Tag), w)
 			}
 		} else {
 			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, rail,
@@ -324,20 +278,37 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 			return
 		}
 		w := e.getWork(workChunk, from, rail)
-		w.h, w.p.Payload = hdr, payload
+		w.h, w.p.Payload, w.recvCPU, w.copyCPU = hdr, payload, recv, cp
 		e.pool.SubmitWork(progress.ChunkKey(from, hdr.Tag, hdr.Offset), w)
 	case wire.KindRTS:
 		d.Release()
-		e.submitWork(progress.FlowKey(from, h.Tag), workRTS, from, int(h.Rail), h)
+		w := e.getWork(workRTS, from, int(h.Rail))
+		w.h, w.recvCPU, w.copyCPU = h, recv, cp
+		e.pool.SubmitWork(progress.FlowKey(from, h.Tag), w)
 	case wire.KindCTS:
 		d.Release()
-		e.submitWork(progress.UnitKey(from, h.MsgID), workCTS, from, rail, h)
+		w := e.getWork(workCTS, from, rail)
+		w.h, w.recvCPU, w.copyCPU = h, recv, cp
+		e.pool.SubmitWork(progress.UnitKey(from, h.MsgID), w)
 	case wire.KindAck:
 		d.Release()
 		w := e.getWork(workOnAck, from, rail)
-		w.h = h
-		e.pool.Handle(progress.UnitKey(from, h.MsgID), w)
+		w.h, w.recvCPU, w.copyCPU = h, recv, cp
+		e.step(progress.UnitKey(from, h.MsgID), w)
 	}
+}
+
+// step hands a step that cannot block to the pool (progress.Pool.Handle),
+// unless it carries modeled receive costs: charging those takes a worker's
+// Ctx.
+//
+//railvet:hotpath
+func (e *Engine) step(key uint32, w *work) {
+	if w.recvCPU|w.copyCPU != 0 {
+		e.pool.SubmitWork(key, w)
+		return
+	}
+	e.pool.Handle(key, w)
 }
 
 // deliverEager matches one complete logical packet under its flow's

@@ -194,12 +194,12 @@ func stepPair(t *testing.T, rails int) (*stepFabric, [2]*Engine) {
 	var eng [2]*Engine
 	for i := range eng {
 		var err error
-		eng[i], err = NewEngine(env, f.nodes[i], liveProfiles(t)[:rails], Config{DirectProgress: true})
+		eng[i], err = NewEngine(env, f.nodes[i], liveProfiles(t)[:rails], Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !eng[i].recycle {
-			t.Fatal("engine over a DirectNode does not recycle frames")
+			t.Fatal("engine over rails that copy every frame (fabric.TrySender) does not recycle frames")
 		}
 		t.Cleanup(eng[i].Stop)
 	}

@@ -11,10 +11,10 @@ import (
 	"repro/internal/wire"
 )
 
-// inject pushes a raw frame into node 1's delivery queue as if it had
-// arrived on the given rail.
+// inject hands a raw frame to the engine as if it had arrived from node 0
+// on the given rail.
 func inject(eng *Engine, rail int, data []byte) {
-	eng.node.RecvQ().Push(&fabric.Delivery{From: 0, Rail: rail, Data: data})
+	eng.dispatch(&fabric.Delivery{From: 0, Rail: rail, Data: data})
 }
 
 // Corrupt frames are dropped; the engine keeps serving.

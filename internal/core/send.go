@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/marcel"
 	"repro/internal/model"
+	"repro/internal/progress"
 	"repro/internal/rt"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -127,7 +127,7 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 	rails := sc.views
 	if len(batch) == 1 && e.cfg.EagerParallel {
 		r := batch[0]
-		single, parallel := strategy.EagerCandidates(len(r.Data), now, rails, e.sched.NumIdle(), model.OffloadSyncCost)
+		single, parallel := strategy.EagerCandidates(len(r.Data), now, rails, e.pool.Idle(), model.OffloadSyncCost)
 		usePar := parallel != nil && parallel.Predicted < single.Predicted
 		if parallel != nil && e.adaptive != nil {
 			// Adaptive mode: the model's verdict is only the prior — the
@@ -253,14 +253,15 @@ func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailVi
 }
 
 // sendEagerParallel executes a parallel eager plan (Fig 7): each chunk is
-// registered in the to-be-sent list of a different idle core, which
-// performs the PIO copy on its own NIC after the offload synchronisation
-// delay. The submitting core returns immediately — "the application can
-// then resume its computation".
+// registered in the to-be-sent list of a different core — chunk i goes to
+// the i-th pool worker after the flushing one — which performs the PIO
+// copy on its own NIC after the offload synchronisation delay
+// (model.OffloadSyncCost, the paper's 3 µs). The submitting core returns
+// immediately — "the application can then resume its computation".
 func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPlan) {
 	e.noteDecision(r)
 	r.addPending(len(plan.Chunks))
-	// Register every chunk before the first tasklet can run: a chunk
+	// Register every chunk before the first chunk task can run: a chunk
 	// delivered and acked while its siblings are still being encoded
 	// must not fire RemoteDone early.
 	units := make([]unit, len(plan.Chunks))
@@ -269,20 +270,20 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 	}
 	e.trace(trace.Decision, r.msgID, -1, len(r.Data),
 		fmt.Sprintf("parallel eager: %d chunks, predicted %v", len(plan.Chunks), plan.Predicted))
-	// Stats before the tasklets can run: an offloaded chunk's ack can
+	// Stats before the chunks can be posted: an offloaded chunk's ack can
 	// fire RemoteDone before this worker resumes (same ordering as the
 	// greedy and aggregate paths).
 	e.bumpEager(1, 0, 1, len(r.Data))
-	for _, c := range plan.Chunks {
-		c := c
+	for i, c := range plan.Chunks {
 		frame := wire.EncodeData(uint8(c.Rail), e.origin(), r.Tag, r.msgID, c.Offset,
 			r.Data[c.Offset:c.Offset+c.Size], len(r.Data))
 		e.trace(trace.OffloadStart, r.msgID, c.Rail, c.Size, "")
-		e.sched.SubmitIdle(marcel.Tasklet{
-			Name: fmt.Sprintf("eager-chunk-%d", r.msgID),
-			Run: func(tctx rt.Ctx) {
-				e.node.Rail(c.Rail).SendEager(tctx, to, frame)
-				e.settle(tctx, c.Rail)
+		e.pool.Submit(progress.DestKey(to)+uint32(i)+1, progress.Task{
+			Name: "eager-chunk",
+			Run: func(ctx rt.Ctx) {
+				ctx.Sleep(model.OffloadSyncCost)
+				e.node.Rail(c.Rail).SendEager(ctx, to, frame)
+				e.settle(ctx, c.Rail)
 				if r.chunkDone() {
 					e.noteEnqueued(r) // the last offloaded copy was posted
 					e.noteCompleted(r)
@@ -348,13 +349,10 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 // DMAs are posted. peer is the node the CTS came from (the destination of
 // the send).
 //
-// On the direct-progress path the worker handling the CTS posts the chunks
-// itself, and each chunk's unit is its own completion (unit.Fire): a
-// rendezvous starts no goroutine. The simulator keeps a transfer actor per
-// message and an event per chunk, so its modeled descriptor posts occupy
-// that actor and its figures stay what they are. w is the work item
-// running the step, whose scratch takes the plan and the chunk headers
-// (direct-progress path only; nil otherwise).
+// The worker handling the CTS posts the chunks itself, and each chunk's
+// unit is its own completion (unit.Fire): a rendezvous starts no
+// goroutine. w is the work item running the step, whose scratch takes the
+// plan and the chunk headers.
 func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 	us := e.unit(peer, msgID)
 	us.mu.Lock()
@@ -365,13 +363,8 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 		return
 	}
 	r := p.req
-	var ps *planScratch
-	var hdr *[wire.HeaderSize]byte
-	if w != nil {
-		ps, hdr = &w.plan, &w.hdr
-	}
-	chunks, outcome := e.planRdv(r.To, len(r.Data), ps)
-	chunks = e.capChunks(r.To, chunks, ps)
+	chunks, outcome := e.planRdv(r.To, len(r.Data), &w.plan)
+	chunks = e.capChunks(r.To, chunks, &w.plan)
 	if outcome != nil {
 		e.observeOutcome(r, *outcome, false)
 	}
@@ -391,29 +384,9 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 		e.registerChunk(&units[i], r, r.To, c.Rail, c.Offset, c.Size)
 	}
 	e.trace(trace.Decision, msgID, -1, len(r.Data), e.cfg.Splitter.Name())
-	if e.cfg.DirectProgress {
-		for i, c := range chunks {
-			e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
-			e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, &units[i], hdr)
-		}
-		e.noteEnqueued(r) // every chunk DMA is posted
-		return
+	for i, c := range chunks {
+		e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
+		e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, &units[i], &w.hdr)
 	}
-	e.env.Go("rdv-send", func(ctx rt.Ctx) {
-		events := make([]rt.Event, 0, len(chunks))
-		var hdr [wire.HeaderSize]byte
-		for _, c := range chunks {
-			done := e.env.NewEvent()
-			events = append(events, done)
-			e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
-			e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, done, &hdr)
-		}
-		e.noteEnqueued(r) // every chunk DMA is posted
-		for _, ev := range events {
-			ev.Wait(ctx)
-			if r.chunkDone() {
-				e.noteCompleted(r)
-			}
-		}
-	})
+	e.noteEnqueued(r) // every chunk DMA is posted
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/rt"
@@ -55,6 +56,12 @@ type work struct {
 
 	// pa is the reassembly a placed chunk's commit marks (workPlaced).
 	pa *partial
+
+	// recvCPU and copyCPU are the modeled receive costs of the delivery
+	// (fabric.Delivery.RecvCPU, CopyCPU) this step is the first, resp. last,
+	// step of; the worker is busy for them before and after the step. Live
+	// deliveries carry none.
+	recvCPU, copyCPU time.Duration
 
 	// hdr is where this item's ack or CTS is encoded: fabrics copy short
 	// heads at enqueue, so the scratch is free again when the send call
@@ -131,8 +138,21 @@ func (w *work) Handle() {
 }
 
 // Do runs the item on a pool worker (progress.Work) and recycles it. The
-// steps with a Ctx send on a rail, which can block.
+// steps with a Ctx send on a rail, which can block. A step of a modeled
+// delivery first charges its receive costs to the worker, around itself.
 func (w *work) Do(ctx rt.Ctx) {
+	if w.recvCPU|w.copyCPU != 0 {
+		recv, cp := w.recvCPU, w.copyCPU
+		w.recvCPU, w.copyCPU = 0, 0
+		if recv > 0 {
+			ctx.Sleep(recv)
+		}
+		w.Do(ctx)
+		if cp > 0 {
+			ctx.Sleep(cp)
+		}
+		return
+	}
 	e := w.e
 	switch w.kind {
 	case workEager, workOnAck:

@@ -21,8 +21,8 @@
 // optimizer/scheduler above, Madeleine's network drivers below): the
 // scheduler only ever asks a rail "when will you be idle?", posts eager
 // containers, control messages and DMA chunks, and consumes Delivery
-// items from the node's receive queue. Nothing in the engine may depend
-// on how the bytes actually travel.
+// items from the node's sink (DirectNode). Nothing in the engine may
+// depend on how the bytes actually travel.
 //
 // Direct placement. A rendezvous chunk travels as a small head (the
 // encoded chunk header) plus a body (the payload, aliased from the
@@ -63,8 +63,8 @@
 //     the buffer of a contiguous frame, and the Delivery beside it, from a
 //     per-node FramePool; a consumer that has copied out what it needs
 //     calls Release and the next frame of that size reuses both. A
-//     consumer that never calls it — a sink-only probe, RecvQ, the inline
-//     progression path, anything that parks the frame — keeps the frame
+//     consumer that never calls it — a sink-only probe, RecvQ, anything
+//     that parks the frame — keeps the frame
 //     for as long as it likes: it is garbage-collected like any other
 //     slice. Release on a delivery that did not come from a pool
 //     (simulated fabrics, literals, oversized frames) does nothing.
@@ -286,8 +286,9 @@ type ChunkCapper interface {
 // a goroutine parked on it.
 type Completion interface{ Fire() }
 
-// Node is one endpoint of the fabric: an indexed set of rails plus the
-// delivery queue the progression engine (internal/pioman) drains.
+// Node is one endpoint of the fabric: an indexed set of rails plus a
+// delivery queue, which holds what arrives while no consumer is installed
+// (DirectNode: the engine takes every delivery from its node's sink).
 type Node interface {
 	// ID returns the node's index in the fabric.
 	ID() int
@@ -334,11 +335,12 @@ type Throttler interface {
 	ThrottleRail(rail int, factor float64)
 }
 
-// DirectNode is an optional interface a fabric node may implement to
-// hand deliveries straight to a consumer on the transport goroutine
-// that produced them, bypassing RecvQ. The multicore progression
-// subsystem uses it so the live fabrics' per-link readers feed the
-// engine's worker pool directly instead of funnelling every delivery
+// DirectNode is the interface a fabric node implements to hand
+// deliveries straight to a consumer on the transport goroutine that
+// produced them (simnet: at the virtual instant the frame lands),
+// bypassing RecvQ. Every fabric's nodes implement it, and the engine
+// requires it: the live fabrics' per-link readers and the simulator feed
+// the engine's worker pool directly instead of funnelling every delivery
 // through one queue and one progression actor. The sink must not block:
 // it classifies the delivery and enqueues the engine work elsewhere.
 // Installing a sink atomically drains deliveries already sitting in

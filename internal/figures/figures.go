@@ -184,9 +184,9 @@ func Fig9() *Table {
 	defer myri.Close()
 	quad := newCluster(multirail.Config{Rails: []*multirail.Profile{multirail.QsNetII()}})
 	defer quad.Close()
-	// Two progression workers let the striped chunks be received in
-	// parallel — the multithreaded receive side the estimation assumes.
-	engine := newCluster(multirail.Config{EagerParallel: true, RecvWorkers: 2})
+	// The progress workers receive the striped chunks in parallel — the
+	// multithreaded receive side the estimation assumes.
+	engine := newCluster(multirail.Config{EagerParallel: true})
 	defer engine.Close()
 
 	profs, err := sampling.SampleProfiles(model.PaperTestbed(), sampling.Config{MinSize: 4, MaxSize: 8 << 20})

@@ -55,11 +55,10 @@ func tcpProfiles(nrails, eagerMax int) []*sampling.RailProfile {
 // engineOn builds a core engine for one hosted node of a live fabric.
 func engineOn(t *testing.T, env rt.Env, f fabric.Fabric, node int, profs []*sampling.RailProfile) *core.Engine {
 	t.Helper()
-	// DirectProgress matches what multirail configures on the TCP
-	// fabric: deliveries feed the engine's per-core workers straight
-	// from the connection readers, so the chaos tests exercise the
-	// multicore progression path.
-	eng, err := core.NewEngine(env, f.Node(node), profs, core.Config{DirectProgress: true})
+	// Deliveries feed the engine's per-core workers straight from the
+	// connection readers, so the chaos tests exercise the multicore
+	// progression path.
+	eng, err := core.NewEngine(env, f.Node(node), profs, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

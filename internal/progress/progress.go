@@ -9,9 +9,9 @@
 //   - Pool: a per-core worker pool. Each worker is an actor with its own
 //     FIFO queue; work submitted under the same key always lands on the
 //     same worker, so per-flow ordering is free while distinct flows
-//     progress in parallel. The transfer layer (livenet) feeds deliveries
-//     straight into the pool instead of one progression actor doing all
-//     engine work inline.
+//     progress in parallel. Every fabric — the live transports' readers and
+//     the simulator alike — feeds deliveries straight into the pool; no
+//     progression actor does engine work inline.
 //   - Submitter: the paper's "submit list" made concurrent. Each
 //     destination owns a small queue; Isend appends and returns — the
 //     optimizer (flush callback) runs on a worker, aggregating whatever
@@ -181,6 +181,18 @@ func (p *Pool) Size() int { return len(p.workers) }
 
 // Worker returns the worker index a key maps to.
 func (p *Pool) Worker(key uint32) int { return int(key % uint32(len(p.workers))) }
+
+// Idle counts the workers with nothing queued: the cores an offloaded step
+// would find free (the running item of a worker is not counted against it).
+func (p *Pool) Idle() int {
+	n := 0
+	for _, w := range p.workers {
+		if w.q.Len() == 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Submit queues t on the worker the key maps to. Never blocks.
 //

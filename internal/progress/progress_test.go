@@ -243,3 +243,29 @@ func TestSubmitterDestinationsIndependent(t *testing.T) {
 	}
 	close(release)
 }
+
+// Idle counts the workers with nothing queued — the cores an offloaded
+// step would find free.
+func TestPoolIdleCountsEmptyQueues(t *testing.T) {
+	env := rt.NewSim()
+	p := NewPool(env, "test", 3)
+	if n := p.Idle(); n != 3 {
+		t.Fatalf("fresh pool: %d idle workers, want 3", n)
+	}
+	p.Submit(0, Task{Name: "a", Run: func(rt.Ctx) {}})
+	p.Submit(3, Task{Name: "b", Run: func(rt.Ctx) {}}) // worker 0 again
+	p.Submit(1, Task{Name: "c", Run: func(rt.Ctx) {}})
+	if n := p.Idle(); n != 1 {
+		t.Fatalf("two workers with queued tasks: %d idle, want 1", n)
+	}
+	idle := -1
+	env.Go("check", func(ctx rt.Ctx) {
+		ctx.Sleep(time.Microsecond)
+		idle = p.Idle()
+		p.Stop()
+	})
+	env.Run()
+	if idle != 3 {
+		t.Fatalf("after the tasks ran: %d idle workers, want 3", idle)
+	}
+}

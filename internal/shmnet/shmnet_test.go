@@ -53,7 +53,7 @@ func shmProfiles(nrails, eagerMax int) []*sampling.RailProfile {
 
 func engineOn(t *testing.T, env rt.Env, f fabric.Fabric, node int, profs []*sampling.RailProfile) *core.Engine {
 	t.Helper()
-	eng, err := core.NewEngine(env, f.Node(node), profs, core.Config{DirectProgress: true})
+	eng, err := core.NewEngine(env, f.Node(node), profs, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

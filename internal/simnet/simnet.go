@@ -186,8 +186,9 @@ func (c *Cluster) d(t time.Duration) time.Duration {
 	return time.Duration(float64(t) * c.scale)
 }
 
-// Node is one cluster node: a set of NICs plus a delivery queue that the
-// progression engine (internal/pioman) drains.
+// Node is one cluster node: a set of NICs plus where its deliveries go —
+// the consumer installed with SetSink (the engine's dispatch onto its
+// progress workers) or, without one, the delivery queue.
 type Node struct {
 	Rails []*Rail
 
@@ -196,8 +197,51 @@ type Node struct {
 	cluster *Cluster
 	health  *railhealth.Tracker
 
+	sinkMu sync.RWMutex
+	sink   func(*Delivery)
+
 	teleMu sync.RWMutex
 	tele   fabric.Telemetry
+}
+
+// SetSink installs a direct delivery consumer (fabric.DirectNode): every
+// later delivery is handed to fn at the virtual instant it lands, instead
+// of being queued. Deliveries already queued are drained through fn first,
+// in order. SetSink(nil) restores queue delivery.
+func (n *Node) SetSink(fn func(*Delivery)) {
+	n.sinkMu.Lock()
+	defer n.sinkMu.Unlock()
+	n.sink = fn
+	if fn == nil {
+		return
+	}
+	for {
+		item, ok := n.recvq.TryPop()
+		if !ok {
+			return
+		}
+		if d, isD := item.(*Delivery); isD && d != nil {
+			fn(d)
+		}
+	}
+}
+
+// SetPlacer is a no-op (fabric.DirectNode): the model moves every frame
+// whole, so a chunk reaches the sink as one contiguous delivery and the
+// engine copies it into place from there.
+func (n *Node) SetPlacer(fabric.Placer) {}
+
+// land hands one arrived frame to the sink, or queues it when none is
+// installed. The push happens under the sink lock, so it cannot race
+// SetSink's drain and strand a frame.
+func (n *Node) land(d *Delivery) {
+	n.sinkMu.RLock()
+	defer n.sinkMu.RUnlock()
+	if n.sink != nil {
+		n.sink(d)
+		return
+	}
+	n.recvq.Push(d)
 }
 
 // SetTelemetry installs (or, with nil, detaches) the node's telemetry
@@ -230,7 +274,8 @@ func (n *Node) NumRails() int { return len(n.Rails) }
 // Rail returns the i-th NIC of the node.
 func (n *Node) Rail(i int) fabric.Rail { return n.Rails[i] }
 
-// RecvQ returns the queue *Delivery items are pushed to.
+// RecvQ returns the queue *Delivery items are pushed to while no sink is
+// installed.
 func (n *Node) RecvQ() rt.Queue { return n.recvq }
 
 // Health returns the node's rail-health tracker.
@@ -342,7 +387,7 @@ func (r *Rail) deliver(to int, d *Delivery, after time.Duration) {
 		if r.State() == fabric.RailDown || dst.health.State(r.index) == fabric.RailDown {
 			return
 		}
-		dst.recvq.Push(d)
+		dst.land(d)
 	}
 	if after <= 0 {
 		push()

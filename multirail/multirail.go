@@ -252,17 +252,13 @@ type Config struct {
 	// EagerParallel enables multicore parallel submission of medium
 	// eager packets (§III-D).
 	EagerParallel bool
-	// RecvWorkers is the number of progression actors per node (default
-	// 1). Two or more let striped chunks be received in parallel on
-	// several cores — the multithreaded receive side of the paper's
-	// library. On the TCP fabric the progress worker pool (Workers)
-	// supersedes this knob.
-	RecvWorkers int
 	// Workers is the per-node multicore progression worker count
 	// (default CoresPerNode): the engine's progress pool that flushes
-	// submit queues and — on the TCP fabric — processes deliveries in
-	// parallel. More workers help when many concurrent flows contend;
-	// one worker serialises the engine (useful for debugging).
+	// submit queues and processes deliveries in parallel, on every
+	// fabric — distinct flows, and the striped chunks of one message,
+	// are received on distinct cores. More workers help when many
+	// concurrent flows contend; one worker serialises the engine (useful
+	// for debugging).
 	Workers int
 	// Shards is the per-node flow-shard count for the engine's
 	// matching/pending/unacked tables (default: smallest power of two
@@ -407,11 +403,6 @@ func New(cfg Config) (*Cluster, error) {
 		EagerParallel: cfg.EagerParallel,
 		Workers:       cfg.Workers,
 		Shards:        cfg.Shards,
-		// Live fabrics (TCP, shm, mixed) feed the engine's per-core
-		// workers directly (multicore progression); the modeled fabric
-		// keeps the inline progression actor whose CPU charges the model
-		// depends on.
-		DirectProgress: kind != FabricSim,
 		// The per-kind event counter and the flight recorder ride along
 		// whatever tracer the caller installed; both are lock-free and
 		// allocation-free, so they stay on even with no Config.Tracer.
@@ -419,7 +410,6 @@ func New(cfg Config) (*Cluster, error) {
 		Flight:  c.flight,
 		Metrics: c.metricsReg,
 	}
-	ecfg.Pioman.Workers = cfg.RecvWorkers
 	if cfg.GreedyEager {
 		ecfg.Eager = core.PolicyGreedy
 	}
