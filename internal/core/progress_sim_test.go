@@ -13,12 +13,13 @@ import (
 	"repro/internal/wire"
 )
 
-// The simulator runs the engine's one progression path: every delivery is
-// dispatched onto the progress workers, so on the virtual clock concurrent
-// flows are received on several cores — and each flow still in order, its
-// steps sharing one worker. One rail, so arrival order is send order and
-// any reordering would be the engine's.
-func TestSimDeliveriesRunOnPoolWorkers(t *testing.T) {
+// simFlows runs the engine's one progression path on the simulator: every
+// delivery is dispatched onto the progress workers. Eight flows of sixteen
+// numbered messages go from node 0 to node 1 over one rail, so arrival
+// order is send order and any reordering would be the engine's. It returns
+// the receiver and its requests, per flow in send order.
+func simFlows(t *testing.T) (*Engine, [][]*RecvRequest) {
+	t.Helper()
 	env := rt.NewSim()
 	c, err := simnet.New(env, simnet.Config{Nodes: 2, Rails: []*model.Profile{model.Myri10G()}, CoresPerNode: 4})
 	if err != nil {
@@ -32,8 +33,9 @@ func TestSimDeliveriesRunOnPoolWorkers(t *testing.T) {
 		}
 	}
 	const flows, count = 8, 16
-	var rrs [flows][count]*RecvRequest
+	rrs := make([][]*RecvRequest, flows)
 	for f := range rrs {
+		rrs[f] = make([]*RecvRequest, count)
 		for i := range rrs[f] {
 			rrs[f][i] = eng[1].Irecv(0, uint32(100+f), make([]byte, 8))
 		}
@@ -53,27 +55,43 @@ func TestSimDeliveriesRunOnPoolWorkers(t *testing.T) {
 			if !rr.Done().Fired() {
 				t.Fatalf("flow %d message %d never arrived", f, i)
 			}
+		}
+	}
+	return eng[1], rrs
+}
+
+// Each flow is received in order on the simulator, its steps sharing one
+// worker even though the flows are spread over several.
+func TestSimOrderingPreserved(t *testing.T) {
+	_, rrs := simFlows(t)
+	for f := range rrs {
+		for i, rr := range rrs[f] {
 			if gf, gi := binary.LittleEndian.Uint32(rr.Buf), binary.LittleEndian.Uint32(rr.Buf[4:]); gf != uint32(f) || gi != uint32(i) {
 				t.Fatalf("flow %d receive %d got flow %d message %d: per-flow order broken", f, i, gf, gi)
 			}
 		}
 	}
+}
+
+// On the virtual clock concurrent flows are received on several cores.
+func TestSimTwoWorkersProcessInParallel(t *testing.T) {
+	eng, _ := simFlows(t)
 	busy := 0
-	for _, w := range eng[1].Stats().Workers {
+	for _, w := range eng.Stats().Workers {
 		if w.Tasks > 0 {
 			busy++
 		}
 	}
 	if busy < 2 {
-		t.Fatalf("receiver ran its deliveries on %d progress workers, want >= 2: %+v", busy, eng[1].Stats().Workers)
+		t.Fatalf("receiver ran its deliveries on %d progress workers, want >= 2: %+v", busy, eng.Stats().Workers)
 	}
 }
 
-// A modeled delivery's receive costs occupy the worker that runs it:
-// RecvCPU before the step (the receive completes exactly RecvOverhead after
-// the frame lands), CopyCPU after it, so the next delivery of the same flow
-// — same worker — waits for the copy.
-func TestSimReceiveCostsOccupyTheWorker(t *testing.T) {
+// simReceiveCosts lands two 16 KB eager frames of one flow on a simulated
+// node, the first over Myri-10G and the second over Quadrics, and returns
+// when each receive completed with the two rails' profiles and frame sizes.
+func simReceiveCosts(t *testing.T) (doneA, doneB time.Duration, myri, quad *model.Profile, lenA, lenB int) {
+	t.Helper()
 	env := rt.NewSim()
 	c, err := simnet.New(env, simnet.Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 4})
 	if err != nil {
@@ -91,7 +109,6 @@ func TestSimReceiveCostsOccupyTheWorker(t *testing.T) {
 	fa, fb := frame(1), frame(2)
 	ra := eng.Irecv(0, 9, make([]byte, size))
 	rb := eng.Irecv(0, 9, make([]byte, size))
-	var doneA, doneB time.Duration
 	env.Go("sendA", func(ctx rt.Ctx) { c.Nodes[0].Rail(0).SendEager(ctx, 1, fa) })
 	env.Go("sendB", func(ctx rt.Ctx) { c.Nodes[0].Rail(1).SendEager(ctx, 1, fb) })
 	env.Go("recv", func(ctx rt.Ctx) {
@@ -101,12 +118,24 @@ func TestSimReceiveCostsOccupyTheWorker(t *testing.T) {
 		doneB = ctx.Now()
 	})
 	env.Run()
-	myri, quad := c.Nodes[0].Rail(0).Profile(), c.Nodes[0].Rail(1).Profile()
-	if want := myri.EagerOneWay(len(fa)); doneA != want {
+	return doneA, doneB, c.Nodes[0].Rail(0).Profile(), c.Nodes[0].Rail(1).Profile(), len(fa), len(fb)
+}
+
+// A modeled delivery charges RecvCPU on its worker before the step: the
+// receive completes exactly RecvOverhead after the frame lands.
+func TestSimBlockingDeliveryMatchesModel(t *testing.T) {
+	doneA, _, myri, _, lenA, _ := simReceiveCosts(t)
+	if want := myri.EagerOneWay(lenA); doneA != want {
 		t.Fatalf("first receive completed at %v, want %v: RecvCPU is charged before the step", doneA, want)
 	}
-	arrivalB := quad.SendCPUTime(model.Eager, len(fb)) + quad.WireLatency
-	copyA := time.Duration(float64(len(fa)) / myri.RecvCopyRate * 1e9) // the CopyCPU simnet annotates
+}
+
+// A modeled delivery charges CopyCPU on its worker after the step, so the
+// next delivery of the same flow — same worker — waits for the copy.
+func TestSimCopyCPUDelaysNextDelivery(t *testing.T) {
+	doneA, doneB, myri, quad, lenA, lenB := simReceiveCosts(t)
+	arrivalB := quad.SendCPUTime(model.Eager, lenB) + quad.WireLatency
+	copyA := time.Duration(float64(lenA) / myri.RecvCopyRate * 1e9) // the CopyCPU simnet annotates
 	if arrivalB >= doneA+copyA {
 		t.Fatalf("setup: second frame lands at %v, after the first copy ends (%v)", arrivalB, doneA+copyA)
 	}

@@ -72,12 +72,16 @@ func TestEventContract(t *testing.T) {
 			}
 		}},
 		{"WaitTimeout expires, then sees the fire", func(t *testing.T, env Env, ev Event, settle func()) {
+			// The fire waits for the first wait to give up, so a slow start
+			// of w1 on a loaded machine cannot see the event already fired.
 			var expired, fired atomic.Bool
+			gaveUp := env.NewEvent()
 			env.Go("w1", func(ctx Ctx) {
 				expired.Store(!ev.WaitTimeout(ctx, time.Millisecond))
+				gaveUp.Fire()
 			})
 			env.Go("w2", func(ctx Ctx) {
-				ctx.Sleep(5 * time.Millisecond)
+				gaveUp.Wait(ctx)
 				ev.Fire()
 				fired.Store(ev.WaitTimeout(ctx, time.Millisecond) && ev.WaitTimeout(ctx, 0))
 			})
