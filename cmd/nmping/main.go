@@ -25,9 +25,7 @@ import (
 	"repro/multirail"
 )
 
-// strategies lists the named splitters -strategy accepts. "adaptive"
-// additionally turns AdaptiveTelemetry on: the named strategies become
-// the candidate arms of the observed-outcome chooser.
+// strategies lists the named splitters -strategy accepts.
 var strategies = []struct {
 	name, desc string
 	splitter   func() multirail.Splitter
@@ -35,7 +33,6 @@ var strategies = []struct {
 	{"hetero", "sampling-based equal-completion split (paper Fig 1c/2)", multirail.HeteroSplit},
 	{"iso", "equal chunks on every rail (Fig 1b baseline)", multirail.IsoSplit},
 	{"single", "whole message on the best predicted rail (Fig 2)", multirail.SingleRail},
-	{"adaptive", "live-telemetry chooser: single vs split from observed outcomes", nil},
 }
 
 func main() {
@@ -51,7 +48,7 @@ func main() {
 	showStats := flag.Bool("stats", false, "print per-shard and per-worker engine stats plus the current plan per size after the sweep")
 	workers := flag.Int("workers", 0, "progression workers per node (0: one per core)")
 	shards := flag.Int("shards", 0, "flow shards per node (0: 4x workers)")
-	adaptive := flag.Bool("adaptive", false, "enable online telemetry: live estimates, adaptive strategy selection and the hot plan cache")
+	adaptive := flag.Bool("adaptive", false, "enable online telemetry: the strategy plans against live estimates, behind the hot plan cache")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address (e.g. 127.0.0.1:9141; use :0 for an ephemeral port)")
 	metricsHold := flag.Duration("metrics-hold", 0, "keep the process (and the metrics endpoint) alive this long after the sweep, so a scraper or nmtop can read the final state")
 	flag.Parse()
@@ -77,11 +74,7 @@ func main() {
 	for _, s := range strategies {
 		if s.name == *strategyName {
 			known = true
-			if s.splitter != nil {
-				cfg.Splitter = s.splitter()
-			} else {
-				cfg.AdaptiveTelemetry = true
-			}
+			cfg.Splitter = s.splitter()
 		}
 	}
 	if !known {

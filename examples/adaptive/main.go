@@ -52,10 +52,6 @@ func main() {
 		AdaptiveTelemetry:   true,
 		TelemetryHalfLife:   50 * time.Millisecond,
 		TelemetryProbeEvery: 4,
-		// Pin the chooser to striping so the printed plans show the
-		// per-rail shares shifting (on loopback it would otherwise
-		// often learn that a single rail wins).
-		Splitter: multirail.AdaptiveSplitter(multirail.HeteroSplit(), multirail.HeteroSplit()),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

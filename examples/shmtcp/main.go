@@ -1,8 +1,8 @@
 // Shmtcp demonstrates the mixed heterogeneous rail set: one
 // shared-memory rail (lock-free rings, the paper's PIO regime) riding
 // alongside two real TCP rails behind one engine. Start-up sampling
-// profiles all three; with adaptive telemetry on, the chooser then
-// routes small messages onto the µs-class shm rail while large
+// profiles all three; with adaptive telemetry on, the live estimates
+// then route small messages onto the µs-class shm rail while large
 // rendezvous transfers stripe over every rail the estimators think can
 // contribute — single-vs-split selection with real stakes.
 //
@@ -75,7 +75,7 @@ func main() {
 	}
 	fmt.Printf("# plan for a %s rendezvous now: %s\n",
 		stats.SizeLabel(bigSz), c.DescribePlan(0, 1, bigSz))
-	fmt.Printf("# live 2KiB estimates: shm=%v tcp=%v/%v — the chooser sends small intra-host traffic on shm\n",
+	fmt.Printf("# live 2KiB estimates: shm=%v tcp=%v/%v — small intra-host traffic goes where these are lowest\n",
 		c.LiveEstimate(0, 1, 0, smallSz).Round(time.Microsecond/10),
 		c.LiveEstimate(0, 1, 1, smallSz).Round(time.Microsecond/10),
 		c.LiveEstimate(0, 1, 2, smallSz).Round(time.Microsecond/10))

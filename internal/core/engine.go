@@ -43,6 +43,16 @@
 //     reader (placeChunk): no intermediate copy, which is what the
 //     handshake is for.
 //
+// Adaptive mode (Config.Telemetry) keeps both protocols and their
+// decision rules and changes only what they are fed: the rail views
+// carry the tracker's live per-(peer, rail) estimators instead of the
+// start-up sampling tables. The splitter alone decides single rail vs
+// striped — HeteroSplit's equal-finish bisection starts at the best
+// single rail, so its plan is never predicted slower — and the
+// parallel-eager decision is the same prediction as with telemetry
+// off. Rendezvous plans are cached by (dest, size bucket, epoch), and
+// periodic iso probes keep starved rails measured.
+//
 // Matching is by (source, tag) in completion order; concurrent messages
 // on one (source, tag) pair may overtake each other — use distinct tags
 // for concurrent flows, as the examples do. Distinct (source, tag)
@@ -115,14 +125,12 @@ type Config struct {
 	// engine records every completed transfer unit into the tracker (on
 	// the progress workers — never on the Isend caller), builds its
 	// strategy RailViews from the tracker's live per-(peer, rail)
-	// estimators instead of the static sampling tables, and bumps the
-	// tracker epoch on rail health transitions. Nil reproduces the
-	// paper's static behaviour exactly.
+	// estimators instead of the static sampling tables, caches
+	// rendezvous plans by (dest, size bucket, epoch), and bumps the
+	// tracker epoch on rail health transitions. The splitter then
+	// decides single rail vs striped from the live estimates. Nil
+	// reproduces the paper's static behaviour exactly.
 	Telemetry *telemetry.Tracker
-	// PlanCache, when non-nil (and Telemetry is on), caches rendezvous
-	// split decisions by (dest, size bucket, epoch) so repeated sends of
-	// similar sizes skip re-planning.
-	PlanCache *telemetry.Cache
 	// ProbeEvery makes every n-th rendezvous plan bypass the cache and
 	// stripe over every usable rail (iso), so rails the current plan
 	// starves keep producing observations and can be re-adopted when
@@ -161,7 +169,6 @@ type Engine struct {
 	tele       *telemetry.Tracker
 	cache      *telemetry.Cache
 	est        [][]strategy.Estimator // [peer][rail] live estimators
-	adaptive   *strategy.Adaptive     // set when the splitter is the adaptive chooser
 	planCount  atomic.Uint64          // rendezvous decisions (rail-probe cadence)
 	eagerCount atomic.Uint64          // eager container decisions (eager rail-probe cadence)
 
@@ -375,16 +382,7 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 				cfg.Telemetry.Rails(), node.NumRails())
 		}
 		e.tele = cfg.Telemetry
-		e.cache = cfg.PlanCache
-		e.adaptive, _ = cfg.Splitter.(*strategy.Adaptive)
-		if e.adaptive != nil {
-			// Plan-cache coherence is the engine's own responsibility:
-			// when observed outcomes flip a warm single-vs-split verdict,
-			// plans cached under the old verdict must go stale — chain
-			// the epoch bump here instead of trusting every caller to
-			// wire it.
-			e.adaptive.ChainVerdictChange(e.tele.BumpEpoch)
-		}
+		e.cache = telemetry.NewCache(0)
 		e.est = make([][]strategy.Estimator, e.tele.Peers())
 		for peer := range e.est {
 			e.est[peer] = make([]strategy.Estimator, node.NumRails())
@@ -455,8 +453,6 @@ func (e *Engine) Stats() Stats {
 		st.TelemetryObs = ts.Observations
 		st.TelemetryRefits = ts.Refits
 		st.TelemetryEpoch = ts.Epoch
-	}
-	if e.cache != nil {
 		cs := e.cache.Stats()
 		st.PlanHits = cs.Hits
 		st.PlanMisses = cs.Misses
@@ -545,8 +541,8 @@ func (e *Engine) appendRailViews(views []strategy.RailView, dest int) []strategy
 }
 
 // probeEvery returns the probe cadence (0 disables probing). Values
-// below 4 clamp to 4: with a mode-probe slot and a rail-probe slot per
-// period, anything tighter would turn most traffic into probes.
+// below 4 clamp to 4: anything tighter would turn most traffic into
+// probes, deliberately degraded iso stripes.
 func (e *Engine) probeEvery() int {
 	if e.tele == nil {
 		return 0
@@ -636,33 +632,6 @@ func (e *Engine) observeRdvPath(r *SendRequest, chunks []strategy.Chunk) {
 	})
 }
 
-// observeOutcome arranges for the adaptive chooser to learn this
-// message's remote-completion time under the mode that scheduled it.
-// eager selects the chooser's eager outcome namespace — eager and
-// rendezvous completions of one size class are not comparable costs.
-func (e *Engine) observeOutcome(r *SendRequest, mode strategy.Mode, eager bool) {
-	if e.tele == nil || e.adaptive == nil {
-		return
-	}
-	n := len(r.Data)
-	if n == 0 {
-		return
-	}
-	start := e.env.Now()
-	obs := e.adaptive
-	r.acked.OnFire(func() {
-		d := e.env.Now() - start
-		if d <= 0 {
-			return
-		}
-		if eager {
-			obs.ObserveEagerOutcome(n, mode, d)
-		} else {
-			obs.ObserveOutcome(n, mode, d)
-		}
-	})
-}
-
 // EstimateFor returns the engine's current one-way estimate for an
 // n-byte transfer to `peer` on `rail`: the live warmth-blended estimate
 // in adaptive mode, the static sampled one otherwise. Diagnostics and
@@ -682,75 +651,42 @@ func (e *Engine) PlanFor(to, n int) []strategy.Chunk {
 	return e.cfg.Splitter.Split(n, e.env.Now(), e.railViewsFor(to))
 }
 
-// planRdv decides the chunk distribution of one rendezvous. In
-// adaptive mode the hot plan cache is consulted first — repeated sends
-// of similar sizes to the same peer skip the strategy entirely until
-// the estimate epoch moves — and every probeEvery-th decision probes
-// instead, bypassing the cache (probe results are never cached):
-// alternating an iso stripe over all usable rails (estimator
-// freshness for starved rails; deliberately degraded, so excluded from
-// the chooser's outcome statistics) and, with an adaptive chooser, the
-// currently-losing mode's plan (so the loser keeps producing outcomes
-// and can win again). outcome is the mode to train the chooser with,
-// or nil when the result must not train it.
+// planRdv decides the chunk distribution of one rendezvous: the
+// configured splitter over to's rail views. Its single-rail vs striped
+// choice is its own — HeteroSplit never plans slower than the best
+// single rail — and under telemetry it is made from the live
+// estimates. In adaptive mode the hot plan cache is consulted first —
+// repeated sends of similar sizes to the same peer skip the strategy
+// entirely until the estimate epoch moves — and every probeEvery-th
+// decision instead stripes iso over all usable rails, bypassing the
+// cache (a probe is never cached): rails the plans starve keep
+// producing observations and can be re-adopted when they recover.
 //
 // ps is the caller's scratch: the plan is built in it (see split) and
 // valid until ps is used again.
-func (e *Engine) planRdv(to, n int, ps *planScratch) (chunks []strategy.Chunk, outcome *strategy.Mode) {
+func (e *Engine) planRdv(to, n int, ps *planScratch) []strategy.Chunk {
 	now := e.env.Now()
-	modeOf := func(chunks []strategy.Chunk) *strategy.Mode {
-		m := &modeSingle
-		if len(chunks) > 1 {
-			m = &modeSplit
-		}
-		return m
-	}
 	if e.tele == nil {
-		chunks = e.split(to, n, now, ps)
-		return chunks, modeOf(chunks)
+		return e.split(to, n, now, ps)
 	}
-	if pe := e.probeEvery(); pe > 0 {
-		slot := e.planCount.Add(1) % uint64(pe)
-		if e.adaptive != nil && slot == 0 {
-			// Mode probe: the currently-losing mode, trained into the
-			// chooser so a stale verdict cannot outlive its regime.
-			if chunks, mode := e.adaptive.LoserSplit(n, now, e.railViewsFor(to)); len(chunks) > 0 {
-				e.trace(trace.Decision, 0, -1, n, "probe: losing mode "+mode.String())
-				return chunks, &mode
-			}
-		}
-		// Rail probe, half a period from the mode probe (or on the period
-		// itself when there is no chooser): an iso stripe keeps every
-		// usable rail measured even when the plans starve it.
-		isoSlot := uint64(pe) / 2
-		if e.adaptive == nil {
-			isoSlot = 0
-		}
-		if slot == isoSlot {
-			if probe := (strategy.IsoSplit{}).Split(n, now, e.railViewsFor(to)); len(probe) > 0 {
-				e.trace(trace.Decision, 0, -1, n, "probe: iso over usable rails")
-				return probe, nil
-			}
+	if pe := e.probeEvery(); e.planCount.Add(1)%uint64(pe) == 0 {
+		if probe := (strategy.IsoSplit{}).Split(n, now, e.railViewsFor(to)); len(probe) > 0 {
+			e.trace(trace.Decision, 0, -1, n, "probe: iso over usable rails")
+			return probe
 		}
 	}
 	key := telemetry.PlanKey{Dest: to, Bucket: telemetry.SizeBucket(n), Epoch: e.tele.Epoch()}
-	if e.cache != nil {
-		if p, ok := e.cache.Get(key); ok {
-			if chunks := p.ChunksFor(n); len(chunks) > 0 {
-				return chunks, modeOf(chunks)
-			}
+	if p, ok := e.cache.Get(key); ok {
+		if chunks := p.ChunksFor(n); len(chunks) > 0 {
+			return chunks
 		}
 	}
-	chunks = e.split(to, n, now, ps)
-	if e.cache != nil && len(chunks) > 0 {
+	chunks := e.split(to, n, now, ps)
+	if len(chunks) > 0 {
 		e.cache.Put(key, telemetry.NewPlan(e.cfg.Splitter.Name(), chunks, n))
 	}
-	return chunks, modeOf(chunks)
+	return chunks
 }
-
-// The two modes a plan trains the chooser with, shared read-only so a
-// plan's outcome points at them instead of a fresh copy.
-var modeSingle, modeSplit = strategy.ModeSingle, strategy.ModeSplit
 
 // planScratch is what planning one rendezvous borrows: the rail views and
 // the chunks, before and after capChunks, owned by the work item that runs

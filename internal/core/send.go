@@ -127,21 +127,13 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 	rails := sc.views
 	if len(batch) == 1 && e.cfg.EagerParallel {
 		r := batch[0]
+		// Under telemetry the views are live, so the prediction follows
+		// what the wire currently delivers.
 		single, parallel := strategy.EagerCandidates(len(r.Data), now, rails, e.pool.Idle(), model.OffloadSyncCost)
-		usePar := parallel != nil && parallel.Predicted < single.Predicted
-		if parallel != nil && e.adaptive != nil {
-			// Adaptive mode: the model's verdict is only the prior — the
-			// chooser decides from observed outcomes of both modes once
-			// they are in, probing the loser periodically (in either
-			// direction: it can adopt parallel the model rejects).
-			usePar = e.adaptive.PreferParallel(len(r.Data), parallel.Predicted, single.Predicted)
-		}
-		if usePar {
-			e.observeOutcome(r, strategy.ModeParallel, true)
+		if parallel != nil && parallel.Predicted < single.Predicted {
 			e.sendEagerParallel(r, to, *parallel)
 			return
 		}
-		e.observeOutcome(r, strategy.ModeSingle, true)
 	}
 	// Fill containers up to the chosen rail's eager limit, fastest rail
 	// first ("aggregate the messages and send them over the fastest
@@ -363,11 +355,7 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 		return
 	}
 	r := p.req
-	chunks, outcome := e.planRdv(r.To, len(r.Data), &w.plan)
-	chunks = e.capChunks(r.To, chunks, &w.plan)
-	if outcome != nil {
-		e.observeOutcome(r, *outcome, false)
-	}
+	chunks := e.capChunks(r.To, e.planRdv(r.To, len(r.Data), &w.plan), &w.plan)
 	e.observeRdvPath(r, chunks)
 	e.stats.chunksSent.Add(uint64(len(chunks)))
 	e.stats.bytesSent.Add(uint64(len(r.Data)))

@@ -46,9 +46,7 @@ func PlanEager(n int, now time.Duration, rails []RailView, idleCores int, offloa
 // submission is structurally possible (enough idle NICs and cores,
 // every chunk within its rail's eager limit) — the parallel candidate
 // with its equation-(1) predicted completion, regardless of which plan
-// the model prefers. The adaptive chooser needs both candidates so
-// observed outcomes can overrule (and probe against) the prediction in
-// either direction; PlanEager applies the model's preference.
+// the model prefers. PlanEager applies the model's preference.
 func EagerCandidates(n int, now time.Duration, rails []RailView, idleCores int, offloadCost time.Duration) (EagerPlan, *EagerPlan) {
 	rails = Usable(rails)
 	single := SingleRail{}.Split(n, now, rails)

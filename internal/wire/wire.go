@@ -278,16 +278,12 @@ func AppendControl(dst []byte, kind Kind, rail uint8, origin, tag uint32, msgID,
 	return h.Encode(dst)
 }
 
-// EncodeAck builds the acknowledgement for one transfer unit: an eager
-// container (offset 0, msgID = container id) or a rendezvous/parallel
-// chunk (msgID, offset). The sender retires the matching outstanding
-// unit; unacknowledged units are re-planned when their rail dies.
-// Origin echoes the id of the node the unit came from.
-func EncodeAck(rail uint8, origin uint32, msgID, offset uint64) []byte {
-	return AppendAck(nil, rail, origin, msgID, offset)
-}
-
-// AppendAck is EncodeAck appended to dst (see AppendControl).
+// AppendAck appends the acknowledgement for one transfer unit to dst
+// (see AppendControl): an eager container (offset 0, msgID = container
+// id) or a rendezvous/parallel chunk (msgID, offset). The sender
+// retires the matching outstanding unit; unacknowledged units are
+// re-planned when their rail dies. Origin echoes the id of the node the
+// unit came from.
 func AppendAck(dst []byte, rail uint8, origin uint32, msgID, offset uint64) []byte {
 	h := Header{Kind: KindAck, Rail: rail, Origin: origin, MsgID: msgID, Offset: offset}
 	return h.Encode(dst)

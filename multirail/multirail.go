@@ -136,22 +136,6 @@ func HeteroSplit() Splitter { return strategy.HeteroSplit{} }
 func IsoSplit() Splitter    { return strategy.IsoSplit{} }
 func SingleRail() Splitter  { return strategy.SingleRail{} }
 
-// AdaptiveSplitter returns the observed-outcome chooser with explicit
-// arms: per size class it picks between `single` (one rail) and `multi`
-// (striped) from the measured completion times of previous sends,
-// probing the loser periodically. Pass it as Config.Splitter together
-// with AdaptiveTelemetry to control the candidate strategies (passing
-// the same splitter for both arms pins the mode and leaves only the
-// live rail estimates in play). Only meaningful together with
-// AdaptiveTelemetry — without it no outcomes are ever observed and the
-// chooser degenerates to following the model predictions. Note: a
-// caller-supplied chooser is shared by every node this process hosts,
-// so their outcome statistics mix; the default (Config.Splitter not an
-// adaptive chooser) gives each node its own.
-func AdaptiveSplitter(single, multi Splitter) Splitter {
-	return &strategy.Adaptive{Single: single, Multi: multi}
-}
-
 // Config describes a cluster. The zero value gives the paper's testbed:
 // two nodes, four cores each, one Myri-10G rail and one QsNetII rail, on
 // the deterministic simulator, with the sampling-based hetero-split
@@ -220,30 +204,27 @@ type Config struct {
 	// pacing live).
 	TimeScale float64
 	// Splitter overrides the large-message strategy (default
-	// HeteroSplit; under AdaptiveTelemetry it becomes the striping arm
-	// of the adaptive chooser).
+	// HeteroSplit). It decides single rail vs striped itself, from the
+	// sampled estimates — or, under AdaptiveTelemetry, the live ones.
 	Splitter Splitter
 	// AdaptiveTelemetry turns the online feedback loop on: every
 	// completed transfer unit becomes a latency/bandwidth observation,
 	// the per-(peer, rail) cost estimates are re-fit when they drift,
-	// strategies plan against the live estimates (warming away from the
-	// start-up sampling tables, which remain the cold-start prior), an
-	// adaptive chooser picks single-rail vs. split vs. parallel-eager
-	// per size class from observed outcomes, and rendezvous plans are
-	// cached by (dest, size bucket, epoch). Off by default: the paper's
-	// figures are reproduced exactly when this is false.
+	// and the Splitter and the eager path plan against the live
+	// estimates (warming away from the start-up sampling tables, which
+	// remain the cold-start prior): single rail vs striped, and
+	// parallel-eager vs one container, follow what the wire currently
+	// delivers. Rendezvous plans are cached per node by (dest, size
+	// bucket, epoch). Off by default: the paper's figures are reproduced
+	// exactly when this is false.
 	AdaptiveTelemetry bool
 	// TelemetryHalfLife is the decay half-life of telemetry
 	// observations (default 250ms of the cluster clock).
 	TelemetryHalfLife time.Duration
-	// PlanCacheSize bounds the per-node hot plan cache (default 1024
-	// entries; used only with AdaptiveTelemetry).
-	PlanCacheSize int
 	// TelemetryProbeEvery is the probe period of the rendezvous path:
-	// each period one plan bypasses the cache to re-try the chooser's
-	// currently-losing mode (training it) and one stripes iso over
-	// every usable rail (keeping starved rails measured). Default 16;
-	// smaller probes more aggressively — faster re-adoption at a larger
+	// each period one plan bypasses the cache and stripes iso over every
+	// usable rail (keeping starved rails measured). Default 16; smaller
+	// probes more aggressively — faster re-adoption at a larger
 	// throughput tax; values below 4 clamp to 4.
 	TelemetryProbeEvery int
 	// GreedyEager selects the Fig 3 greedy baseline instead of
@@ -419,8 +400,8 @@ func New(cfg Config) (*Cluster, error) {
 			ncfg := ecfg
 			if cfg.AdaptiveTelemetry {
 				// Telemetry state is per node: each engine owns its
-				// tracker, plan cache and adaptive chooser, so one node's
-				// observations never leak into another's decisions.
+				// tracker and plan cache, so one node's observations never
+				// leak into another's decisions.
 				priors := make([]strategy.Estimator, len(c.profiles))
 				eagerPriors := make([]strategy.Estimator, len(c.profiles))
 				rdvPriors := make([]strategy.Estimator, len(c.profiles))
@@ -444,17 +425,7 @@ func New(cfg Config) (*Cluster, error) {
 					return nil, terr
 				}
 				ncfg.Telemetry = tr
-				ncfg.PlanCache = telemetry.NewCache(cfg.PlanCacheSize)
 				ncfg.ProbeEvery = cfg.TelemetryProbeEvery
-				// Each engine chains its own tracker's epoch bump onto the
-				// chooser's verdict-flip callback (core.NewEngine), so a
-				// caller-tuned chooser shared across hosted nodes stales
-				// every node's cached plans without wiring here.
-				if ad, ok := cfg.Splitter.(*strategy.Adaptive); ok {
-					ncfg.Splitter = ad
-				} else {
-					ncfg.Splitter = &strategy.Adaptive{Multi: cfg.Splitter}
-				}
 			}
 			eng, err = core.NewEngine(c.env, c.fab.Node(i), c.profiles, ncfg)
 			if err != nil {

@@ -193,8 +193,9 @@ func TestTelemetryDerivedThresholdTracksWire(t *testing.T) {
 		// Long half-life: this test drives few transfers and virtual
 		// time barely advances; nothing should decay away mid-test.
 		TelemetryHalfLife: 10 * time.Second,
-		// Pin the rendezvous mode to single-rail so every rendezvous is
-		// attributable to one rail and feeds the rdv regime plane.
+		// Every rendezvous must be attributable to one rail to feed the
+		// rdv regime plane: the single-rail splitter says so outright
+		// (with one rail, any splitter's plan is one chunk anyway).
 		Splitter: multirail.SingleRail(),
 	})
 	if err != nil {
