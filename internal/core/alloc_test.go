@@ -27,15 +27,13 @@ import (
 // not move the ceiling (the ISSUE 7 acceptance bar). Func instruments
 // cost nothing until scraped and histogram Observe is allocation-free,
 // so the measured figure should match the bare-engine one.
-// They also run with the production tracing stack — Counts teed with a
-// FlightRecorder, installed as both Tracer and Flight — so the
-// always-on flight recorder is held to the same bar.
+// They also run with the production tracing stack — a FlightRecorder
+// installed as Flight, the one always-on event sink — so the recorder is
+// held to the same bar.
 func TestEagerSendAllocs(t *testing.T) {
-	flight := trace.NewFlightRecorder(0)
 	env, eng := pair(t, Config{
 		Metrics: metrics.NewRegistry(),
-		Tracer:  trace.Tee(trace.NewCounts(), flight),
-		Flight:  flight,
+		Flight:  trace.NewFlightRecorder(0),
 	})
 	payload := []byte("alloc-guard")
 	buf := make([]byte, 64)
@@ -62,7 +60,7 @@ func TestEagerSendAllocs(t *testing.T) {
 // TestLiveEagerRoundTripAllocs ratchets what a message costs on the path
 // applications run: a warmed 512 B round trip (Irecv, Isend, Wait,
 // RemoteDone) between two engines over hosted shm rings and over
-// loopback TCP, two rails, production tracer stack. The budget is one
+// loopback TCP, two rails, production tracing stack. The budget is one
 // heap object per request — the SendRequest and the RecvRequest;
 // completions, the container's unit, work items, headers, frames and
 // every slice are embedded, borrowed or recycled (work.go). Entries

@@ -53,6 +53,13 @@
 // off. Rendezvous plans are cached by (dest, size bucket, epoch), and
 // periodic iso probes keep starved rails measured.
 //
+// Tracing: each boundary of a message's life (submit, decision, send,
+// delivery, completion, ack) is one record. It is stamped once from the
+// engine's clock and written into Config.Flight, the always-on flight
+// recorder, and into Config.Tracer when one is installed; the stage
+// histogram and the transfer unit's send stamp reuse that instant, so a
+// boundary costs one clock read however many planes observe it.
+//
 // Matching is by (source, tag) in completion order; concurrent messages
 // on one (source, tag) pair may overtake each other — use distinct tags
 // for concurrent flows, as the examples do. Distinct (source, tag)
@@ -136,15 +143,15 @@ type Config struct {
 	// starves keep producing observations and can be re-adopted when
 	// they recover (default 16; adaptive mode only).
 	ProbeEvery int
-	// Tracer, when non-nil, receives the per-message timeline (the role
-	// FxT tracing plays for the original library).
-	Tracer trace.Tracer
-	// Flight, when non-nil, receives anomaly auto-dumps: the engine
-	// calls NoteAnomaly from its clock when a rail is lost or a unit is
-	// replayed, so the recorder snapshots the events leading up to the
-	// trouble. Tee the recorder into Tracer as well — Flight alone only
-	// wires the dump triggers, not the event stream.
+	// Flight, when non-nil, is the always-on event sink: the engine
+	// records every event of the per-message timeline into it (the role
+	// FxT tracing plays for the original library), and calls NoteAnomaly
+	// from its clock when a rail is lost or a unit is replayed, so the
+	// recorder snapshots the events leading up to the trouble.
 	Flight *trace.FlightRecorder
+	// Tracer, when non-nil, is an optional second subscriber: it receives
+	// the same events as Flight, each with the same stamp.
+	Tracer trace.Tracer
 	// Metrics, when non-nil, is the registry this engine exports into:
 	// counter families over the existing atomics (read at scrape time,
 	// free on the hot path) plus eager/rendezvous latency histograms
@@ -562,12 +569,12 @@ func (e *Engine) probeEvery() int {
 // containers additionally feed the eager observation plane with the
 // ack-leg-compensated round trip (see ackLeg) — the quantity comparable
 // to the sampled eager curve the plane blends with. It runs on the
-// progress worker handling the ack.
-func (e *Engine) observeUnit(peer, rail, bytes int, sentAt time.Duration, eager bool) {
+// progress worker handling the ack, whose stamp is now.
+func (e *Engine) observeUnit(peer, rail, bytes int, sentAt, now time.Duration, eager bool) {
 	if sentAt <= 0 {
 		return
 	}
-	rtt := e.env.Now() - sentAt
+	rtt := now - sentAt
 	if rtt <= 0 {
 		return
 	}
@@ -663,15 +670,14 @@ func (e *Engine) PlanFor(to, n int) []strategy.Chunk {
 // producing observations and can be re-adopted when they recover.
 //
 // ps is the caller's scratch: the plan is built in it (see split) and
-// valid until ps is used again.
-func (e *Engine) planRdv(to, n int, ps *planScratch) []strategy.Chunk {
-	now := e.env.Now()
+// valid until ps is used again. now is the caller's decision stamp.
+func (e *Engine) planRdv(to, n int, now time.Duration, ps *planScratch) []strategy.Chunk {
 	if e.tele == nil {
 		return e.split(to, n, now, ps)
 	}
 	if pe := e.probeEvery(); e.planCount.Add(1)%uint64(pe) == 0 {
 		if probe := (strategy.IsoSplit{}).Split(n, now, e.railViewsFor(to)); len(probe) > 0 {
-			e.trace(trace.Decision, 0, -1, n, "probe: iso over usable rails")
+			e.trace(now, trace.Decision, 0, -1, n, "probe: iso over usable rails")
 			return probe
 		}
 	}
@@ -729,25 +735,30 @@ func (e *Engine) split(to, n int, now time.Duration, ps *planScratch) []strategy
 	return e.cfg.Splitter.Split(n, now, ps.views)
 }
 
-// trace records a timeline event about one of this node's own messages
-// when tracing is enabled. rail is -1 for events that are not
+// trace records a timeline event about one of this node's own messages.
+// at is the caller's stamp of the boundary (see the package doc: the
+// note* helpers take it too). rail is -1 for events that are not
 // rail-specific.
-func (e *Engine) trace(kind trace.Kind, msgID uint64, rail, size int, note string) {
-	e.traceFrom(e.node.ID(), kind, msgID, rail, size, note)
+func (e *Engine) trace(at time.Duration, kind trace.Kind, msgID uint64, rail, size int, note string) {
+	e.traceFrom(at, e.node.ID(), kind, msgID, rail, size, note)
 }
 
 // traceFrom records a timeline event attributed to a message another
 // node submitted: receiver-side events (Delivered, CTSSent, replayed
 // deliveries) stamp the origin carried by the wire header, so the
-// sender's and receiver's events stitch into one cross-node span.
-func (e *Engine) traceFrom(origin int, kind trace.Kind, msgID uint64, rail, size int, note string) {
-	if e.cfg.Tracer == nil {
-		return
-	}
-	e.cfg.Tracer.Record(trace.Event{
-		At: e.env.Now(), Node: e.node.ID(), MsgID: msgID,
+// sender's and receiver's events stitch into one cross-node span. The
+// event goes to the flight recorder and to the optional tracer.
+func (e *Engine) traceFrom(at time.Duration, origin int, kind trace.Kind, msgID uint64, rail, size int, note string) {
+	ev := trace.Event{
+		At: at, Node: e.node.ID(), MsgID: msgID,
 		Kind: kind, Rail: rail, Size: size, Note: note, Origin: origin,
-	})
+	}
+	if e.cfg.Flight != nil {
+		e.cfg.Flight.Record(ev)
+	}
+	if e.cfg.Tracer != nil {
+		e.cfg.Tracer.Record(ev)
+	}
 }
 
 // origin is this node's id as carried in wire headers (the node half
@@ -755,42 +766,44 @@ func (e *Engine) traceFrom(origin int, kind trace.Kind, msgID uint64, rail, size
 func (e *Engine) origin() uint32 { return uint32(e.node.ID()) }
 
 // noteAnomaly triggers a flight-recorder auto-dump (no-op without one).
-func (e *Engine) noteAnomaly(reason string) {
+func (e *Engine) noteAnomaly(at time.Duration, reason string) {
 	if e.cfg.Flight != nil {
-		e.cfg.Flight.NoteAnomaly(e.env.Now(), e.node.ID(), reason)
+		e.cfg.Flight.NoteAnomaly(at, e.node.ID(), reason)
 	}
 }
 
-// noteDecision stamps the moment the strategy chose r's schedule and
+// noteDecision records that the strategy chose r's schedule at `at` and
 // feeds the submit→decision stage.
-func (e *Engine) noteDecision(r *SendRequest) {
-	r.decideAt = e.env.Now()
-	e.observeStage(stageSubmitDecision, r.decideAt-r.submitAt)
+func (e *Engine) noteDecision(r *SendRequest, at time.Duration) {
+	r.decideAt = at
+	e.observeStage(stageSubmitDecision, at-r.submitAt)
 }
 
 // noteEnqueued feeds the decision→enqueue stage: the time from the
 // schedule decision until every frame of r was handed to the transport.
-func (e *Engine) noteEnqueued(r *SendRequest) {
-	e.observeStage(stageDecisionEnqueue, e.env.Now()-r.decideAt)
+func (e *Engine) noteEnqueued(r *SendRequest, at time.Duration) {
+	e.observeStage(stageDecisionEnqueue, at-r.decideAt)
 }
 
 // noteCompleted records r's local completion (the last chunk left the
-// host) — called by the worker whose chunkDone fired Done.
-func (e *Engine) noteCompleted(r *SendRequest) {
-	e.observeStage(stageSubmitCompleted, e.env.Now()-r.submitAt)
-	e.trace(trace.Completed, r.msgID, -1, len(r.Data), "")
+// host) and then fires Done — called by whoever's chunkDone completed
+// r, so the event is on record before a waiter wakes.
+func (e *Engine) noteCompleted(r *SendRequest, at time.Duration) {
+	e.observeStage(stageSubmitCompleted, at-r.submitAt)
+	e.trace(at, trace.Completed, r.msgID, -1, len(r.Data), "")
+	r.done.Fire()
 }
 
 // noteAcked records r's remote completion (the receiver acknowledged
-// its last unit) — called by the ack handler whose ackDone fired
-// RemoteDone.
-func (e *Engine) noteAcked(r *SendRequest, rail int) {
-	now := e.env.Now()
-	e.observeStage(stageSubmitAcked, now-r.submitAt)
-	if e.histRdv != nil && r.rdvStart > 0 && now > r.rdvStart {
-		e.histRdv.Observe(now - r.rdvStart) // whole rendezvous, RTS to last ack
+// its last unit) and then fires RemoteDone — called by the ack handler
+// whose ackDone completed r.
+func (e *Engine) noteAcked(r *SendRequest, rail int, at time.Duration) {
+	e.observeStage(stageSubmitAcked, at-r.submitAt)
+	if e.histRdv != nil && r.rdvStart > 0 && at > r.rdvStart {
+		e.histRdv.Observe(at - r.rdvStart) // whole rendezvous, RTS to last ack
 	}
-	e.trace(trace.Acked, r.msgID, rail, len(r.Data), "")
+	e.trace(at, trace.Acked, r.msgID, rail, len(r.Data), "")
+	r.acked.Fire()
 }
 
 // eagerThreshold returns the size up to which the engine prefers the

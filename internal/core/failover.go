@@ -62,7 +62,7 @@ type unit struct {
 //railvet:hotpath
 func (u *unit) Fire() {
 	if u.req.chunkDone() {
-		u.e.noteCompleted(u.req)
+		u.e.noteCompleted(u.req, u.e.env.Now())
 	}
 }
 
@@ -76,9 +76,10 @@ func (u *unit) bytes() int {
 
 func (u *unit) isChunk() bool { return u.frame == nil }
 
-// registerContainer records an eager container as outstanding until its
-// ack arrives. The unit lives in reqs[0]; reqs is not retained.
-func (e *Engine) registerContainer(id uint64, to, rail int, buf *fabric.Delivery, frame []byte, reqs []*SendRequest) {
+// registerContainer records an eager container, sent at sentAt, as
+// outstanding until its ack arrives. The unit lives in reqs[0]; reqs is
+// not retained.
+func (e *Engine) registerContainer(id uint64, to, rail int, buf *fabric.Delivery, frame []byte, reqs []*SendRequest, sentAt time.Duration) {
 	for i, r := range reqs {
 		r.addAcks(1)
 		if i+1 < len(reqs) {
@@ -87,7 +88,7 @@ func (e *Engine) registerContainer(id uint64, to, rail int, buf *fabric.Delivery
 	}
 	u := &reqs[0].cont
 	*u = unit{
-		key: ackKey{id, 0}, to: to, rail: rail, sentAt: e.env.Now(),
+		key: ackKey{id, 0}, to: to, rail: rail, sentAt: sentAt,
 		frame: frame, buf: buf, reqs: reqs[0],
 	}
 	us := e.unit(to, id)
@@ -96,12 +97,12 @@ func (e *Engine) registerContainer(id uint64, to, rail int, buf *fabric.Delivery
 	us.mu.Unlock()
 }
 
-// registerChunk records a data chunk (rendezvous or parallel eager) as
-// outstanding until its ack arrives. u is the caller's storage: the chunks
-// of one message share one array.
-func (e *Engine) registerChunk(u *unit, req *SendRequest, to, rail, off, size int) {
+// registerChunk records a data chunk (rendezvous or parallel eager),
+// sent at sentAt, as outstanding until its ack arrives. u is the caller's
+// storage: the chunks of one message share one array.
+func (e *Engine) registerChunk(u *unit, req *SendRequest, to, rail, off, size int, sentAt time.Duration) {
 	req.addAcks(1)
-	*u = unit{key: ackKey{req.msgID, uint64(off)}, to: to, rail: rail, sentAt: e.env.Now(),
+	*u = unit{key: ackKey{req.msgID, uint64(off)}, to: to, rail: rail, sentAt: sentAt,
 		req: req, off: off, size: size, e: e}
 	us := e.unit(to, req.msgID)
 	us.mu.Lock()
@@ -111,7 +112,8 @@ func (e *Engine) registerChunk(u *unit, req *SendRequest, to, rail, off, size in
 
 // onAck retires an acknowledged unit and advances the owning requests'
 // remote completion. from is the acknowledging node — the unit's
-// destination.
+// destination. One clock read stamps the ack: the unit's round trip, its
+// wire stage and every request it completes share it.
 //
 //railvet:hotpath
 func (e *Engine) onAck(from int, h wire.Header) {
@@ -124,6 +126,7 @@ func (e *Engine) onAck(from int, h wire.Header) {
 	if u == nil {
 		return // duplicate ack, or ack for a unit replanned meanwhile
 	}
+	now := e.env.Now()
 	// The ack round trip is the engine-level transfer measurement: half
 	// of it approximates the one-way unit time on the rail it used.
 	// Replayed units are excluded: their ack may be the *original*
@@ -131,13 +134,13 @@ func (e *Engine) onAck(from int, h wire.Header) {
 	// the replacement rail with the resend's timestamp would record a
 	// spuriously instant transfer.
 	if !u.replayed {
-		e.observeUnit(from, u.rail, u.bytes(), u.sentAt, !u.isChunk())
+		e.observeUnit(from, u.rail, u.bytes(), u.sentAt, now, !u.isChunk())
 		// The stage plane's wire leg: unit post to ack, per unit.
-		e.observeStage(stageWireAcked, e.env.Now()-u.sentAt)
+		e.observeStage(stageWireAcked, now-u.sentAt)
 	}
 	if u.isChunk() {
 		if u.req.ackDone() {
-			e.noteAcked(u.req, u.rail)
+			e.noteAcked(u.req, u.rail, now)
 		}
 		return
 	}
@@ -151,7 +154,7 @@ func (e *Engine) onAck(from int, h wire.Header) {
 	}
 	for r := u.reqs; r != nil; r = r.contNext {
 		if r.ackDone() {
-			e.noteAcked(r, u.rail)
+			e.noteAcked(r, u.rail, now)
 		}
 	}
 }
@@ -211,17 +214,10 @@ func (e *Engine) ackRail() int {
 	return 0
 }
 
-// upViews returns the strategy views of the strictly-Up rails, with
-// the static estimators.
-//
-//railvet:upfilter
-func (e *Engine) upViews() []strategy.RailView {
-	return e.upViewsFor(-1)
-}
-
 // upViewsFor returns the strictly-Up rail views for a decision about
 // one destination: in adaptive mode the live (peer, rail) estimators —
-// a rail death is exactly when the current estimates matter most.
+// a rail death is exactly when the current estimates matter most. dest
+// -1 keeps the static estimators.
 //
 //railvet:upfilter
 func (e *Engine) upViewsFor(dest int) []strategy.RailView {
@@ -245,6 +241,7 @@ func (e *Engine) healthLoop(ctx rt.Ctx) {
 			return // Stop
 		}
 		ev := item.(*fabric.RailEvent)
+		now := e.env.Now()
 		if e.tele != nil {
 			// The usable rail set changed: invalidate every cached plan
 			// at once by moving the estimate epoch.
@@ -252,8 +249,8 @@ func (e *Engine) healthLoop(ctx rt.Ctx) {
 		}
 		switch ev.State {
 		case fabric.RailDown:
-			e.trace(trace.RailLost, 0, ev.Rail, 0, ev.Reason)
-			e.noteAnomaly("rail down")
+			e.trace(now, trace.RailLost, 0, ev.Rail, 0, ev.Reason)
+			e.noteAnomaly(now, "rail down")
 			e.replan(ctx)
 		case fabric.RailSuspect:
 			// A suspected rail — livenet lost its link and is holding
@@ -261,13 +258,13 @@ func (e *Engine) healthLoop(ctx rt.Ctx) {
 			// its in-flight units behind that backoff: move them onto
 			// the Up rails now, exactly as a Down would. The receiver's
 			// dedup window absorbs any original that still lands.
-			e.trace(trace.RailLost, 0, ev.Rail, 0, "suspect: "+ev.Reason)
-			e.noteAnomaly("rail suspect")
+			e.trace(now, trace.RailLost, 0, ev.Rail, 0, "suspect: "+ev.Reason)
+			e.noteAnomaly(now, "rail suspect")
 			e.replan(ctx)
 		case fabric.RailUp:
 			// A recovered rail can carry units stranded while every
 			// rail was down.
-			e.trace(trace.Reconnect, 0, ev.Rail, 0, ev.Reason)
+			e.trace(now, trace.Reconnect, 0, ev.Rail, 0, ev.Reason)
 			e.replan(ctx)
 		}
 	}
@@ -278,7 +275,7 @@ func (e *Engine) healthLoop(ctx rt.Ctx) {
 // no survivors the work stays put and is retried on the next RailUp
 // transition.
 func (e *Engine) replan(ctx rt.Ctx) {
-	views := e.upViews()
+	views := e.upViewsFor(-1)
 	if len(views) == 0 {
 		return
 	}
@@ -363,7 +360,8 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 	if len(fit) == 0 {
 		return
 	}
-	rail := strategy.BestRail(len(u.frame), e.env.Now(), fit)
+	now := e.env.Now()
+	rail := strategy.BestRail(len(u.frame), now, fit)
 	us := e.unit(u.to, u.key.id)
 	us.mu.Lock()
 	if us.outstanding[u.key] != u {
@@ -371,7 +369,7 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 		return // acked while we were deciding
 	}
 	u.rail = rail
-	u.sentAt = e.env.Now() // the replay's round trip starts now
+	u.sentAt = now // the replay's round trip starts now
 	u.replayed = true
 	us.mu.Unlock()
 	for r := u.reqs; r != nil; r = r.contNext {
@@ -381,8 +379,8 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 	// The frame is resent verbatim: its header rail byte still names
 	// the dead rail, but that field is diagnostics-only and the slice
 	// may alias an in-flight transport write, so it must not be touched.
-	e.trace(trace.Resent, u.key.id, rail, len(u.frame), "container failover")
-	e.noteAnomaly("unit replay")
+	e.trace(now, trace.Resent, u.key.id, rail, len(u.frame), "container failover")
+	e.noteAnomaly(now, "unit replay")
 	e.node.Rail(rail).SendEager(ctx, u.to, u.frame)
 }
 
@@ -390,7 +388,8 @@ func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView)
 // configured splitter over the surviving rails, registering the
 // resulting sub-chunks as fresh outstanding units.
 func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
-	chunks := e.capChunks(u.to, e.cfg.Splitter.Split(u.size, e.env.Now(), views), nil)
+	at := e.env.Now()
+	chunks := e.capChunks(u.to, e.cfg.Splitter.Split(u.size, at, views), nil)
 	if len(chunks) == 0 {
 		return
 	}
@@ -405,32 +404,34 @@ func (e *Engine) resendChunk(ctx rt.Ctx, u *unit, views []strategy.RailView) {
 	for i, c := range chunks {
 		nu := &newUnits[i]
 		*nu = unit{key: ackKey{u.key.id, uint64(u.off + c.Offset)}, to: u.to, rail: c.Rail,
-			sentAt: e.env.Now(), replayed: true, req: u.req, off: u.off + c.Offset, size: c.Size, e: e}
+			sentAt: at, replayed: true, req: u.req, off: u.off + c.Offset, size: c.Size, e: e}
 		us.outstanding[nu.key] = nu
 	}
 	us.mu.Unlock()
 	u.req.failedOver.Store(true)
 	e.stats.failedOver.Add(1)
-	e.noteAnomaly("unit replay")
+	e.noteAnomaly(at, "unit replay")
 	// The old unit's ack slot is retired only after the replacements
 	// are counted, so the request's remote completion cannot fire early
-	// (ackDone cannot hit zero here, but record the stage if it ever did).
+	// (ackDone cannot hit zero here, but complete it if it ever did).
 	u.req.addAcks(len(newUnits))
 	if u.req.ackDone() {
-		e.noteAcked(u.req, -1)
+		e.noteAcked(u.req, -1, at)
 	}
 	var hdr [wire.HeaderSize]byte
 	for i := range newUnits {
 		nu := &newUnits[i]
-		e.trace(trace.Resent, u.key.id, nu.rail, nu.size, "chunk failover")
+		e.trace(at, trace.Resent, u.key.id, nu.rail, nu.size, "chunk failover")
 		e.sendChunk(ctx, u.req, nu.rail, nu.off, nu.size, nil, &hdr)
+		at = e.env.Now()
 	}
 }
 
 // resendRTS replays a rendezvous announcement whose rail died before
 // the CTS arrived. The receiver answers duplicates idempotently.
 func (e *Engine) resendRTS(ctx rt.Ctx, msgID uint64, p *pendingRdv, views []strategy.RailView) {
-	rail := strategy.BestRail(wire.HeaderSize, e.env.Now(), views)
+	now := e.env.Now()
+	rail := strategy.BestRail(wire.HeaderSize, now, views)
 	us := e.unit(p.req.To, msgID)
 	us.mu.Lock()
 	if us.rdvOut[msgID] != p {
@@ -441,8 +442,8 @@ func (e *Engine) resendRTS(ctx rt.Ctx, msgID uint64, p *pendingRdv, views []stra
 	us.mu.Unlock()
 	p.req.failedOver.Store(true)
 	prof := e.node.Rail(rail).Profile()
-	rts := wire.EncodeControl(wire.KindRTS, uint8(rail), e.origin(), p.req.Tag, msgID, uint64(len(p.req.Data)))
-	e.trace(trace.RTSSent, msgID, rail, len(p.req.Data), "failover")
+	rts := wire.AppendControl(nil, wire.KindRTS, uint8(rail), e.origin(), p.req.Tag, msgID, uint64(len(p.req.Data)))
+	e.trace(now, trace.RTSSent, msgID, rail, len(p.req.Data), "failover")
 	e.node.Rail(rail).SendControl(ctx, p.req.To, rts, prof.SendOverhead, prof.RecvOverhead)
 }
 

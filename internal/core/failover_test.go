@@ -91,7 +91,7 @@ func TestEagerContainerFailsOver(t *testing.T) {
 	frame := wire.EncodeEagerID(0, cid, 0, []wire.Packet{{Tag: 5, MsgID: cid, Payload: req.Data}})
 	// The container is registered as in flight on rail 0 but its frame
 	// is "lost": the rail dies before it was ever delivered.
-	eng[0].registerContainer(cid, 1, 0, nil, frame, []*SendRequest{req})
+	eng[0].registerContainer(cid, 1, 0, nil, frame, []*SendRequest{req}, env.Now())
 	c.FailRail(0, 0, 10*time.Microsecond)
 	buf := make([]byte, 16)
 	var got int

@@ -30,19 +30,17 @@ var liveFabrics = []struct {
 }
 
 // livePair builds two engines over f with the pinned liveProfiles and
-// the production tracing stack — Counts teed with a FlightRecorder,
-// installed as both Tracer and Flight, plus a metrics registry — so the
+// the production tracing stack — a FlightRecorder installed as Flight,
+// the one always-on event sink, plus a metrics registry — so the
 // measured path is the one multirail.New runs.
-func livePair(tb testing.TB, env *rt.LiveEnv, f fabric.Fabric) [2]*Engine {
+func livePair(tb testing.TB, env rt.Env, f fabric.Fabric) [2]*Engine {
 	tb.Helper()
 	var eng [2]*Engine
 	for i := range eng {
-		flight := trace.NewFlightRecorder(0)
 		var err error
 		eng[i], err = NewEngine(env, f.Node(i), liveProfiles(tb), Config{
 			Metrics: metrics.NewRegistry(),
-			Tracer:  trace.Tee(trace.NewCounts(), flight),
-			Flight:  flight,
+			Flight:  trace.NewFlightRecorder(0),
 		})
 		if err != nil {
 			tb.Fatal(err)

@@ -184,7 +184,7 @@ func (e *Engine) sendCTS(ctx rt.Ctx, to, rail int, tag uint32, msgID uint64, hdr
 		e.submitWork(progress.FlowKey(to, tag), workSendCTS, to, rail, wire.Header{Tag: tag, MsgID: msgID})
 		return
 	}
-	e.traceFrom(to, trace.CTSSent, msgID, rail, 0, "")
+	e.traceFrom(e.env.Now(), to, trace.CTSSent, msgID, rail, 0, "")
 	var cts []byte
 	if hdr != nil {
 		cts = hdr[:0]
@@ -260,7 +260,7 @@ func (e *Engine) dispatch(d *fabric.Delivery) {
 				e.step(progress.FlowKey(from, p.Tag), w)
 			}
 		} else {
-			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, rail,
+			e.traceFrom(e.env.Now(), int(h.Origin), trace.ReplayedDelivery, h.MsgID, rail,
 				int(h.TotalLen), "eager container replay dropped")
 		}
 		if own == nil {
@@ -425,7 +425,7 @@ func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 			// (the ack raced a rail failure): drop it — the handler
 			// still re-acks the unit.
 			s.mu.Unlock()
-			e.traceFrom(int(h.Origin), trace.ReplayedDelivery, h.MsgID, -1,
+			e.traceFrom(e.env.Now(), int(h.Origin), trace.ReplayedDelivery, h.MsgID, -1,
 				len(payload), "chunk replay dropped")
 			return
 		}
@@ -517,7 +517,7 @@ func (e *Engine) retire(s *flowShard, pa *partial, from int, h wire.Header) *Rec
 func (e *Engine) completeRecv(req *RecvRequest, pa *partial, h wire.Header) {
 	if req.Buf != nil && len(pa.buf) > 0 && &req.Buf[0] == &pa.buf[0] {
 		// Rendezvous path: bytes already in place.
-		e.traceFrom(int(h.Origin), trace.Delivered, h.MsgID, -1, pa.re.Received(), "rendezvous")
+		e.traceFrom(e.env.Now(), int(h.Origin), trace.Delivered, h.MsgID, -1, pa.re.Received(), "rendezvous")
 		req.complete(pa.re.Received(), nil)
 		return
 	}
@@ -589,6 +589,6 @@ func (e *Engine) deliverTo(req *RecvRequest, origin int, msgID uint64, data []by
 		return
 	}
 	copy(req.Buf, data)
-	e.traceFrom(origin, trace.Delivered, msgID, -1, len(data), "")
+	e.traceFrom(e.env.Now(), origin, trace.Delivered, msgID, -1, len(data), "")
 	req.complete(len(data), nil)
 }

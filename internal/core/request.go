@@ -81,17 +81,14 @@ func (r *SendRequest) addPending(n int) {
 	r.mu.Unlock()
 }
 
-// chunkDone decrements the outstanding-chunk count, firing Done at
-// zero. It reports whether this call completed the request, so the
-// caller can record the completion stage exactly once.
+// chunkDone decrements the outstanding-chunk count. It reports whether
+// this call completed the request: the caller then records the
+// completion and fires Done (Engine.noteCompleted), exactly once.
 func (r *SendRequest) chunkDone() bool {
 	r.mu.Lock()
 	r.pending--
 	fire := r.pending == 0
 	r.mu.Unlock()
-	if fire {
-		r.done.Fire()
-	}
 	return fire
 }
 
@@ -101,17 +98,15 @@ func (r *SendRequest) addAcks(n int) {
 	r.mu.Unlock()
 }
 
-// ackDone decrements the outstanding-ack count, firing RemoteDone at
-// zero. It reports whether this call fired it, so the caller can
-// record the remote-completion stage exactly once.
+// ackDone decrements the outstanding-ack count. It reports whether this
+// call completed the request remotely: the caller then records the
+// remote completion and fires RemoteDone (Engine.noteAcked), exactly
+// once.
 func (r *SendRequest) ackDone() bool {
 	r.mu.Lock()
 	r.ackPending--
 	fire := r.ackPending == 0
 	r.mu.Unlock()
-	if fire {
-		r.acked.Fire()
-	}
 	return fire
 }
 

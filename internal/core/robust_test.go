@@ -22,9 +22,9 @@ func TestHandlerDropsCorruptFrames(t *testing.T) {
 	env, eng := pair(t, Config{})
 	var got int
 	env.Go("app", func(ctx rt.Ctx) {
-		inject(eng[1], 0, []byte{0xFF, 0xFF, 0xFF})                     // short garbage
-		inject(eng[1], 0, make([]byte, wire.HeaderSize))                // kind 0: corrupt
-		badEager := wire.EncodeControl(wire.KindEager, 0, 0, 1, 1, 999) // count/payload mismatch
+		inject(eng[1], 0, []byte{0xFF, 0xFF, 0xFF})                          // short garbage
+		inject(eng[1], 0, make([]byte, wire.HeaderSize))                     // kind 0: corrupt
+		badEager := wire.AppendControl(nil, wire.KindEager, 0, 0, 1, 1, 999) // count/payload mismatch
 		inject(eng[1], 0, badEager)
 		ctx.Sleep(time.Millisecond)
 		// Normal traffic still flows.
@@ -43,7 +43,7 @@ func TestStaleCTSIgnored(t *testing.T) {
 	env, eng := pair(t, Config{})
 	ok := false
 	env.Go("app", func(ctx rt.Ctx) {
-		inject(eng[0], 0, wire.EncodeControl(wire.KindCTS, 0, 0, 1, 0xDEAD, 0))
+		inject(eng[0], 0, wire.AppendControl(nil, wire.KindCTS, 0, 0, 1, 0xDEAD, 0))
 		ctx.Sleep(time.Millisecond)
 		rr := eng[1].Irecv(0, 1, make([]byte, 256<<10))
 		eng[0].Isend(1, 1, make([]byte, 256<<10))
@@ -141,7 +141,7 @@ func TestRdvLargerThanBufferViaRTS(t *testing.T) {
 	var rerr error
 	env.Go("app", func(ctx rt.Ctx) {
 		rr := eng[1].Irecv(0, 3, make([]byte, 64))
-		inject(eng[1], 0, wire.EncodeControl(wire.KindRTS, 0, 0, 3, 0x55, 4096))
+		inject(eng[1], 0, wire.AppendControl(nil, wire.KindRTS, 0, 0, 3, 0x55, 4096))
 		_, rerr = rr.Wait(ctx)
 	})
 	env.Run()
@@ -169,7 +169,7 @@ func TestPlacementAbortReleasesClaimAndDeliversParkedReplay(t *testing.T) {
 	env.Go("app", func(ctx rt.Ctx) {
 		rx := eng[1]
 		rr := rx.Irecv(0, tag, buf)
-		inject(rx, 0, wire.EncodeControl(wire.KindRTS, 0, 0, tag, id, total))
+		inject(rx, 0, wire.AppendControl(nil, wire.KindRTS, 0, 0, tag, id, total))
 		ctx.Sleep(time.Millisecond)
 
 		if d, _ := rx.placeChunk(0, 0, wire.EncodeDataHeader(nil, 0, 0, tag, id+1, 0, 8, 8), 8); d != nil {
@@ -261,7 +261,7 @@ func TestCommitDeliversParkedReplayPastItsRange(t *testing.T) {
 	env.Go("app", func(ctx rt.Ctx) {
 		rx := eng[1]
 		rr := rx.Irecv(0, tag, buf)
-		inject(rx, 0, wire.EncodeControl(wire.KindRTS, 0, 0, tag, id, total))
+		inject(rx, 0, wire.AppendControl(nil, wire.KindRTS, 0, 0, tag, id, total))
 		ctx.Sleep(time.Millisecond)
 		dst, done := rx.placeChunk(0, 0, wire.EncodeDataHeader(nil, 0, 0, tag, id, 0, 64<<10, total), 64<<10)
 		if dst == nil {

@@ -26,7 +26,7 @@ func (e *Engine) Isend(to int, tag uint32, data []byte) *SendRequest {
 	req.done, req.acked = e.env.EventAt(&req.doneSlot), e.env.EventAt(&req.ackedSlot)
 	req.msgID = e.newID()
 	req.submitAt = e.env.Now()
-	e.trace(trace.Submit, req.msgID, -1, len(data), "")
+	e.trace(req.submitAt, trace.Submit, req.msgID, -1, len(data), "")
 	e.sub.Put(to, req)
 	return req
 }
@@ -88,30 +88,34 @@ func (e *Engine) sendEagerBatch(ctx rt.Ctx, to int, batch []*SendRequest, sc *de
 }
 
 // sendEagerGreedy is the Fig 3 baseline: each packet goes, whole, to the
-// rail predicted idle first; PIO copies serialise on this core.
+// rail predicted idle first; PIO copies serialise on this core. Like the
+// aggregate path it reads the clock once before each send and once after
+// it, the latter being the next packet's decision stamp.
 func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 	sizes := make([]int, len(batch))
 	for i, r := range batch {
 		sizes[i] = len(r.Data)
 	}
-	assign := strategy.AssignGreedy(sizes, e.env.Now(), e.railViewsFor(to))
+	at := e.env.Now()
+	assign := strategy.AssignGreedy(sizes, at, e.railViewsFor(to))
 	for i, r := range batch {
 		rail := assign[i]
-		e.noteDecision(r)
+		e.noteDecision(r, at)
 		cid := e.newID()
 		frame := wire.EncodeEagerID(e.origin(), cid, uint8(rail), []wire.Packet{{Tag: r.Tag, MsgID: r.msgID, Payload: r.Data}})
 		r.addPending(1)
-		e.registerContainer(cid, to, rail, nil, frame, []*SendRequest{r})
-		e.trace(trace.EagerSent, r.msgID, rail, len(r.Data), "greedy")
+		e.registerContainer(cid, to, rail, nil, frame, []*SendRequest{r}, at)
+		e.trace(at, trace.EagerSent, r.msgID, rail, len(r.Data), "greedy")
 		// Stats before the transport enqueue: the receiver's ack can fire
 		// RemoteDone before this worker resumes, and a counter that lags
 		// remote completion reads as a lost message to an observer.
 		e.bumpEager(1, 0, 0, len(r.Data))
 		e.node.Rail(rail).SendEager(ctx, to, frame)
 		e.settle(ctx, rail)
-		e.noteEnqueued(r)
+		at = e.env.Now()
+		e.noteEnqueued(r, at)
 		if r.chunkDone() {
-			e.noteCompleted(r)
+			e.noteCompleted(r, at)
 		}
 	}
 }
@@ -119,6 +123,12 @@ func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 // sendEagerAggregate is the paper's strategy: pack the batch into
 // containers on the fastest available rail; a single medium-sized packet
 // may instead be split across rails and submitted from parallel cores.
+//
+// The flush reads the clock once before each container's send — the
+// decision, the unit's send stamp and the EagerSent event share it — and
+// once after, for the enqueue and completion stages; that post-send stamp
+// is also the next container's pre-send stamp. Rails are picked against
+// the flush's first stamp, now.
 //
 //railvet:hotpath
 func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
@@ -129,12 +139,12 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 		r := batch[0]
 		// Under telemetry the views are live, so the prediction follows
 		// what the wire currently delivers.
-		single, parallel := strategy.EagerCandidates(len(r.Data), now, rails, e.pool.Idle(), model.OffloadSyncCost)
-		if parallel != nil && parallel.Predicted < single.Predicted {
-			e.sendEagerParallel(r, to, *parallel)
+		if plan := strategy.PlanEager(len(r.Data), now, rails, e.pool.Idle(), model.OffloadSyncCost); plan.Parallel {
+			e.sendEagerParallel(r, to, plan, now)
 			return
 		}
 	}
+	at := now
 	// Fill containers up to the chosen rail's eager limit, fastest rail
 	// first ("aggregate the messages and send them over the fastest
 	// available network").
@@ -148,7 +158,10 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 		if pickSize == 0 {
 			pickSize = 1
 		}
-		rail := e.pickEagerRail(pickSize, now, rails, sc)
+		rail, probe := e.pickEagerRail(pickSize, now, rails, sc)
+		if probe {
+			e.trace(at, trace.Decision, 0, rail, pickSize, "probe: eager rail")
+		}
 		limit := e.profiles[rail].EagerMax
 		pkts := sc.pkts[:0]
 		total, size := 0, wire.HeaderSize
@@ -170,24 +183,25 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 		sc.pkts = pkts[:0]
 		for _, r := range group {
 			r.addPending(1)
-			e.noteDecision(r)
+			e.noteDecision(r, at)
 		}
-		e.registerContainer(cid, to, rail, buf, frame, group)
+		e.registerContainer(cid, to, rail, buf, frame, group, at)
 		agg, note := 0, ""
 		if len(group) > 1 {
 			agg, note = len(group), "aggregated"
 		}
-		e.trace(trace.EagerSent, group[0].msgID, rail, total, note)
+		e.trace(at, trace.EagerSent, group[0].msgID, rail, total, note)
 		// Stats before the transport enqueue: the receiver's ack can fire
 		// RemoteDone before this worker resumes, and a counter that lags
 		// remote completion reads as a lost message to an observer.
 		e.bumpEager(len(group), agg, 0, total)
 		e.node.Rail(rail).SendEager(ctx, to, frame)
 		e.settle(ctx, rail)
+		at = e.env.Now()
 		for _, r := range group {
-			e.noteEnqueued(r)
+			e.noteEnqueued(r, at)
 			if r.chunkDone() {
-				e.noteCompleted(r)
+				e.noteCompleted(r, at)
 			}
 		}
 	}
@@ -209,7 +223,9 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 // rail's contract. If no usable rail admits it (a health transition
 // raced the flush decision), the unfiltered pick stands: the container
 // is tolerated oversized, exactly as before rails were heterogeneous.
-func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailView, sc *destScratch) int {
+//
+// probe reports a probe pick, which the caller records as a Decision.
+func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailView, sc *destScratch) (rail int, probe bool) {
 	fit := sc.fit[:0]
 	anyUp := false
 	//railvet:ignore railup size-prefilter only: anyUp tracks health and BestRail applies the Usable rule itself, with the all-down fallback documented above
@@ -226,22 +242,21 @@ func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailVi
 	best := strategy.BestRail(n, now, fit)
 	pe := e.probeEvery()
 	if pe == 0 {
-		return best
+		return best, false
 	}
 	c := e.eagerCount.Add(1)
 	if c%uint64(pe) != 0 {
-		return best
+		return best, false
 	}
 	usable := strategy.Usable(fit)
 	if len(usable) <= 1 {
-		return best
+		return best, false
 	}
-	probe := usable[int(c/uint64(pe))%len(usable)].Index
-	if probe == best {
-		probe = usable[int(c/uint64(pe)+1)%len(usable)].Index
+	rail = usable[int(c/uint64(pe))%len(usable)].Index
+	if rail == best {
+		rail = usable[int(c/uint64(pe)+1)%len(usable)].Index
 	}
-	e.trace(trace.Decision, 0, probe, n, "probe: eager rail")
-	return probe
+	return rail, true
 }
 
 // sendEagerParallel executes a parallel eager plan (Fig 7): each chunk is
@@ -249,18 +264,19 @@ func (e *Engine) pickEagerRail(n int, now time.Duration, rails []strategy.RailVi
 // the i-th pool worker after the flushing one — which performs the PIO
 // copy on its own NIC after the offload synchronisation delay
 // (model.OffloadSyncCost, the paper's 3 µs). The submitting core returns
-// immediately — "the application can then resume its computation".
-func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPlan) {
-	e.noteDecision(r)
+// immediately — "the application can then resume its computation". at is
+// the flush's decision stamp.
+func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPlan, at time.Duration) {
+	e.noteDecision(r, at)
 	r.addPending(len(plan.Chunks))
 	// Register every chunk before the first chunk task can run: a chunk
 	// delivered and acked while its siblings are still being encoded
 	// must not fire RemoteDone early.
 	units := make([]unit, len(plan.Chunks))
 	for i, c := range plan.Chunks {
-		e.registerChunk(&units[i], r, to, c.Rail, c.Offset, c.Size)
+		e.registerChunk(&units[i], r, to, c.Rail, c.Offset, c.Size, at)
 	}
-	e.trace(trace.Decision, r.msgID, -1, len(r.Data),
+	e.trace(at, trace.Decision, r.msgID, -1, len(r.Data),
 		fmt.Sprintf("parallel eager: %d chunks, predicted %v", len(plan.Chunks), plan.Predicted))
 	// Stats before the chunks can be posted: an offloaded chunk's ack can
 	// fire RemoteDone before this worker resumes (same ordering as the
@@ -269,7 +285,7 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 	for i, c := range plan.Chunks {
 		frame := wire.EncodeData(uint8(c.Rail), e.origin(), r.Tag, r.msgID, c.Offset,
 			r.Data[c.Offset:c.Offset+c.Size], len(r.Data))
-		e.trace(trace.OffloadStart, r.msgID, c.Rail, c.Size, "")
+		e.trace(at, trace.OffloadStart, r.msgID, c.Rail, c.Size, "")
 		e.pool.Submit(progress.DestKey(to)+uint32(i)+1, progress.Task{
 			Name: "eager-chunk",
 			Run: func(ctx rt.Ctx) {
@@ -277,8 +293,9 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 				e.node.Rail(c.Rail).SendEager(ctx, to, frame)
 				e.settle(ctx, c.Rail)
 				if r.chunkDone() {
-					e.noteEnqueued(r) // the last offloaded copy was posted
-					e.noteCompleted(r)
+					at := e.env.Now() // the last offloaded copy was posted
+					e.noteEnqueued(r, at)
+					e.noteCompleted(r, at)
 				}
 			},
 		})
@@ -320,10 +337,11 @@ func (e *Engine) bumpEager(sent, agg, par, bytes int) {
 // the request until the CTS arrives. The rail is remembered so the RTS
 // can be replayed if it dies before the CTS comes back.
 func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
+	now := e.env.Now()
 	sc.views = e.appendRailViews(sc.views[:0], r.To)
-	rail := strategy.BestRail(wire.HeaderSize, e.env.Now(), sc.views)
-	e.noteDecision(r)        // protocol decision: rendezvous, RTS on `rail`
-	r.rdvStart = e.env.Now() // whole-rendezvous clock (telemetry rdv plane, noteAcked's histogram)
+	rail := strategy.BestRail(wire.HeaderSize, now, sc.views)
+	e.noteDecision(r, now) // protocol decision: rendezvous, RTS on `rail`
+	r.rdvStart = now       // whole-rendezvous clock (telemetry rdv plane, noteAcked's histogram)
 	us := e.unit(r.To, r.msgID)
 	us.mu.Lock()
 	us.rdvOut[r.msgID] = &pendingRdv{req: r, rail: rail}
@@ -331,7 +349,7 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 	e.stats.rdvSent.Add(1)
 	prof := e.node.Rail(rail).Profile()
 	rts := wire.AppendControl(sc.hdr[:0], wire.KindRTS, uint8(rail), e.origin(), r.Tag, r.msgID, uint64(len(r.Data)))
-	e.trace(trace.RTSSent, r.msgID, rail, len(r.Data), "")
+	e.trace(now, trace.RTSSent, r.msgID, rail, len(r.Data), "")
 	e.node.Rail(rail).SendControl(ctx, r.To, rts, prof.SendOverhead, prof.RecvOverhead)
 	e.settle(ctx, rail)
 }
@@ -345,6 +363,10 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 // unit is its own completion (unit.Fire): a rendezvous starts no
 // goroutine. w is the work item running the step, whose scratch takes the
 // plan and the chunk headers.
+//
+// The plan, the chunks' send stamps, the Decision event and the first
+// ChunkPosted share one clock read; each chunk's post is followed by one
+// more, which stamps the next ChunkPosted, and the last the enqueue stage.
 func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 	us := e.unit(peer, msgID)
 	us.mu.Lock()
@@ -355,7 +377,8 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 		return
 	}
 	r := p.req
-	chunks := e.capChunks(r.To, e.planRdv(r.To, len(r.Data), &w.plan), &w.plan)
+	at := e.env.Now()
+	chunks := e.capChunks(r.To, e.planRdv(r.To, len(r.Data), at, &w.plan), &w.plan)
 	e.observeRdvPath(r, chunks)
 	e.stats.chunksSent.Add(uint64(len(chunks)))
 	e.stats.bytesSent.Add(uint64(len(r.Data)))
@@ -369,12 +392,13 @@ func (e *Engine) onCTS(ctx rt.Ctx, peer int, msgID uint64, w *work) {
 	}
 	units = units[:len(chunks)]
 	for i, c := range chunks {
-		e.registerChunk(&units[i], r, r.To, c.Rail, c.Offset, c.Size)
+		e.registerChunk(&units[i], r, r.To, c.Rail, c.Offset, c.Size, at)
 	}
-	e.trace(trace.Decision, msgID, -1, len(r.Data), e.cfg.Splitter.Name())
+	e.trace(at, trace.Decision, msgID, -1, len(r.Data), e.cfg.Splitter.Name())
 	for i, c := range chunks {
-		e.trace(trace.ChunkPosted, msgID, c.Rail, c.Size, "")
+		e.trace(at, trace.ChunkPosted, msgID, c.Rail, c.Size, "")
 		e.sendChunk(ctx, r, c.Rail, c.Offset, c.Size, &units[i], &w.hdr)
+		at = e.env.Now()
 	}
-	e.noteEnqueued(r) // every chunk DMA is posted
+	e.noteEnqueued(r, at) // every chunk DMA is posted
 }

@@ -181,7 +181,7 @@ func (s *pingServer) serve(ctx rt.Ctx, node int) {
 			// split mirrors the engine: half the handshake cost on each
 			// side.
 			prof := s.f.Node(node).Rail(d.Rail).Profile()
-			cts := wire.EncodeControl(wire.KindCTS, uint8(d.Rail), h.Origin, h.Tag, h.MsgID, h.TotalLen)
+			cts := wire.AppendControl(nil, wire.KindCTS, uint8(d.Rail), h.Origin, h.Tag, h.MsgID, h.TotalLen)
 			s.f.Node(node).Rail(d.Rail).SendControl(ctx, d.From, cts,
 				prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
 		case wire.KindCTS, wire.KindEager:
@@ -228,7 +228,7 @@ func (s *pingServer) measureRdv(ctx rt.Ctx, r int, payload []byte) time.Duration
 	cts := s.register(ctsID)
 	done := s.register(dataID)
 	t0 := ctx.Now()
-	rts := wire.EncodeControl(wire.KindRTS, uint8(r), 0, 0, ctsID, uint64(n))
+	rts := wire.AppendControl(nil, wire.KindRTS, uint8(r), 0, 0, ctsID, uint64(n))
 	rail.SendControl(ctx, 1, rts, prof.SendOverhead, prof.RecvOverhead)
 	cts.Wait(ctx)
 	head := wire.EncodeDataHeader(nil, uint8(r), 0, 0, dataID, 0, n, n)

@@ -32,22 +32,10 @@ type EagerPlan struct {
 // prescribes. Parallel submission is chosen only when its predicted
 // completion — T_O + max over rails of the chunk transfer time, equation
 // (1) — beats the best single-rail aggregation, which makes tiny
-// messages stay on one rail (Fig 9's < 4 KB regime).
+// messages stay on one rail (Fig 9's < 4 KB regime). It is ruled out
+// when a chunk would overflow its rail's eager limit (the engine would
+// have to switch protocol mid-message).
 func PlanEager(n int, now time.Duration, rails []RailView, idleCores int, offloadCost time.Duration) EagerPlan {
-	single, parallel := EagerCandidates(n, now, rails, idleCores, offloadCost)
-	if parallel != nil && parallel.Predicted < single.Predicted {
-		return *parallel
-	}
-	return single
-}
-
-// EagerCandidates returns both eager schedules for an n-byte message:
-// the single-rail aggregation plan, and — when parallel multicore
-// submission is structurally possible (enough idle NICs and cores,
-// every chunk within its rail's eager limit) — the parallel candidate
-// with its equation-(1) predicted completion, regardless of which plan
-// the model prefers. PlanEager applies the model's preference.
-func EagerCandidates(n int, now time.Duration, rails []RailView, idleCores int, offloadCost time.Duration) (EagerPlan, *EagerPlan) {
 	rails = Usable(rails)
 	single := SingleRail{}.Split(n, now, rails)
 	plan := EagerPlan{
@@ -56,7 +44,7 @@ func EagerCandidates(n int, now time.Duration, rails []RailView, idleCores int, 
 		Predicted: PredictedCompletion(now, rails, single),
 	}
 	if n == 0 || len(rails) < 2 || idleCores < 2 {
-		return plan, nil
+		return plan
 	}
 	idleNICs := 0
 	for i := range rails {
@@ -64,33 +52,30 @@ func EagerCandidates(n int, now time.Duration, rails []RailView, idleCores int, 
 			idleNICs++
 		}
 	}
-	k := idleNICs
-	if idleCores < k {
-		k = idleCores
-	}
+	k := min(idleNICs, idleCores)
 	if k < 2 {
-		return plan, nil
+		return plan
 	}
 	// Consider the k rails with the best single-rail completions.
 	cand := bestRails(n, now, rails, k)
 	chunks := HeteroSplit{}.Split(n, now, cand)
 	if len(chunks) < 2 {
-		return plan, nil
+		return plan
 	}
-	// Respect each rail's eager limit: a chunk that would overflow it
-	// disqualifies the parallel plan (the engine would have to switch
-	// protocol mid-message).
 	byIndex := make(map[int]*RailView, len(cand))
 	for i := range cand {
 		byIndex[cand[i].Index] = &cand[i]
 	}
 	for _, c := range chunks {
 		if r := byIndex[c.Rail]; r.EagerMax > 0 && c.Size > r.EagerMax {
-			return plan, nil
+			return plan
 		}
 	}
 	par := offloadCost + PredictedCompletion(now, cand, chunks)
-	return plan, &EagerPlan{Parallel: true, Chunks: chunks, OffloadCost: offloadCost, Predicted: par}
+	if par >= plan.Predicted {
+		return plan
+	}
+	return EagerPlan{Parallel: true, Chunks: chunks, OffloadCost: offloadCost, Predicted: par}
 }
 
 // bestRails returns the k rails with the earliest single-message

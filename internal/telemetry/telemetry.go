@@ -112,13 +112,15 @@ type Config struct {
 	// WarmupObs is the observation count at which a pair's live fit is
 	// fully trusted over the static prior (default 8).
 	WarmupObs int
-	// DriftThreshold is the relative-error EWMA beyond which the linear
-	// fit is declared stale and re-fit (default 0.25).
-	DriftThreshold float64
-	// MinRefitObs is the minimum number of observations between refits
-	// of one pair, bounding refit churn (default 6).
-	MinRefitObs int
 }
+
+// A pair's linear fit is declared stale and re-fit when the EWMA of its
+// relative prediction error exceeds driftThreshold, at most once every
+// minRefitObs observations (bounding refit churn).
+const (
+	driftThreshold = 0.25
+	minRefitObs    = 6
+)
 
 func (c *Config) defaults() {
 	if c.HalfLife <= 0 {
@@ -126,12 +128,6 @@ func (c *Config) defaults() {
 	}
 	if c.WarmupObs <= 0 {
 		c.WarmupObs = 8
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 0.25
-	}
-	if c.MinRefitObs <= 0 {
-		c.MinRefitObs = 6
 	}
 }
 
@@ -438,7 +434,7 @@ func (t *Tracker) observeInto(p *pair, prior strategy.Estimator, bytes int, d ti
 		rel := math.Abs(ns-pred) / pred
 		p.drift = 0.75*p.drift + 0.25*rel
 		p.obsSinceFit++
-		refit = p.drift > t.cfg.DriftThreshold && p.obsSinceFit >= t.cfg.MinRefitObs
+		refit = p.drift > driftThreshold && p.obsSinceFit >= minRefitObs
 	} else {
 		refit = true // first observations establish the initial fit
 	}

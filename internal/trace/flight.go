@@ -61,15 +61,17 @@ type Anomaly struct {
 	Events []Event
 }
 
-// FlightRecorder is an always-on Tracer: a lock-free fixed-size ring
-// of the most recent events, cheap enough (0 allocs/op, ratcheted) to
-// stay installed on every production engine next to Counts. Snapshot
-// returns the ring on demand; NoteAnomaly captures it automatically
-// when the engine detects trouble.
+// FlightRecorder is the always-on Tracer: a lock-free fixed-size ring
+// of the most recent events plus a total per event Kind, cheap enough
+// (0 allocs/op, ratcheted) to stay installed on every production engine.
+// Snapshot returns the ring on demand; NoteAnomaly captures it
+// automatically when the engine detects trouble; Of and TotalRecorded
+// count every event ever recorded, ring wrap or not.
 type FlightRecorder struct {
 	slots []flightSlot
 	mask  uint64
 	head  atomic.Uint64
+	kinds [numKinds]atomic.Uint64
 
 	anomMu    sync.Mutex
 	anomalies []Anomaly // newest-wins ring of maxAnomalies
@@ -95,15 +97,18 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	}
 }
 
-// Record implements Tracer. It claims the next generation with one
-// atomic add and publishes the event under the slot's seq protocol —
-// no locks, no allocation. Two writers a full ring lap apart can
+// Record implements Tracer. It counts the event's kind, claims the next
+// generation with one atomic add and publishes the event under the
+// slot's seq protocol — no locks, no allocation. Two writers a full ring lap apart can
 // collide on a slot; the loser's generation reads torn and Snapshot
 // drops it, which is the right trade for a recorder that must never
 // slow the hot path.
 //
 //railvet:hotpath
 func (f *FlightRecorder) Record(e Event) {
+	if e.Kind > 0 && e.Kind < numKinds {
+		f.kinds[e.Kind].Add(1)
+	}
 	gen := f.head.Add(1) - 1
 	s := &f.slots[gen&f.mask]
 	s.seq.Store(2*gen + 1)
@@ -125,6 +130,14 @@ func (f *FlightRecorder) Len() int {
 
 // TotalRecorded returns the number of events ever recorded.
 func (f *FlightRecorder) TotalRecorded() uint64 { return f.head.Load() }
+
+// Of returns the number of events of one kind ever recorded.
+func (f *FlightRecorder) Of(k Kind) uint64 {
+	if k <= 0 || k >= numKinds {
+		return 0
+	}
+	return f.kinds[k].Load()
+}
 
 // Overwritten returns how many events have been lost to ring wrap.
 func (f *FlightRecorder) Overwritten() uint64 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -67,9 +68,8 @@ func TestFlightRecorderNegativeRail(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderRecordAllocs is the ISSUE 9 acceptance ratchet:
-// the always-on recorder must cost 0 allocs/op or it cannot be
-// installed by default next to Counts.
+// TestFlightRecorderRecordAllocs is the always-on recorder's ratchet:
+// it must cost 0 allocs/op or it cannot be installed on every engine.
 func TestFlightRecorderRecordAllocs(t *testing.T) {
 	f := NewFlightRecorder(0)
 	e := fev(time.Millisecond, 1, 1, 42, ChunkPosted)
@@ -77,15 +77,20 @@ func TestFlightRecorderRecordAllocs(t *testing.T) {
 	ratchet.Check(t, "trace/flight_record", allocs)
 }
 
+// Concurrent writers wrap the ring many times over while a reader
+// snapshots it: no torn event escapes, and the per-kind totals (Of)
+// count every event ever recorded, not what the ring still holds. An
+// out-of-range kind counts in the total only.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	f := NewFlightRecorder(64)
+	kinds := []Kind{Submit, EagerSent, Delivered, Acked}
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := range kinds {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				f.Record(fev(time.Duration(i), w, w, uint64(i+1), Delivered))
+				f.Record(fev(time.Duration(i), w, w, uint64(i+1), kinds[w]))
 			}
 		}(w)
 	}
@@ -102,13 +107,26 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	if f.TotalRecorded() != 2000 {
-		t.Fatalf("total = %d, want 2000", f.TotalRecorded())
-	}
 	for _, e := range f.Snapshot() {
-		if e.Kind != Delivered || e.MsgID == 0 || e.MsgID > 500 {
+		if e.Node >= len(kinds) || e.Kind != kinds[e.Node] || e.MsgID == 0 || e.MsgID > 500 {
 			t.Fatalf("torn event escaped the seq protocol: %+v", e)
 		}
+	}
+	f.Record(fev(0, 0, 0, 1, numKinds))
+	if f.TotalRecorded() != 2001 {
+		t.Fatalf("total = %d, want 2001", f.TotalRecorded())
+	}
+	for _, k := range Kinds() {
+		want := uint64(0)
+		if slices.Contains(kinds, k) {
+			want = 500
+		}
+		if got := f.Of(k); got != want {
+			t.Errorf("Of(%v) = %d, want %d", k, got, want)
+		}
+	}
+	if got := f.Of(numKinds); got != 0 {
+		t.Errorf("Of(out of range) = %d, want 0", got)
 	}
 }
 

@@ -1,16 +1,20 @@
 // Package trace records per-message timelines of the engine's decisions
 // and transfers — the role FxT/Pajé tracing plays for the original
 // NewMadeleine. A Tracer receives one Event per step (submission,
-// strategy decision, chunk posted, delivery, completion); the Collector
-// implementation stores them for inspection by tests, tools and
-// examples, and Counts keeps per-Kind totals cheap enough to leave on
-// in production (the metrics plane's nm_trace_events_total family).
+// strategy decision, chunk posted, delivery, completion). Two
+// implementations exist. The FlightRecorder is the always-on sink: every
+// engine records into it, and its per-Kind totals (Of) are the metrics
+// plane's nm_trace_events_total family. The Collector stores events for
+// inspection by tests, tools and examples; an engine records into one as
+// an optional second subscriber.
 //
 // Clock discipline: event timestamps are never taken here — Event.At is
-// stamped by the engine from its environment clock (rt.LiveEnv.Now is
-// internal/clock-backed, so enabling a Tracer adds no time.Now calls to
-// hot paths), and the Record implementations below are //railvet:hotpath
-// so the hotclock analyzer rejects any wall-clock read creeping in.
+// stamped by the engine from its environment clock, once per message
+// boundary: the same instant feeds the event, the stage histogram and
+// the transfer unit's send stamp (rt.LiveEnv.Now is internal/clock-backed,
+// so enabling a Tracer adds no clock read at all). FlightRecorder.Record
+// is //railvet:hotpath so the hotclock analyzer rejects any wall-clock
+// read creeping in.
 package trace
 
 import (
@@ -19,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -122,74 +125,6 @@ func (e Event) String() string {
 // use (the live environment records from many goroutines).
 type Tracer interface {
 	Record(Event)
-}
-
-// Counts is a Tracer that keeps one atomic total per event Kind —
-// lock-free, allocation-free, cheap enough to stay installed on every
-// engine. The metrics plane exports it as event counts by kind.
-type Counts struct {
-	counts [numKinds]atomic.Uint64
-}
-
-// NewCounts returns a zeroed per-kind counting tracer.
-func NewCounts() *Counts { return &Counts{} }
-
-// Record implements Tracer.
-//
-//railvet:hotpath
-func (c *Counts) Record(e Event) {
-	if e.Kind > 0 && e.Kind < numKinds {
-		c.counts[e.Kind].Add(1)
-	}
-}
-
-// Of returns the total recorded for one kind.
-func (c *Counts) Of(k Kind) uint64 {
-	if k <= 0 || k >= numKinds {
-		return 0
-	}
-	return c.counts[k].Load()
-}
-
-// Total returns the number of events recorded across all kinds.
-func (c *Counts) Total() uint64 {
-	var n uint64
-	for k := Submit; k < numKinds; k++ {
-		n += c.counts[k].Load()
-	}
-	return n
-}
-
-// tee fans one event stream out to several tracers.
-type tee struct {
-	ts []Tracer
-}
-
-// Tee returns a Tracer forwarding every event to each non-nil tracer in
-// order. With zero or one non-nil tracers no wrapper is allocated.
-func Tee(ts ...Tracer) Tracer {
-	live := make([]Tracer, 0, len(ts))
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return &tee{ts: live}
-}
-
-// Record implements Tracer.
-//
-//railvet:hotpath
-func (t *tee) Record(e Event) {
-	for _, tr := range t.ts {
-		tr.Record(e)
-	}
 }
 
 // DefaultCollectorCap bounds a NewCollector: a long-running cluster

@@ -263,16 +263,11 @@ func DecodeEager(b []byte) ([]Packet, error) {
 	return pkts, nil
 }
 
-// EncodeControl builds an RTS/CTS/Ack control message. Origin is the
+// AppendControl appends an RTS/CTS/Ack control message to dst: with a
+// dst of HeaderSize capacity — a [HeaderSize]byte in the sender's
+// scratch — the control message costs no allocation. Origin is the
 // trace id's node half: an RTS carries the sender's own id, a CTS
 // echoes the id of the node whose RTS it answers.
-func EncodeControl(kind Kind, rail uint8, origin, tag uint32, msgID, totalLen uint64) []byte {
-	return AppendControl(nil, kind, rail, origin, tag, msgID, totalLen)
-}
-
-// AppendControl is EncodeControl appended to dst: with a dst of
-// HeaderSize capacity — a [HeaderSize]byte in the sender's scratch — the
-// control message costs no allocation.
 func AppendControl(dst []byte, kind Kind, rail uint8, origin, tag uint32, msgID, totalLen uint64) []byte {
 	h := Header{Kind: kind, Rail: rail, Origin: origin, Tag: tag, MsgID: msgID, TotalLen: totalLen}
 	return h.Encode(dst)

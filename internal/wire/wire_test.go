@@ -116,14 +116,14 @@ func TestDecodeEagerRejectsTruncationAndTrailing(t *testing.T) {
 		t.Fatal("trailing garbage accepted")
 	}
 	// Wrong kind
-	ctl := EncodeControl(KindRTS, 0, 0, 1, 2, 3)
+	ctl := AppendControl(nil, KindRTS, 0, 0, 1, 2, 3)
 	if _, err := DecodeEager(ctl); err == nil {
 		t.Fatal("control message decoded as eager")
 	}
 }
 
 func TestControlRoundTrip(t *testing.T) {
-	enc := EncodeControl(KindCTS, 1, 0, 9, 1000, 4096)
+	enc := AppendControl(nil, KindCTS, 1, 0, 9, 1000, 4096)
 	h, rest, err := DecodeHeader(enc)
 	if err != nil || len(rest) != 0 {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestDecodeDataRejectsLengthMismatch(t *testing.T) {
 	if _, _, err := DecodeData(enc[:len(enc)-1]); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	ctl := EncodeControl(KindAck, 0, 0, 0, 1, 0)
+	ctl := AppendControl(nil, KindAck, 0, 0, 0, 1, 0)
 	if _, _, err := DecodeData(ctl); err == nil {
 		t.Fatal("ack decoded as data")
 	}

@@ -37,7 +37,7 @@ func (c *Cluster) MetricsAddr() string {
 
 // TraceCounts returns how many trace events of one kind the cluster's
 // engines have emitted (counted even with no Config.Tracer installed).
-func (c *Cluster) TraceCounts(k trace.Kind) uint64 { return c.traceCounts.Of(k) }
+func (c *Cluster) TraceCounts(k trace.Kind) uint64 { return c.flight.Of(k) }
 
 // Flight returns the cluster's always-on flight recorder: the last few
 // thousand trace events of every hosted engine in a lock-free ring,
@@ -111,14 +111,14 @@ func (c *Cluster) initClusterMetrics(node int) {
 }
 
 // initTraceMetrics registers the process-wide per-kind trace event
-// counts (the Counts tracer is shared by every hosted engine) and the
-// flight recorder's own health counters.
+// counts (the flight recorder is shared by every hosted engine) and its
+// own health counters.
 func (c *Cluster) initTraceMetrics() {
 	for _, k := range trace.Kinds() {
 		k := k
 		c.metricsReg.CounterFunc("nm_trace_events_total",
 			"Engine timeline events by kind, across hosted nodes.",
-			func() uint64 { return c.traceCounts.Of(k) },
+			func() uint64 { return c.flight.Of(k) },
 			metrics.L("kind", k.String())...)
 	}
 	c.metricsReg.CounterFunc("nm_flight_events_total",

@@ -160,29 +160,23 @@ type Config struct {
 	// "127.0.0.1:0", an ephemeral loopback port).
 	ListenAddr string
 	// TCPRails is the number of TCP rails joining every node pair
-	// (default 2). The TCP fabric ignores the Rails profiles.
+	// (default 2). The TCP fabric ignores the Rails profiles. A TCP rail
+	// takes eager payloads up to 32 KiB; larger messages take the
+	// rendezvous path.
 	TCPRails int
-	// TCPEagerMax caps eager payloads on TCP rails; larger messages take
-	// the rendezvous path (default 32 KiB).
-	TCPEagerMax int
 	// ShmRails is the number of shared-memory rails joining every node
 	// pair. With Fabric = FabricShm it is the cluster's whole rail set
 	// (default 2); combined with FabricTCP it rides alongside the TCP
 	// rails as a mixed heterogeneous fabric — shm rails take indices
 	// 0..ShmRails-1, TCP rails follow. Intra-host traffic then has a
 	// genuine PIO-regime lane, and the strategies face rails with truly
-	// different cost models.
+	// different cost models. An shm rail takes eager payloads up to
+	// 64 KiB (the PIO regime stretches further on a memory path), and
+	// each ring direction holds 256 KiB: larger frames stream through in
+	// pieces, and a rendezvous chunk body of 32 KiB or more does not
+	// enter the ring at all — the receiver copies it once, straight from
+	// the sender's buffer (across processes with process_vm_readv).
 	ShmRails int
-	// ShmEagerMax caps eager payloads on shm rails (default 64 KiB —
-	// the PIO regime stretches further on a memory path).
-	ShmEagerMax int
-	// ShmRingBytes is each shm ring direction's payload capacity
-	// (default 256 KiB). Larger frames stream through in pieces; a
-	// rendezvous chunk body of 32 KiB or more (at most a quarter of the
-	// ring) does not enter the ring at all: the receiver copies it once,
-	// straight from the sender's buffer (across processes with
-	// process_vm_readv).
-	ShmRingBytes int
 	// ShmDir is the directory for the mmap-backed ring files
 	// (Distributed mode with shm rails only). Every process of the
 	// cluster must run on one host and name the same directory, which
@@ -246,8 +240,9 @@ type Config struct {
 	// >= 4*Workers, min 8; rounded up to a power of two). More shards
 	// reduce lock contention between flows that hash together.
 	Shards int
-	// Sampling tunes the start-up sampling range.
-	SamplingMin, SamplingMax int
+	// SamplingMax is the largest size the start-up sampling measures
+	// (the ladder starts at 4 B).
+	SamplingMax int
 	// SamplingFrom, when non-nil, loads a saved sampling instead of
 	// benchmarking at start-up (cmd/nmsample writes such files).
 	SamplingFrom io.Reader
@@ -285,10 +280,9 @@ type Cluster struct {
 	engines  []*core.Engine // indexed by node id; nil when not hosted
 	profiles []*sampling.RailProfile
 
-	metricsReg  *metrics.Registry     // always built; exporter optional
-	metricsSrv  *metrics.Server       // nil unless Config.MetricsAddr set
-	traceCounts *trace.Counts         // per-kind event totals, always on
-	flight      *trace.FlightRecorder // ring of recent events, always on
+	metricsReg *metrics.Registry     // always built; exporter optional
+	metricsSrv *metrics.Server       // nil unless Config.MetricsAddr set
+	flight     *trace.FlightRecorder // recent events and per-kind totals, always on
 
 	wg       sync.WaitGroup // user actors (live mode)
 	nodes    []*Node
@@ -327,11 +321,10 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("multirail: shm rails require a live fabric (%q or %q)", FabricTCP, FabricShm)
 	}
 	c := &Cluster{
-		cfg:         cfg,
-		kind:        kind,
-		metricsReg:  metrics.NewRegistry(),
-		traceCounts: trace.NewCounts(),
-		flight:      trace.NewFlightRecorder(0),
+		cfg:        cfg,
+		kind:       kind,
+		metricsReg: metrics.NewRegistry(),
+		flight:     trace.NewFlightRecorder(0),
 	}
 	if cfg.Live {
 		c.live = rt.NewLive()
@@ -384,11 +377,11 @@ func New(cfg Config) (*Cluster, error) {
 		EagerParallel: cfg.EagerParallel,
 		Workers:       cfg.Workers,
 		Shards:        cfg.Shards,
-		// The per-kind event counter and the flight recorder ride along
-		// whatever tracer the caller installed; both are lock-free and
-		// allocation-free, so they stay on even with no Config.Tracer.
-		Tracer:  trace.Tee(c.traceCounts, c.flight, cfg.Tracer),
+		// The flight recorder is lock-free and allocation-free, so it
+		// stays on even with no Config.Tracer; the caller's tracer, if
+		// any, gets the same events.
 		Flight:  c.flight,
+		Tracer:  cfg.Tracer,
 		Metrics: c.metricsReg,
 	}
 	if cfg.GreedyEager {
@@ -478,8 +471,6 @@ func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail
 			Nodes:        cfg.Nodes,
 			Rails:        cfg.ShmRails,
 			CoresPerNode: cfg.CoresPerNode,
-			EagerMax:     cfg.ShmEagerMax,
-			RingBytes:    cfg.ShmRingBytes,
 			Dir:          cfg.ShmDir,
 			OnStall:      onStall,
 		}
@@ -499,7 +490,6 @@ func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail
 			Nodes:        cfg.Nodes,
 			Rails:        cfg.TCPRails,
 			CoresPerNode: cfg.CoresPerNode,
-			EagerMax:     cfg.TCPEagerMax,
 			ListenAddr:   cfg.ListenAddr,
 			Peers:        cfg.Peers,
 		}
@@ -564,7 +554,7 @@ func (c *Cluster) sampleProfiles(kind string) ([]*sampling.RailProfile, error) {
 	if c.cfg.SamplingFrom != nil {
 		return sampling.Load(c.cfg.SamplingFrom)
 	}
-	scfg := sampling.Config{MinSize: c.cfg.SamplingMin, MaxSize: c.cfg.SamplingMax}
+	scfg := sampling.Config{MaxSize: c.cfg.SamplingMax}
 	if kind == FabricSim {
 		// The paper samples at launch; doing it on a private simulated
 		// twin keeps the user cluster's clock at zero.

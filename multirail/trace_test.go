@@ -160,3 +160,54 @@ func checkSpan(t *testing.T, name string, s *trace.Span, origin, dest int) {
 		}
 	}
 }
+
+// TestTraceCountsMatchTracer: the per-kind totals the cluster reports
+// (TraceCounts, nm_trace_events_total) are read from the flight
+// recorder, and a Config.Tracer receives the same events — so over a
+// simulated run that exercises eager aggregation, parallel eager and
+// striped rendezvous, a collector's count of each kind equals
+// TraceCounts of that kind, for every kind.
+func TestTraceCountsMatchTracer(t *testing.T) {
+	col := multirail.NewTraceCollector()
+	c, err := multirail.New(multirail.Config{Tracer: col, EagerParallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Go("app", func(ctx multirail.Ctx) {
+		// A lone medium message goes parallel eager; then a burst of small
+		// ones shares a container beside a striped rendezvous.
+		for _, sizes := range [][]int{{16 << 10}, {16, 16, 16, 4 << 20}} {
+			var recvs []*multirail.RecvRequest
+			var sends []*multirail.SendRequest
+			for i, n := range sizes {
+				recvs = append(recvs, c.Node(1).Irecv(0, uint32(i), make([]byte, n)))
+			}
+			for i, n := range sizes {
+				sends = append(sends, c.Node(0).Isend(1, uint32(i), make([]byte, n)))
+			}
+			for i := range sizes {
+				recvs[i].Wait(ctx)
+				sends[i].RemoteDone().Wait(ctx)
+			}
+		}
+	})
+	c.Run()
+	if col.Dropped() != 0 {
+		t.Fatalf("collector dropped %d events", col.Dropped())
+	}
+	for _, k := range trace.Kinds() {
+		if got, want := c.TraceCounts(k), uint64(len(col.Of(k))); got != want {
+			t.Errorf("TraceCounts(%v) = %d, the tracer saw %d", k, got, want)
+		}
+	}
+	if total := c.Flight().TotalRecorded(); total != uint64(col.Len()) {
+		t.Errorf("flight recorder saw %d events, the tracer %d", total, col.Len())
+	}
+	for _, k := range []trace.Kind{trace.Submit, trace.EagerSent, trace.OffloadStart, trace.RTSSent,
+		trace.CTSSent, trace.ChunkPosted, trace.Delivered, trace.Completed, trace.Acked} {
+		if c.TraceCounts(k) == 0 {
+			t.Errorf("the run produced no %v events: it no longer covers that kind", k)
+		}
+	}
+}
