@@ -162,7 +162,7 @@ type Config struct {
 // Engine is one node's communication engine.
 type Engine struct {
 	env      rt.Env
-	node     directNode
+	node     fabric.Node
 	profiles []*sampling.RailProfile
 	cfg      Config
 
@@ -195,6 +195,11 @@ type Engine struct {
 
 	nextMsgID atomic.Uint64
 
+	// eagerCap is the largest eager payload any rail of the node takes
+	// (its own limit or the sampled one, whichever is larger): no
+	// unannounced message is longer. 0 means the rails set no limit.
+	eagerCap uint64
+
 	flowMask uint32
 	flows    []flowShard // matching state, sharded by (peer, tag) hash
 	unitMask uint32
@@ -215,14 +220,6 @@ type Engine struct {
 	recycle bool
 
 	stats engineCounters
-}
-
-// directNode is a fabric node that hands its deliveries to a consumer
-// (fabric.DirectNode), as every fabric's nodes do: the engine installs
-// dispatch there, and its workers do the rest.
-type directNode interface {
-	fabric.Node
-	fabric.DirectNode
 }
 
 // flowShard holds one shard of the receiver-side matching state. Every
@@ -297,7 +294,27 @@ type engineCounters struct {
 	bytesSent       atomic.Uint64
 	unexpected      atomic.Uint64
 	failedOver      atomic.Uint64
+	rejected        [numRejects]atomic.Uint64
 }
+
+// Why a frame from a peer was dropped before the engine acted on it
+// (Stats.Rejected*, nm_frames_rejected_total{reason}). A peer's bytes are
+// untrusted: a length that would size an allocation or index a buffer is
+// checked before it is used.
+const (
+	// rejectOversized: an unannounced chunk of a message longer than the
+	// largest eager payload any rail of the node accepts. Only eager
+	// messages are striped without an RTS, so nothing legitimate is lost.
+	rejectOversized = iota
+	// rejectRange: a chunk whose Offset + length overflows an int.
+	rejectRange
+	// rejectRTSLength: an RTS announcing a length that does not fit an
+	// int.
+	rejectRTSLength
+	numRejects
+)
+
+var rejectReasons = [numRejects]string{"oversized_unexpected", "chunk_range", "rts_length"}
 
 // Stats counts engine activity (inputs to EXPERIMENTS.md).
 type Stats struct {
@@ -309,6 +326,13 @@ type Stats struct {
 	BytesSent       uint64
 	Unexpected      uint64 // messages that arrived before their receive, parked RTS included
 	FailedOver      uint64 // transfer units re-planned off dead rails
+
+	// Frames from peers dropped unprocessed: an unannounced chunk of a
+	// message longer than any eager payload, a chunk whose range
+	// overflows, an RTS whose length does not fit an int.
+	RejectedOversized uint64
+	RejectedRange     uint64
+	RejectedRTS       uint64
 
 	// Adaptive telemetry (zero when Config.Telemetry is nil): hot plan
 	// cache hits/misses, telemetry observations and drift refits, and
@@ -343,10 +367,6 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	if len(profiles) != node.NumRails() {
 		return nil, fmt.Errorf("core: %d profiles for %d rails", len(profiles), node.NumRails())
 	}
-	dn, ok := node.(directNode)
-	if !ok {
-		return nil, fmt.Errorf("core: node %T cannot feed the progress workers (fabric.DirectNode)", node)
-	}
 	if cfg.Splitter == nil {
 		cfg.Splitter = strategy.HeteroSplit{}
 	}
@@ -357,7 +377,7 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	shards := progress.Shards(cfg.Shards, max(8, 4*workers))
 	e := &Engine{
 		env:      env,
-		node:     dn,
+		node:     node,
 		profiles: profiles,
 		cfg:      cfg,
 		flowMask: uint32(shards - 1),
@@ -382,6 +402,7 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	e.thrStatic = make([]int, len(profiles))
 	for r, p := range profiles {
 		e.thrStatic[r] = p.Threshold()
+		e.eagerCap = max(e.eagerCap, uint64(p.EagerMax), uint64(node.Rail(r).Caps().EagerMax))
 	}
 	if cfg.Telemetry != nil {
 		if cfg.Telemetry.Rails() != node.NumRails() {
@@ -403,9 +424,7 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 			e.thrBucket[i].Store(-1)
 		}
 		// Have the transfer layer report wire-level measurements too.
-		if on, ok := node.(fabric.ObservableNode); ok {
-			on.SetTelemetry(e.tele)
-		}
+		node.SetTelemetry(e.tele)
 	}
 	e.pool = progress.NewPool(env, fmt.Sprintf("nmad-progress-%d", node.ID()), workers)
 	if cfg.Metrics != nil {
@@ -416,8 +435,8 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	// Rendezvous chunks land in the posted buffer straight from the
 	// transport reader where the fabric can place them; everything else
 	// arrives through dispatch.
-	dn.SetPlacer(e.placeChunk)
-	dn.SetSink(e.dispatch)
+	node.SetPlacer(e.placeChunk)
+	node.SetSink(e.dispatch)
 	e.healthQ = node.Health().Subscribe()
 	env.Go(fmt.Sprintf("nmad-health-%d", node.ID()), e.healthLoop)
 	return e, nil
@@ -454,6 +473,10 @@ func (e *Engine) Stats() Stats {
 		BytesSent:       e.stats.bytesSent.Load(),
 		Unexpected:      e.stats.unexpected.Load(),
 		FailedOver:      e.stats.failedOver.Load(),
+
+		RejectedOversized: e.stats.rejected[rejectOversized].Load(),
+		RejectedRange:     e.stats.rejected[rejectRange].Load(),
+		RejectedRTS:       e.stats.rejected[rejectRTSLength].Load(),
 	}
 	if e.tele != nil {
 		ts := e.tele.Stats()
@@ -501,9 +524,7 @@ func (e *Engine) rdvQueued() int {
 // simulator closes.
 func (e *Engine) Stop() {
 	if e.tele != nil {
-		if on, ok := e.node.(fabric.ObservableNode); ok {
-			on.SetTelemetry(nil)
-		}
+		e.node.SetTelemetry(nil)
 	}
 	e.node.SetPlacer(nil)
 	e.node.SetSink(nil)
@@ -519,17 +540,19 @@ func (e *Engine) newID() uint64 {
 }
 
 // railViewsFor snapshots the rail views for a decision about one
-// destination: with telemetry on, each rail's estimator is the live
-// (peer, rail) blend instead of the start-up table — the strategies
-// plan against what the wire currently delivers, not what it delivered
-// at launch. dest -1 (or telemetry off) keeps the static estimators.
-func (e *Engine) railViewsFor(dest int) []strategy.RailView {
-	return e.appendRailViews(make([]strategy.RailView, 0, e.node.NumRails()), dest)
+// destination, taken at now: with telemetry on, each rail's estimator is
+// the live (peer, rail) blend instead of the start-up table — the
+// strategies plan against what the wire currently delivers, not what it
+// delivered at launch. dest -1 (or telemetry off) keeps the static
+// estimators. now is the decision's stamp, which every rail's horizon is
+// measured against: an idle rail is idle at now.
+func (e *Engine) railViewsFor(dest int, now time.Duration) []strategy.RailView {
+	return e.appendRailViews(make([]strategy.RailView, 0, e.node.NumRails()), dest, now)
 }
 
 // appendRailViews is railViewsFor into the caller's slice: the flush
 // path snapshots into its destination's scratch.
-func (e *Engine) appendRailViews(views []strategy.RailView, dest int) []strategy.RailView {
+func (e *Engine) appendRailViews(views []strategy.RailView, dest int, now time.Duration) []strategy.RailView {
 	for i := 0; i < e.node.NumRails(); i++ {
 		est := strategy.Estimator(e.profiles[i])
 		if e.est != nil && dest >= 0 && dest < len(e.est) {
@@ -539,7 +562,7 @@ func (e *Engine) appendRailViews(views []strategy.RailView, dest int) []strategy
 		views = append(views, strategy.RailView{
 			Index:    i,
 			Est:      est,
-			IdleAt:   rail.IdleAt(),
+			IdleAt:   rail.IdleAt(now),
 			EagerMax: e.profiles[i].EagerMax,
 			Down:     rail.State() != fabric.RailUp,
 		})
@@ -655,7 +678,8 @@ func (e *Engine) EstimateFor(peer, rail, n int) time.Duration {
 // splitter, bypassing the plan cache and the probe cadence. Tests and
 // nmping's -stats mode use it to see where the next bytes would go.
 func (e *Engine) PlanFor(to, n int) []strategy.Chunk {
-	return e.cfg.Splitter.Split(n, e.env.Now(), e.railViewsFor(to))
+	now := e.env.Now()
+	return e.cfg.Splitter.Split(n, now, e.railViewsFor(to, now))
 }
 
 // planRdv decides the chunk distribution of one rendezvous: the
@@ -676,7 +700,7 @@ func (e *Engine) planRdv(to, n int, now time.Duration, ps *planScratch) []strate
 		return e.split(to, n, now, ps)
 	}
 	if pe := e.probeEvery(); e.planCount.Add(1)%uint64(pe) == 0 {
-		if probe := (strategy.IsoSplit{}).Split(n, now, e.railViewsFor(to)); len(probe) > 0 {
+		if probe := (strategy.IsoSplit{}).Split(n, now, e.railViewsFor(to, now)); len(probe) > 0 {
 			e.trace(now, trace.Decision, 0, -1, n, "probe: iso over usable rails")
 			return probe
 		}
@@ -727,7 +751,7 @@ func (e *Engine) capChunks(to int, chunks []strategy.Chunk, ps *planScratch) []s
 // ps's storage, the plan too when the splitter can append
 // (strategy.Appender).
 func (e *Engine) split(to, n int, now time.Duration, ps *planScratch) []strategy.Chunk {
-	ps.views = e.appendRailViews(ps.views[:0], to)
+	ps.views = e.appendRailViews(ps.views[:0], to, now)
 	if a, ok := e.cfg.Splitter.(strategy.Appender); ok {
 		ps.plan = a.AppendSplit(ps.plan[:0], n, now, ps.views)
 		return ps.plan

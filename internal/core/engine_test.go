@@ -402,46 +402,6 @@ func TestManyFlowsIntegrity(t *testing.T) {
 	}
 }
 
-// The engine also runs over the live environment, moving real bytes with
-// real goroutines.
-func TestEngineOnLiveEnv(t *testing.T) {
-	env := rt.NewLive()
-	c, err := simnet.New(env, simnet.Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs := paperProfiles(t)
-	var eng [2]*Engine
-	for i := 0; i < 2; i++ {
-		if eng[i], err = NewEngine(env, c.Nodes[i], profs, Config{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(3)).Read(payload)
-	buf := make([]byte, len(payload))
-	done := make(chan error, 1)
-	env.Go("app", func(ctx rt.Ctx) {
-		rr := eng[1].Irecv(0, 1, buf)
-		eng[0].Isend(1, 1, payload)
-		_, err := rr.Wait(ctx)
-		done <- err
-	})
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("live transfer timed out")
-	}
-	if !bytes.Equal(buf, payload) {
-		t.Fatal("live payload corrupted")
-	}
-	eng[0].Stop()
-	eng[1].Stop()
-}
-
 // The splitter is pluggable: iso-split shows the Fig 8 gap at 4MB.
 func TestPluggableSplitterIsoSlower(t *testing.T) {
 	run := func(s strategy.Splitter) time.Duration {

@@ -173,7 +173,7 @@ func (e *Engine) onAck(from int, h wire.Header) {
 //railvet:hotpath
 func (e *Engine) ackUnit(ctx rt.Ctx, from int, id, offset uint64, arrival int, hdr *[wire.HeaderSize]byte) {
 	rail := e.ackRailFor(arrival)
-	e.node.Rail(rail).SendControl(ctx, from, wire.AppendAck(hdr[:0], uint8(rail), uint32(from), id, offset), 0, 0)
+	e.node.Rail(rail).SendControl(ctx, from, wire.AppendAck(hdr[:0], uint8(rail), uint32(from), id, offset))
 }
 
 // ackNow acknowledges a received unit from a goroutine that must not wait
@@ -221,7 +221,7 @@ func (e *Engine) ackRail() int {
 //
 //railvet:upfilter
 func (e *Engine) upViewsFor(dest int) []strategy.RailView {
-	views := e.railViewsFor(dest)
+	views := e.railViewsFor(dest, e.env.Now())
 	up := views[:0]
 	for _, v := range views {
 		if !v.Down {
@@ -352,7 +352,7 @@ func (e *Engine) replan(ctx rt.Ctx) {
 func (e *Engine) resendContainer(ctx rt.Ctx, u *unit, views []strategy.RailView) {
 	fit := make([]strategy.RailView, 0, len(views))
 	for _, v := range strategy.Usable(views) {
-		if m := e.node.Rail(v.Index).Profile().MaxMsg; m > 0 && len(u.frame) > m {
+		if m := e.node.Rail(v.Index).Caps().MaxMsg; m > 0 && len(u.frame) > m {
 			continue
 		}
 		fit = append(fit, v)
@@ -441,10 +441,9 @@ func (e *Engine) resendRTS(ctx rt.Ctx, msgID uint64, p *pendingRdv, views []stra
 	p.rail = rail
 	us.mu.Unlock()
 	p.req.failedOver.Store(true)
-	prof := e.node.Rail(rail).Profile()
 	rts := wire.AppendControl(nil, wire.KindRTS, uint8(rail), e.origin(), p.req.Tag, msgID, uint64(len(p.req.Data)))
 	e.trace(now, trace.RTSSent, msgID, rail, len(p.req.Data), "failover")
-	e.node.Rail(rail).SendControl(ctx, p.req.To, rts, prof.SendOverhead, prof.RecvOverhead)
+	e.node.Rail(rail).SendControl(ctx, p.req.To, rts)
 }
 
 // resendCTS replays a clear-to-send whose rail died; a duplicate CTS is

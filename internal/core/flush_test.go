@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/model"
 	"repro/internal/railhealth"
 	"repro/internal/rt"
 )
@@ -32,9 +31,8 @@ type gateNode struct {
 }
 
 type gateRail struct {
-	n    *gateNode
-	idx  int
-	prof *model.Profile
+	n   *gateNode
+	idx int
 
 	mu   sync.Mutex
 	gate func(to int) // when non-nil, called (and may block) before delivery
@@ -45,7 +43,7 @@ func newGateFabric(env rt.Env, nodes, rails int) *gateFabric {
 	for i := 0; i < nodes; i++ {
 		n := &gateNode{f: f, id: i, recvq: env.NewQueue(), health: railhealth.New(env, i, rails)}
 		for r := 0; r < rails; r++ {
-			n.rails = append(n.rails, &gateRail{n: n, idx: r, prof: model.Myri10G()})
+			n.rails = append(n.rails, &gateRail{n: n, idx: r})
 		}
 		f.nodes = append(f.nodes, n)
 	}
@@ -58,13 +56,14 @@ func (f *gateFabric) NumRails() int          { return len(f.nodes[0].rails) }
 func (f *gateFabric) Node(i int) fabric.Node { return f.nodes[i] }
 func (f *gateFabric) Close() error           { return nil }
 
-func (n *gateNode) ID() int                 { return n.id }
-func (n *gateNode) NumRails() int           { return len(n.rails) }
-func (n *gateNode) Rail(i int) fabric.Rail  { return n.rails[i] }
-func (n *gateNode) RecvQ() rt.Queue         { return n.recvq }
-func (n *gateNode) Health() fabric.Health   { return n.health }
-func (n *gateNode) Cores() int              { return 2 }
-func (n *gateNode) SetPlacer(fabric.Placer) {}
+func (n *gateNode) ID() int                       { return n.id }
+func (n *gateNode) NumRails() int                 { return len(n.rails) }
+func (n *gateNode) Rail(i int) fabric.Rail        { return n.rails[i] }
+func (n *gateNode) RecvQ() rt.Queue               { return n.recvq }
+func (n *gateNode) Health() fabric.Health         { return n.health }
+func (n *gateNode) Cores() int                    { return 2 }
+func (n *gateNode) SetPlacer(fabric.Placer)       {}
+func (n *gateNode) SetTelemetry(fabric.Telemetry) {}
 func (n *gateNode) SetSink(fn func(*fabric.Delivery)) {
 	n.mu.Lock()
 	n.sink = fn
@@ -83,12 +82,12 @@ func (n *gateNode) deliver(d *fabric.Delivery) {
 	sink(d)
 }
 
-func (r *gateRail) Index() int              { return r.idx }
-func (r *gateRail) Profile() *model.Profile { return r.prof }
-func (r *gateRail) IdleAt() time.Duration   { return r.n.f.env.Now() }
-func (r *gateRail) Busy() bool              { return false }
-func (r *gateRail) State() fabric.RailState { return r.n.health.State(r.idx) }
-func (r *gateRail) Stats() (s fabric.Stats) { return }
+func (r *gateRail) Index() int                             { return r.idx }
+func (r *gateRail) Caps() fabric.Caps                      { return fabric.Caps{Kind: "gate", EagerMax: 32 << 10} }
+func (r *gateRail) IdleAt(now time.Duration) time.Duration { return now }
+func (r *gateRail) Busy() bool                             { return false }
+func (r *gateRail) State() fabric.RailState                { return r.n.health.State(r.idx) }
+func (r *gateRail) Stats() (s fabric.Stats)                { return }
 func (r *gateRail) setGate(fn func(to int)) {
 	r.mu.Lock()
 	r.gate = fn
@@ -108,10 +107,8 @@ func (r *gateRail) send(to int, data []byte) {
 	r.n.f.nodes[to].deliver(&fabric.Delivery{From: r.n.id, Rail: r.idx, Data: data})
 }
 
-func (r *gateRail) SendEager(ctx rt.Ctx, to int, data []byte) { r.send(to, data) }
-func (r *gateRail) SendControl(ctx rt.Ctx, to int, data []byte, cpu, recv time.Duration) {
-	r.send(to, data)
-}
+func (r *gateRail) SendEager(ctx rt.Ctx, to int, data []byte)   { r.send(to, data) }
+func (r *gateRail) SendControl(ctx rt.Ctx, to int, data []byte) { r.send(to, data) }
 func (r *gateRail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {
 	r.SendDataV(ctx, to, data, nil, done)
 }

@@ -10,8 +10,10 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/livenet"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/rt"
 	"repro/internal/shmnet"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -167,18 +169,12 @@ func TestRendezvousCTSFromLatePostedRecv(t *testing.T) {
 // rail does whose peer may not copy bodies out of this process
 // (fabric.ChunkCapper), and record the largest body they are handed.
 type cappedNode struct {
-	liveNode
+	fabric.Node
 	max     int
 	biggest *atomic.Int64
 }
 
-type liveNode interface {
-	fabric.Node
-	fabric.DirectNode
-	fabric.ObservableNode
-}
-
-func (n cappedNode) Rail(i int) fabric.Rail { return cappedRail{n.liveNode.Rail(i), n} }
+func (n cappedNode) Rail(i int) fabric.Rail { return cappedRail{n.Node.Rail(i), n} }
 
 type cappedRail struct {
 	fabric.Rail
@@ -209,7 +205,7 @@ func TestRendezvousChunksRespectRailCap(t *testing.T) {
 	var biggest atomic.Int64
 	var eng [2]*Engine
 	for i := range eng {
-		node := cappedNode{f.Node(i).(liveNode), max, &biggest}
+		node := cappedNode{f.Node(i), max, &biggest}
 		if eng[i], err = NewEngine(env, node, liveProfiles(t), Config{}); err != nil {
 			t.Fatal(err)
 		}
@@ -226,5 +222,36 @@ func TestRendezvousChunksRespectRailCap(t *testing.T) {
 	sr.RemoteDone().Wait(nil)
 	if b := biggest.Load(); b == 0 || b > max {
 		t.Fatalf("largest chunk body %d bytes, want at most the rails' cap of %d", b, max)
+	}
+}
+
+// An idle rail is idle at the decision's stamp: over two idle shm rails
+// the engine's views count both, and PlanEager stripes a 32 KiB eager
+// message across them (k = 2). A rail that answers a later reading of
+// its own clock looks busy to every decision, and the parallel eager
+// path then never sees an idle rail.
+func TestIdleRailsCountAtDecisionStamp(t *testing.T) {
+	env := rt.NewLive()
+	f, err := shmnet.NewHosted(env, shmnet.Config{Rails: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	eng := livePair(t, env, f)
+	now := env.Now()
+	time.Sleep(time.Millisecond) // the clock moves on; the decision's stamp does not
+	views := eng[0].railViewsFor(1, now)
+	idle := 0
+	for _, v := range views {
+		if v.IdleAt <= now {
+			idle++
+		}
+	}
+	if idle != 2 {
+		t.Fatalf("%d of %d idle rails idle at the decision's stamp: %+v", idle, len(views), views)
+	}
+	plan := strategy.PlanEager(32<<10, now, views, 2, model.OffloadSyncCost)
+	if !plan.Parallel || len(plan.Chunks) != 2 {
+		t.Fatalf("PlanEager over two idle rails: %+v, want a parallel plan of 2 chunks", plan)
 	}
 }

@@ -66,6 +66,11 @@ func (e *Engine) initMetrics(reg *metrics.Registry) {
 			"Engine activity by kind (containers, rendezvous, chunks, failovers).",
 			c.v.Load, metrics.L("node", node, "kind", c.kind)...)
 	}
+	for r := range e.stats.rejected {
+		reg.CounterFunc("nm_frames_rejected_total",
+			"Frames from peers dropped unprocessed, by reason (a length or range that cannot be honoured).",
+			e.stats.rejected[r].Load, metrics.L("node", node, "reason", rejectReasons[r])...)
+	}
 	reg.CounterFunc("nm_engine_bytes_sent_total",
 		"Payload bytes handed to the fabric.",
 		e.stats.bytesSent.Load, metrics.L("node", node)...)

@@ -93,7 +93,8 @@ func TestSimTwoWorkersProcessInParallel(t *testing.T) {
 func simReceiveCosts(t *testing.T) (doneA, doneB time.Duration, myri, quad *model.Profile, lenA, lenB int) {
 	t.Helper()
 	env := rt.NewSim()
-	c, err := simnet.New(env, simnet.Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 4})
+	rails := model.PaperTestbed()
+	c, err := simnet.New(env, simnet.Config{Nodes: 2, Rails: rails, CoresPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func simReceiveCosts(t *testing.T) (doneA, doneB time.Duration, myri, quad *mode
 		doneB = ctx.Now()
 	})
 	env.Run()
-	return doneA, doneB, c.Nodes[0].Rail(0).Profile(), c.Nodes[0].Rail(1).Profile(), len(fa), len(fb)
+	return doneA, doneB, rails[0], rails[1], len(fa), len(fb)
 }
 
 // A modeled delivery charges RecvCPU on its worker before the step: the

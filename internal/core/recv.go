@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fabric"
 	"repro/internal/progress"
@@ -177,8 +178,8 @@ func (pa *partial) init(msgID uint64, buf []byte, n int) error {
 // Who sends it: the caller itself when it may block (a worker handling the
 // RTS, the health actor replaying) — encoded into hdr, its scratch, when it
 // has one — and one queued work item on the flow's worker when it may not
-// (ctx nil: Irecv matching a parked RTS). The modeled handshake cost
-// occupies whoever sends.
+// (ctx nil: Irecv matching a parked RTS). On a modeled rail the
+// handshake's cost occupies whoever sends.
 func (e *Engine) sendCTS(ctx rt.Ctx, to, rail int, tag uint32, msgID uint64, hdr *[wire.HeaderSize]byte) {
 	if ctx == nil {
 		e.submitWork(progress.FlowKey(to, tag), workSendCTS, to, rail, wire.Header{Tag: tag, MsgID: msgID})
@@ -190,8 +191,7 @@ func (e *Engine) sendCTS(ctx rt.Ctx, to, rail int, tag uint32, msgID uint64, hdr
 		cts = hdr[:0]
 	}
 	cts = wire.AppendControl(cts, wire.KindCTS, uint8(rail), uint32(to), tag, msgID, 0)
-	prof := e.node.Rail(rail).Profile()
-	e.node.Rail(rail).SendControl(ctx, to, cts, prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
+	e.node.Rail(rail).SendControl(ctx, to, cts)
 	e.settle(ctx, rail)
 }
 
@@ -360,11 +360,14 @@ func (e *Engine) placeChunk(from, rail int, head []byte, n int) ([]byte, fabric.
 	if err != nil || h.Kind != wire.KindData || len(rest) != 0 || h.ChunkLen != uint64(n) {
 		return nil, nil
 	}
-	off, end := int(h.Offset), int(h.Offset)+n
+	off, end, fits := chunkRange(h, n)
+	if !fits {
+		return nil, nil // the contiguous path counts and drops it
+	}
 	s := e.flow(from, h.Tag)
 	s.mu.Lock()
 	pa := s.partials[pkey{from, h.MsgID}]
-	ok := pa != nil && off >= 0 && end <= pa.re.Total() && pa.claim(off, end)
+	ok := pa != nil && end <= pa.re.Total() && pa.claim(off, end)
 	s.mu.Unlock()
 	if !ok {
 		return nil, nil
@@ -400,6 +403,19 @@ func (w *work) Placed(filled bool) {
 	e.putWork(w)
 }
 
+// chunkRange returns the byte range [off, end) of a chunk of n bytes at
+// h.Offset, and false when the range does not fit an int — a peer's
+// Offset is untrusted, and a wrapped end would index backwards.
+func chunkRange(h wire.Header, n int) (off, end int, fits bool) {
+	if h.Offset > uint64(math.MaxInt-n) {
+		return 0, 0, false
+	}
+	return int(h.Offset), int(h.Offset) + n, true
+}
+
+// reject counts a frame from a peer dropped before the engine acted on it.
+func (e *Engine) reject(reason int) { e.stats.rejected[reason].Add(1) }
+
 // deliverChunk routes a contiguous chunk frame into its reassembly,
 // creating an unexpected one on first contact if no rendezvous
 // pre-registered it. It is the path of every chunk the placer did not
@@ -414,6 +430,11 @@ func (w *work) Placed(filled bool) {
 // the sender's one buffer. A replay whose missing bytes touch a range in
 // flight is parked until a range is released (see partial.parked).
 func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
+	off, end, fits := chunkRange(h, len(payload))
+	if !fits {
+		e.reject(rejectRange)
+		return
+	}
 	k := key{from, h.Tag}
 	pk := pkey{from, h.MsgID}
 	s := e.flow(from, h.Tag)
@@ -430,7 +451,14 @@ func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 			return
 		}
 		// Unexpected striped eager message: reassemble into a temporary
-		// buffer, matching a posted receive if one exists.
+		// buffer, matching a posted receive if one exists. Only an eager
+		// message travels unannounced, so a longer one is a corrupt or
+		// hostile frame, not a buffer to allocate.
+		if e.eagerCap > 0 && h.TotalLen > e.eagerCap {
+			s.mu.Unlock()
+			e.reject(rejectOversized)
+			return
+		}
 		pa = new(partial)
 		if err := pa.init(h.MsgID, make([]byte, h.TotalLen), int(h.TotalLen)); err != nil {
 			s.mu.Unlock()
@@ -443,8 +471,7 @@ func (e *Engine) deliverChunk(from int, h wire.Header, payload []byte) {
 		}
 		s.partials[pk] = pa
 	}
-	off, end := int(h.Offset), int(h.Offset)+len(payload)
-	if off < 0 || end > pa.re.Total() {
+	if end > pa.re.Total() {
 		s.mu.Unlock()
 		if pa.req != nil {
 			pa.req.complete(0, fmt.Errorf("wire: chunk [%d,%d) outside message of %d bytes", off, end, pa.re.Total()))
@@ -530,6 +557,10 @@ func (e *Engine) completeRecv(req *RecvRequest, pa *partial, h wire.Header) {
 // instead of matching a second receive. hdr is the caller's scratch for
 // the CTS (see sendCTS).
 func (e *Engine) handleRTS(ctx rt.Ctx, from, rail int, h wire.Header, hdr *[wire.HeaderSize]byte) {
+	if h.TotalLen > math.MaxInt {
+		e.reject(rejectRTSLength)
+		return
+	}
 	k := key{from, h.Tag}
 	pk := pkey{from, h.MsgID}
 	s := e.flow(from, h.Tag)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/model"
 	"repro/internal/railhealth"
 	"repro/internal/rt"
 	"repro/internal/wire"
@@ -49,9 +48,8 @@ type stepNode struct {
 }
 
 type stepRail struct {
-	n    *stepNode
-	idx  int
-	prof *model.Profile
+	n   *stepNode
+	idx int
 
 	mu    sync.Mutex
 	queue []stepFrame
@@ -70,7 +68,7 @@ func newStepFabric(env *rt.LiveEnv, rails int) *stepFabric {
 	for i := 0; i < 2; i++ {
 		n := &stepNode{f: f, id: i, recvq: env.NewQueue(), health: railhealth.New(env, i, rails)}
 		for r := 0; r < rails; r++ {
-			rl := &stepRail{n: n, idx: r, prof: &model.Profile{Name: "step", EagerMax: 32 << 10}}
+			rl := &stepRail{n: n, idx: r}
 			rl.room = sync.NewCond(&rl.mu)
 			n.rails = append(n.rails, rl)
 		}
@@ -79,13 +77,14 @@ func newStepFabric(env *rt.LiveEnv, rails int) *stepFabric {
 	return f
 }
 
-func (n *stepNode) ID() int                 { return n.id }
-func (n *stepNode) NumRails() int           { return len(n.rails) }
-func (n *stepNode) Rail(i int) fabric.Rail  { return n.rails[i] }
-func (n *stepNode) RecvQ() rt.Queue         { return n.recvq }
-func (n *stepNode) Health() fabric.Health   { return n.health }
-func (n *stepNode) Cores() int              { return 2 }
-func (n *stepNode) SetPlacer(fabric.Placer) {}
+func (n *stepNode) ID() int                       { return n.id }
+func (n *stepNode) NumRails() int                 { return len(n.rails) }
+func (n *stepNode) Rail(i int) fabric.Rail        { return n.rails[i] }
+func (n *stepNode) RecvQ() rt.Queue               { return n.recvq }
+func (n *stepNode) Health() fabric.Health         { return n.health }
+func (n *stepNode) Cores() int                    { return 2 }
+func (n *stepNode) SetPlacer(fabric.Placer)       {}
+func (n *stepNode) SetTelemetry(fabric.Telemetry) {}
 func (n *stepNode) SetSink(fn func(*fabric.Delivery)) {
 	n.mu.Lock()
 	n.sink = fn
@@ -110,15 +109,15 @@ func (n *stepNode) deliver(from, rail int, data []byte) *fabric.Delivery {
 	return d
 }
 
-func (r *stepRail) Index() int              { return r.idx }
-func (r *stepRail) Profile() *model.Profile { return r.prof }
-func (r *stepRail) IdleAt() time.Duration   { return r.n.f.env.Now() }
-func (r *stepRail) Busy() bool              { return false }
-func (r *stepRail) State() fabric.RailState { return r.n.health.State(r.idx) }
-func (r *stepRail) Stats() (s fabric.Stats) { return }
+func (r *stepRail) Index() int                             { return r.idx }
+func (r *stepRail) Caps() fabric.Caps                      { return fabric.Caps{Kind: "step", EagerMax: 32 << 10} }
+func (r *stepRail) IdleAt(now time.Duration) time.Duration { return now }
+func (r *stepRail) Busy() bool                             { return false }
+func (r *stepRail) State() fabric.RailState                { return r.n.health.State(r.idx) }
+func (r *stepRail) Stats() (s fabric.Stats)                { return }
 
 func (r *stepRail) SendEager(ctx rt.Ctx, to int, data []byte) { r.SendDataV(ctx, to, data, nil, nil) }
-func (r *stepRail) SendControl(ctx rt.Ctx, to int, data []byte, _, _ time.Duration) {
+func (r *stepRail) SendControl(ctx rt.Ctx, to int, data []byte) {
 	r.SendDataV(ctx, to, data, nil, nil)
 }
 func (r *stepRail) SendData(ctx rt.Ctx, to int, data []byte, done fabric.Completion) {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
@@ -35,6 +37,45 @@ func TestHandlerDropsCorruptFrames(t *testing.T) {
 	env.Run()
 	if got != 5 {
 		t.Fatalf("engine wedged after corrupt frames: got %d", got)
+	}
+}
+
+// A frame whose lengths cannot be honoured is dropped and counted, not
+// trusted: a 48-byte chunk of an unannounced message claiming 2^62 bytes
+// (trusted, that TotalLen sizes an allocation the progress worker cannot
+// make), a chunk whose Offset + length overflows, and an RTS whose length
+// does not fit an int. The receiver keeps serving an untouched tag.
+func TestHostileLengthsRejected(t *testing.T) {
+	reg := metrics.NewRegistry()
+	env, eng := pair(t, Config{Metrics: reg})
+	var got int
+	env.Go("app", func(ctx rt.Ctx) {
+		huge := wire.EncodeData(0, 0, 3, 0xF2, 0, []byte("boom"), 1<<62)
+		if len(huge) != 48 {
+			t.Errorf("hostile frame is %d bytes, want 48", len(huge))
+		}
+		inject(eng[1], 0, huge)
+		inject(eng[1], 1, wire.EncodeData(1, 0, 3, 0xF3, math.MaxInt-1, []byte("wrap"), 8))
+		inject(eng[1], 0, wire.AppendControl(nil, wire.KindRTS, 0, 0, 3, 0xF4, 1<<63))
+		ctx.Sleep(time.Millisecond)
+		rr := eng[1].Irecv(0, 4, make([]byte, 16))
+		eng[0].Isend(1, 4, []byte("probe"))
+		got, _ = rr.Wait(ctx)
+	})
+	env.Run()
+	if got != 5 {
+		t.Fatalf("probe on an untouched tag: got %d bytes, want 5", got)
+	}
+	st := eng[1].Stats()
+	if st.RejectedOversized != 1 || st.RejectedRange != 1 || st.RejectedRTS != 1 || st.Unexpected != 0 {
+		t.Fatalf("rejections %d/%d/%d (oversized/range/rts), unexpected %d; want 1/1/1, 0",
+			st.RejectedOversized, st.RejectedRange, st.RejectedRTS, st.Unexpected)
+	}
+	snap := reg.Snapshot()
+	for _, reason := range rejectReasons {
+		if m := snap.Find("nm_frames_rejected_total", metrics.L("node", "1", "reason", reason)...); m == nil || m.Value != 1 {
+			t.Errorf("nm_frames_rejected_total{reason=%q} = %+v, want 1", reason, m)
+		}
 	}
 }
 
@@ -220,10 +261,11 @@ func TestPlacementAbortReleasesClaimAndDeliversParkedReplay(t *testing.T) {
 // A receive posted while an unexpected striped message is still
 // arriving — Irecv finds a partial but nothing complete to match — is
 // matched when the last chunk lands instead of waiting forever beside a
-// message queued as unexpected.
+// message queued as unexpected. Only an eager message travels
+// unannounced, so it is at most the rails' 32 KiB eager limit.
 func TestRecvPostedMidUnexpectedStripedMessage(t *testing.T) {
 	env, eng := pair(t, Config{})
-	const total, id, tag = 64 << 10, 0xE1, 6
+	const total, id, tag = 32 << 10, 0xE1, 6
 	payload := make([]byte, total)
 	rand.New(rand.NewSource(5)).Read(payload)
 	buf := make([]byte, total)

@@ -97,7 +97,7 @@ func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 		sizes[i] = len(r.Data)
 	}
 	at := e.env.Now()
-	assign := strategy.AssignGreedy(sizes, at, e.railViewsFor(to))
+	assign := strategy.AssignGreedy(sizes, at, e.railViewsFor(to, at))
 	for i, r := range batch {
 		rail := assign[i]
 		e.noteDecision(r, at)
@@ -133,7 +133,7 @@ func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
 //railvet:hotpath
 func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
 	now := e.env.Now()
-	sc.views = e.appendRailViews(sc.views[:0], to)
+	sc.views = e.appendRailViews(sc.views[:0], to, now)
 	rails := sc.views
 	if len(batch) == 1 && e.cfg.EagerParallel {
 		r := batch[0]
@@ -338,7 +338,7 @@ func (e *Engine) bumpEager(sent, agg, par, bytes int) {
 // can be replayed if it dies before the CTS comes back.
 func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 	now := e.env.Now()
-	sc.views = e.appendRailViews(sc.views[:0], r.To)
+	sc.views = e.appendRailViews(sc.views[:0], r.To, now)
 	rail := strategy.BestRail(wire.HeaderSize, now, sc.views)
 	e.noteDecision(r, now) // protocol decision: rendezvous, RTS on `rail`
 	r.rdvStart = now       // whole-rendezvous clock (telemetry rdv plane, noteAcked's histogram)
@@ -347,10 +347,9 @@ func (e *Engine) startRendezvous(ctx rt.Ctx, r *SendRequest, sc *destScratch) {
 	us.rdvOut[r.msgID] = &pendingRdv{req: r, rail: rail}
 	us.mu.Unlock()
 	e.stats.rdvSent.Add(1)
-	prof := e.node.Rail(rail).Profile()
 	rts := wire.AppendControl(sc.hdr[:0], wire.KindRTS, uint8(rail), e.origin(), r.Tag, r.msgID, uint64(len(r.Data)))
 	e.trace(now, trace.RTSSent, r.msgID, rail, len(r.Data), "")
-	e.node.Rail(rail).SendControl(ctx, r.To, rts, prof.SendOverhead, prof.RecvOverhead)
+	e.node.Rail(rail).SendControl(ctx, r.To, rts)
 	e.settle(ctx, rail)
 }
 

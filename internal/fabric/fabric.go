@@ -6,16 +6,18 @@
 // implement this contract:
 //
 //   - internal/simnet: the modeled multirail cluster driven by analytic
-//     NIC profiles, deterministic on rt.SimEnv (reproduces the paper's
-//     testbed) and optionally paced on rt.LiveEnv.
+//     NIC profiles, on the virtual clock of rt.SimEnv only (deterministic;
+//     reproduces the paper's testbed). It is the one fabric that models
+//     costs, and it charges them itself.
 //   - the two live transports, moving internal/wire frames as actual
 //     bytes on the wall clock over one link per (node pair, rail):
 //     internal/livenet (a TCP connection per link) and internal/shmnet (a
 //     pair of shared-memory rings per link). Both are the rail core
-//     (internal/railcore) — one implementation of Node, Rail, DirectNode,
-//     TrySender and ObservableNode — over their own byte streams, so
-//     NewMix can join them into one heterogeneous rail set, e.g. shm and
-//     TCP rails side by side on one node.
+//     (internal/railcore) — one implementation of Node, Rail and
+//     TrySender — over their own byte streams, so NewMix can join them
+//     into one heterogeneous rail set, e.g. shm and TCP rails side by
+//     side on one node. They carry no cost model: real costs elapse on
+//     the wall clock.
 //
 // The split mirrors the paper's own layering (NewMadeleine's
 // optimizer/scheduler above, Madeleine's network drivers below): the
@@ -33,8 +35,10 @@
 // for the body's destination and fills that slice straight from the ring
 // or socket — no frame-sized buffer, no second copy — or, on shmnet,
 // straight from the sender's buffer, when the body was large enough to
-// leave the ring (see internal/railcore's Mover). Fabrics stay ignorant of
-// what the head says. Whatever the placer declines, every frame missing a
+// leave the ring (see internal/railcore's Mover). The live fabrics stay
+// ignorant of what the head says (only the simulator, which models the
+// protocol, reads a control frame's kind to charge its cost). Whatever
+// the placer declines, every frame missing a
 // head or a body (eager containers, control messages, SendData's bare
 // body) and every fabric without a placer takes the contiguous path: one
 // Delivery whose Data is head followed by body.
@@ -74,7 +78,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/rt"
 )
 
@@ -94,8 +97,6 @@ type Delivery struct {
 	// CopyCPU is additional receiver-core occupancy (the eager receive
 	// copy), charged after the handler to model core contention.
 	CopyCPU time.Duration
-	// SentAt is the fabric time the message was posted (tracing).
-	SentAt time.Duration
 
 	// Recycling state of a frame that came from a FramePool (see Release);
 	// zero for every other delivery.
@@ -210,22 +211,32 @@ type Health interface {
 	Enable(rail int)
 }
 
-// Rail is one NIC (or one TCP lane): a serialised send engine with a
-// performance profile and an idleness horizon.
+// Caps is what a rail is, as far as the engine is concerned: the name of
+// its kind and the limits that bind every frame posted on it. Costs are
+// not part of it — the engine learns those by sampling.
+type Caps struct {
+	// Kind names the rail's family: "tcp", "shm", or a modeled NIC's
+	// profile name ("Myri-10G").
+	Kind string
+	// EagerMax is the largest eager payload the rail accepts.
+	EagerMax int
+	// MaxMsg is the largest frame the rail carries in one piece (0: no
+	// limit).
+	MaxMsg int
+}
+
+// Rail is one NIC (or one TCP lane): a serialised send engine with an
+// idleness horizon.
 type Rail interface {
 	// Index returns the rail number within its node.
 	Index() int
-	// Profile returns the rail's performance description. For modeled
-	// rails this is the calibrated analytic profile; live rails return a
-	// synthetic profile whose cost fields are zero (real costs elapse on
-	// the wall clock) but whose limits (EagerMax) still bind.
-	Profile() *model.Profile
+	// Caps returns the rail's kind and limits.
+	Caps() Caps
 	// IdleAt predicts when the rail's send engine will have drained all
-	// posted work: now if idle, otherwise the expected end of the queued
-	// transfers. This is the knowledge Fig 2's NIC selection relies on.
-	IdleAt() time.Duration
-	// Busy reports whether the send engine currently has work.
-	Busy() bool
+	// posted work: now — the caller's stamp — if idle, otherwise the
+	// expected end of the queued transfers. This is the knowledge Fig 2's
+	// NIC selection relies on.
+	IdleAt(now time.Duration) time.Duration
 	// State returns the rail's current health state. Strategies must not
 	// place new work on non-Up rails.
 	State() RailState
@@ -236,11 +247,11 @@ type Rail interface {
 	// the message is handed to the wire (a frame of at most PlaceHeadMax
 	// bytes is copied before the call returns, as for every send).
 	SendEager(ctx rt.Ctx, to int, data []byte)
-	// SendControl transmits a small control message (RTS/CTS/Ack),
-	// charging the caller cpuCost and annotating the delivery with
-	// recvCost. Fabrics without modeled CPU costs ignore both. Control
-	// messages are header-sized, hence copied: data may be scratch.
-	SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration)
+	// SendControl transmits a small control message (RTS/CTS/Ack).
+	// Control messages are header-sized, hence copied: data may be
+	// scratch. A modeled rail charges the protocol costs of the frame's
+	// kind itself; live rails ignore what the frame says.
+	SendControl(ctx rt.Ctx, to int, data []byte)
 	// SendData streams a rendezvous chunk. The calling actor is blocked
 	// only for the descriptor post; done (may be nil) fires when the
 	// transfer drains and the sender may reuse the buffer. It is
@@ -290,6 +301,7 @@ type Completion interface{ Fire() }
 // delivery queue, which holds what arrives while no consumer is installed
 // (DirectNode: the engine takes every delivery from its node's sink).
 type Node interface {
+	DirectNode
 	// ID returns the node's index in the fabric.
 	ID() int
 	// NumRails returns the number of rails of this node.
@@ -302,8 +314,12 @@ type Node interface {
 	// Health returns the node's rail-health surface.
 	Health() Health
 	// Cores returns the number of cores the node exposes to the
-	// communication system.
+	// communication system: the modeled count on the simulator, the
+	// host's (runtime.GOMAXPROCS) on a live fabric.
 	Cores() int
+	// SetTelemetry installs the node's telemetry sink: every transfer of
+	// its rails is reported to it. SetTelemetry(nil) detaches the sink.
+	SetTelemetry(Telemetry)
 }
 
 // Telemetry receives per-transfer measurements from a fabric's
@@ -317,31 +333,12 @@ type Telemetry interface {
 	ObserveTransfer(peer, rail, bytes int, d time.Duration)
 }
 
-// ObservableNode is an optional interface a fabric node may implement
-// to feed a Telemetry sink from its transfer layer. SetTelemetry(nil)
-// detaches the sink. simnet's and the rail core's nodes implement it.
-type ObservableNode interface {
-	SetTelemetry(Telemetry)
-}
-
-// Throttler is an optional interface a fabric may implement to slow a
-// rail artificially: factor > 1 multiplies the rail's effective
-// transfer cost (10 = ten times slower), factor <= 1 removes the
-// throttle. It is the chaos hook the adaptive-telemetry tests use to
-// congest a rail without killing it — the rail stays Up, only its
-// observed performance degrades, which is exactly what the drift
-// detector must notice.
-type Throttler interface {
-	ThrottleRail(rail int, factor float64)
-}
-
-// DirectNode is the interface a fabric node implements to hand
-// deliveries straight to a consumer on the transport goroutine that
-// produced them (simnet: at the virtual instant the frame lands),
-// bypassing RecvQ. Every fabric's nodes implement it, and the engine
-// requires it: the live fabrics' per-link readers and the simulator feed
-// the engine's worker pool directly instead of funnelling every delivery
-// through one queue and one progression actor. The sink must not block:
+// DirectNode is the part of Node that hands deliveries straight to a
+// consumer on the transport goroutine that produced them (simnet: at the
+// virtual instant the frame lands), bypassing RecvQ. The engine installs
+// its dispatch there: the live fabrics' per-link readers and the
+// simulator feed the engine's worker pool directly instead of funnelling
+// every delivery through one queue and one progression actor. The sink must not block:
 // it classifies the delivery and enqueues the engine work elsewhere.
 // Installing a sink atomically drains deliveries already sitting in
 // RecvQ through it, in order, before any later delivery is handed over
@@ -399,6 +396,13 @@ type Fabric interface {
 	Node(i int) Node
 	// NumRails returns the number of rails joining every node pair.
 	NumRails() int
+	// ThrottleRail slows rail r artificially on every hosted node: factor
+	// > 1 multiplies the rail's effective transfer cost (10 = ten times
+	// slower), factor <= 1 removes the throttle. It is the chaos hook that
+	// congests a rail without killing it — the rail stays Up, only its
+	// observed performance degrades, which is exactly what the telemetry's
+	// drift detector must notice.
+	ThrottleRail(rail int, factor float64)
 	// Close releases transport resources (listeners, connections). It is
 	// a no-op for purely in-memory fabrics.
 	Close() error

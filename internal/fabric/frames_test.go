@@ -99,7 +99,7 @@ func TestShortHeadsAreCopiedAtEnqueue(t *testing.T) {
 			sunk := make(chan []byte, 1)
 			f.Node(1).(fabric.DirectNode).SetSink(func(d *fabric.Delivery) { sunk <- append([]byte(nil), d.Data...) })
 			body := bytes.Repeat([]byte{1}, 100)
-			check(t, func(s []byte) { rail.SendControl(nil, 1, s, 0, 0) }, func() []byte { return recv(t, "control", sunk) })
+			check(t, func(s []byte) { rail.SendControl(nil, 1, s) }, func() []byte { return recv(t, "control", sunk) })
 			check(t, func(s []byte) { rail.SendDataV(nil, 1, s, body, nil) }, func() []byte { return recv(t, "head+body", sunk) })
 		})
 	}
@@ -112,7 +112,7 @@ func TestShortHeadsAreCopiedAtEnqueue(t *testing.T) {
 		defer env.Close()
 		rail := c.Nodes[0].Rail(0)
 		posts := []func(ctx rt.Ctx, s []byte){
-			func(ctx rt.Ctx, s []byte) { rail.SendControl(ctx, 1, s, 0, 0) },
+			func(ctx rt.Ctx, s []byte) { rail.SendControl(ctx, 1, s) },
 			func(ctx rt.Ctx, s []byte) { rail.SendData(ctx, 1, s, nil) },
 			func(ctx rt.Ctx, s []byte) { rail.SendEager(ctx, 1, s) },
 		}

@@ -3,6 +3,7 @@ package livenet_test
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/livenet"
 	"repro/internal/rt"
+	"repro/internal/trace"
 )
 
 // waitState polls until the rail reaches the wanted state or the
@@ -33,6 +35,11 @@ func waitState(t *testing.T, f *livenet.Fabric, node, rail int, want fabric.Rail
 // goodbye, connections severed) while a large striped rendezvous is in
 // flight. The transfer completes byte-identical on the survivors, and
 // the rail counters show the remaining traffic moved there.
+//
+// The kill fires from an event, not from a poll: the sender's tracer
+// signals the first chunk posted on the victim, and the victim runs ten
+// times slower than its siblings, so its stripe is still on the wire when
+// the kill lands.
 func TestChaosTCPRailDiesMidTransfer(t *testing.T) {
 	env := rt.NewLive()
 	f, err := livenet.NewLoopback(env, livenet.Config{Nodes: 2, Rails: 3})
@@ -40,11 +47,17 @@ func TestChaosTCPRailDiesMidTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	profs := tcpProfiles(3, 32<<10)
-	eng0 := engineOn(t, env, f, 0, profs)
-	eng1 := engineOn(t, env, f, 1, profs)
-
 	const victim = 1
+	posted := &chunkSignal{rail: victim, posted: make(chan struct{})}
+	profs := tcpProfiles(3, 32<<10)
+	eng0, err := core.NewEngine(env, f.Node(0), profs, core.Config{Tracer: posted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng0.Stop)
+	eng1 := engineOn(t, env, f, 1, profs)
+	f.ThrottleRail(victim, 10)
+
 	n := 32 << 20
 	payload := make([]byte, n)
 	rand.New(rand.NewSource(99)).Read(payload)
@@ -61,14 +74,12 @@ func TestChaosTCPRailDiesMidTransfer(t *testing.T) {
 		got, rerr = rr.Wait(ctx)
 	})
 
-	// Kill the victim rail as soon as the stripe starts moving on it —
-	// mid-message, with a chunk queued or on the wire.
-	killDeadline := time.Now().Add(15 * time.Second)
-	for !f.Node(0).Rail(victim).Busy() {
-		if time.Now().After(killDeadline) {
-			t.Fatal("victim rail never saw traffic; striping broken?")
-		}
-		time.Sleep(50 * time.Microsecond)
+	// Kill the victim rail once its stripe is posted: mid-message, with
+	// the chunk queued or on the (throttled) wire.
+	select {
+	case <-posted.posted:
+	case <-time.After(15 * time.Second):
+		t.Fatal("no chunk posted on the victim rail; striping broken?")
 	}
 	f.FailRail(0, victim)
 
@@ -259,4 +270,18 @@ func TestReconnectExhaustionGoesDown(t *testing.T) {
 	f.FailRail(1, 0)
 	waitState(t, f, 0, 0, fabric.RailDown)
 	waitState(t, f, 1, 0, fabric.RailDown)
+}
+
+// chunkSignal is a tracer that closes posted at the first rendezvous
+// chunk posted on rail. Record runs on engine goroutines and never blocks.
+type chunkSignal struct {
+	rail   int
+	once   sync.Once
+	posted chan struct{}
+}
+
+func (s *chunkSignal) Record(ev trace.Event) {
+	if ev.Kind == trace.ChunkPosted && ev.Rail == s.rail {
+		s.once.Do(func() { close(s.posted) })
+	}
 }

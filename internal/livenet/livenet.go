@@ -25,11 +25,12 @@
 //     a two-process deployment is just one listener and one dialer. See
 //     examples/tcp2proc.
 //
-// Unlike internal/simnet there are no modeled costs: SendControl's CPU
-// charges are ignored, deliveries carry zero receiver cost, and IdleAt
-// is estimated from the bytes queued on the rail and a measured
+// Unlike internal/simnet there is no cost model: what a frame costs
+// elapses on the wall clock, deliveries carry zero receiver cost, and
+// IdleAt is estimated from the bytes queued on the rail and a measured
 // throughput EWMA — the live analogue of the NIC busy horizon that
-// drives the paper's Fig 2 rail selection.
+// drives the paper's Fig 2 rail selection. Each node reports the host's
+// cores.
 package livenet
 
 import (
@@ -63,8 +64,6 @@ type Config struct {
 	Nodes int
 	// Rails is the number of parallel TCP rails per node pair (default 2).
 	Rails int
-	// CoresPerNode is the core count each node reports (default 4).
-	CoresPerNode int
 	// EagerMax is the largest eager payload a rail accepts; above it the
 	// engine must use the rendezvous path (default 32 KiB).
 	EagerMax int
@@ -98,9 +97,6 @@ func (c *Config) defaults() {
 	}
 	if c.Rails == 0 {
 		c.Rails = 2
-	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = 4
 	}
 	if c.EagerMax == 0 {
 		c.EagerMax = 32 << 10
@@ -193,7 +189,7 @@ func newFabric(env *rt.LiveEnv, cfg Config, local int) *Fabric {
 	f := &Fabric{cfg: cfg, local: local}
 	f.Fabric = railcore.New(env, railcore.Config{
 		Name: "livenet", Kind: "tcp",
-		Nodes: cfg.Nodes, Rails: cfg.Rails, Cores: cfg.CoresPerNode, EagerMax: cfg.EagerMax,
+		Nodes: cfg.Nodes, Rails: cfg.Rails, EagerMax: cfg.EagerMax,
 		Local: local, Rate: initialRate,
 		LinkLost: f.linkLost, RailEnabled: f.enableRail,
 	})

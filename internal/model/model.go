@@ -83,10 +83,6 @@ type Profile struct {
 
 	// MaxMsg is the largest single message the NIC accepts (0 = unlimited).
 	MaxMsg int
-
-	// GatherScatter reports whether the NIC can send from / receive into a
-	// vector of buffers without an intermediate copy.
-	GatherScatter bool
 }
 
 // durPerByte converts a byte count and a rate into a duration.
@@ -105,15 +101,6 @@ func (p *Profile) SendCPUTime(proto Protocol, n int) time.Duration {
 		return p.SendOverhead + durPerByte(n, p.EagerRate)
 	}
 	return p.SendOverhead
-}
-
-// RecvCPUTime returns how long the receiving core is busy accepting an
-// n-byte message with the given protocol.
-func (p *Profile) RecvCPUTime(proto Protocol, n int) time.Duration {
-	if proto == Eager {
-		return p.RecvOverhead + durPerByte(n, p.RecvCopyRate)
-	}
-	return p.RecvOverhead
 }
 
 // RdvSetup returns the fixed cost of a rendezvous: the RTS post, the

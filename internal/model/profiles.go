@@ -32,7 +32,6 @@ func Myri10G() *Profile {
 		WireBandwidth:   1228e6,
 		RdvHandshakeCPU: 3 * time.Microsecond,
 		EagerMax:        32 * 1024,
-		GatherScatter:   true,
 	}
 }
 
@@ -54,7 +53,6 @@ func QsNetII() *Profile {
 		WireBandwidth:   878e6,
 		RdvHandshakeCPU: 3 * time.Microsecond,
 		EagerMax:        32 * 1024,
-		GatherScatter:   true,
 	}
 }
 
@@ -72,7 +70,6 @@ func IBVerbs() *Profile {
 		WireBandwidth:   1800e6,
 		RdvHandshakeCPU: 2500 * time.Nanosecond,
 		EagerMax:        16 * 1024,
-		GatherScatter:   true,
 	}
 }
 
@@ -89,7 +86,6 @@ func GigE() *Profile {
 		WireBandwidth:   118e6,
 		RdvHandshakeCPU: 10 * time.Microsecond,
 		EagerMax:        64 * 1024,
-		GatherScatter:   false,
 	}
 }
 
@@ -106,7 +102,6 @@ func Uniform(name string, lat time.Duration, rate float64, eagerMax int) *Profil
 		WireBandwidth:   rate,
 		RdvHandshakeCPU: lat,
 		EagerMax:        eagerMax,
-		GatherScatter:   true,
 	}
 }
 

@@ -63,7 +63,7 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 					}
 					if allocs := testing.AllocsPerRun(1000, roundTrip); allocs > 0 {
 						t.Fatalf("rail %d (%s): %.2f allocations per %s, want 0",
-							r, f.Node(0).Rail(r).Profile().Name, allocs, c.what)
+							r, f.Node(0).Rail(r).Caps().Kind, allocs, c.what)
 					}
 				}
 				if tr.Name != "tcp" && r == 0 && f.Node(0).Rail(r).Stats().Moved == 0 {

@@ -56,7 +56,6 @@ func (c *Fabric) Join(local int, parts ...fabric.Fabric) (fabric.Fabric, error) 
 		j.cores = append(j.cores, core)
 		names = append(names, core.cfg.Name)
 		cfg.Rails += core.cfg.Rails
-		cfg.Cores = max(cfg.Cores, core.cfg.Cores)
 	}
 	cfg.Name = strings.Join(names, "+")
 	j.Fabric = newCore(c.env, cfg)

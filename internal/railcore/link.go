@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/fabric"
-	"repro/internal/model"
 	"repro/internal/rt"
 )
 
@@ -22,7 +21,6 @@ type Rail struct {
 	c     *Fabric
 	node  int
 	index int
-	prof  *model.Profile
 	// home is the node the rail serves and its index there (see Join).
 	home atomic.Pointer[home]
 
@@ -396,7 +394,7 @@ func (c *Fabric) readLoop(l *Link) {
 			placed.Placed(true)
 			continue
 		}
-		d.From, d.Rail, d.SentAt = l.peer, h.index, c.env.Now()
+		d.From, d.Rail = l.peer, h.index
 		n.deliver(d)
 	}
 }
@@ -433,9 +431,12 @@ func (c *Fabric) lost(l *Link, reason string, recoverable bool) {
 // Index returns the rail number in its home node.
 func (r *Rail) Index() int { return r.home.Load().index }
 
-// Profile returns the rail's synthetic profile: zero modeled costs (real
-// costs elapse on the wall clock) with the configured EagerMax.
-func (r *Rail) Profile() *model.Profile { return r.prof }
+// Caps returns the rail's kind and eager limit, its owner's. A live rail
+// carries frames of any size up to the 1 GiB frame limit, which the
+// engine never plans near: MaxMsg stays 0.
+func (r *Rail) Caps() fabric.Caps {
+	return fabric.Caps{Kind: r.c.cfg.Kind, EagerMax: r.c.cfg.EagerMax}
+}
 
 // State returns the rail's health state, as its home's tracker holds it.
 func (r *Rail) State() fabric.RailState {
@@ -489,9 +490,10 @@ func (r *Rail) Stats() fabric.Stats {
 
 // IdleAt predicts when the rail's posted bytes will have been written,
 // from the throughput EWMA — the live analogue of the modeled NIC
-// busy-until horizon that drives the paper's Fig 2 rail selection.
-func (r *Rail) IdleAt() time.Duration {
-	now := r.c.env.Now()
+// busy-until horizon that drives the paper's Fig 2 rail selection. An
+// idle rail answers the caller's stamp: it is idle now, whatever the
+// clock says by the time it answers.
+func (r *Rail) IdleAt(now time.Duration) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.pending <= 0 {
@@ -500,7 +502,8 @@ func (r *Rail) IdleAt() time.Duration {
 	return now + time.Duration(float64(r.pending)/r.rate*1e9)
 }
 
-// Busy reports whether the rail has posted unwritten bytes.
+// Busy reports whether the rail has posted unwritten bytes. The engine
+// never asks (IdleAt answers for it); tests wait on it.
 func (r *Rail) Busy() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -530,9 +533,9 @@ func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
 	r.post(to, data, nil, nil, true)
 }
 
-// SendControl transmits a control message. The modeled CPU costs are
-// ignored: real costs elapse on their own.
-func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration) {
+// SendControl transmits a control message; what it costs elapses on its
+// own.
+func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte) {
 	r.post(to, data, nil, nil, true)
 }
 

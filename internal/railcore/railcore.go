@@ -1,7 +1,8 @@
 // Package railcore is the link layer under both live fabrics: the one
-// implementation of fabric.Node, fabric.Rail, fabric.DirectNode,
-// fabric.TrySender and fabric.ObservableNode that internal/livenet (TCP)
-// and internal/shmnet (shared-memory rings) run on.
+// implementation of fabric.Node, fabric.Rail and fabric.TrySender that
+// internal/livenet (TCP) and internal/shmnet (shared-memory rings) run on.
+// It knows no cost model: a rail's horizon comes from the bytes it has
+// queued and the write rate it measured.
 //
 // A fabric supplies one Transport per link — the byte stream joining a
 // node pair on one rail, which it knows how to write, read, wake and end
@@ -65,13 +66,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/fabric"
-	"repro/internal/model"
 	"repro/internal/railhealth"
 	"repro/internal/rt"
 )
@@ -204,11 +205,11 @@ var ErrClosing = errors.New("railcore: fabric closing")
 
 // Config is a fabric's shape and its transport family's policies.
 type Config struct {
-	// Name prefixes errors and panics ("livenet", "shmnet"); Kind names
-	// the rail profiles (Kind-r0, Kind-r1, ...).
+	// Name prefixes errors and panics ("livenet", "shmnet"); Kind is what
+	// the rails say they are (fabric.Caps).
 	Name, Kind string
-	// Nodes, Rails, Cores and EagerMax are the fabric's shape.
-	Nodes, Rails, Cores, EagerMax int
+	// Nodes, Rails and EagerMax are the fabric's shape.
+	Nodes, Rails, EagerMax int
 	// Local is the one node this process hosts, or -1 for all of them.
 	Local int
 	// Rate seeds a rail's throughput estimate (bytes/s) until real writes
@@ -251,13 +252,6 @@ func New(env *rt.LiveEnv, cfg Config) *Fabric {
 				index: r,
 				rate:  cfg.Rate,
 				links: make([]*Link, cfg.Nodes),
-				prof: &model.Profile{
-					Name:          fmt.Sprintf("%s-r%d", cfg.Kind, r),
-					EagerRate:     cfg.Rate,
-					RecvCopyRate:  cfg.Rate,
-					WireBandwidth: cfg.Rate,
-					EagerMax:      cfg.EagerMax,
-				},
 			})
 		}
 	}
@@ -457,7 +451,6 @@ func (c *Fabric) Kill(r int, cut func(*Link)) {
 // chaos hook the adaptive-telemetry subsystem is tested against: the drift
 // detector must notice the slowdown from live measurements and the
 // strategies must migrate work off the rail without a health transition.
-// Implements fabric.Throttler.
 func (c *Fabric) ThrottleRail(r int, factor float64) {
 	var bits uint64
 	if factor > 1 {
@@ -618,8 +611,8 @@ func (n *Node) Health() fabric.Health {
 	return n.health
 }
 
-// Cores returns the configured core count.
-func (n *Node) Cores() int { return n.c.cfg.Cores }
+// Cores returns the host's core count, as the Go scheduler uses it.
+func (n *Node) Cores() int { return runtime.GOMAXPROCS(0) }
 
 func (n *Node) mustHost() {
 	if !n.hosted {

@@ -89,7 +89,7 @@ func MovePlaced(t *testing.T, tr Transport) {
 	if st.Moved != 1 || st.Messages != 1 || st.Bytes != uint64(len(head)+len(body)) || st.Stalls != 0 {
 		t.Fatalf("sender stats %+v, want 1 moved frame of head+body bytes and no stall", st)
 	}
-	if rail.Busy() {
+	if busy(rail) {
 		t.Fatal("rail still busy after the move finished")
 	}
 }
@@ -195,7 +195,7 @@ func MoveCloseSweeps(t *testing.T, tr Transport) {
 	for i, d := range dones {
 		d.once(t, fmt.Sprintf("move %d, outstanding at close", i))
 	}
-	if rail.Busy() {
+	if busy(rail) {
 		t.Fatal("closed rail still counts posted bytes")
 	}
 

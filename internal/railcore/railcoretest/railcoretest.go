@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/livenet"
+	"repro/internal/railcore"
 	"repro/internal/rt"
 	"repro/internal/shmnet"
 )
@@ -26,7 +27,6 @@ import (
 // Fabric is what the suite needs of a live fabric beyond fabric.Fabric.
 type Fabric interface {
 	fabric.Fabric
-	fabric.Throttler
 	Err() error
 	// FailRail kills rail r on every hosted node (the transports' chaos
 	// hook).
@@ -138,7 +138,6 @@ func join(local int, parts ...Fabric) (Fabric, error) {
 // joinedCore is what fabric.NewMix returns for live fabrics.
 type joinedCore interface {
 	fabric.Fabric
-	fabric.Throttler
 	Err() error
 }
 
@@ -273,8 +272,10 @@ func LargeFrameStreams(t *testing.T, tr Transport) {
 	}
 }
 
-// IdleAtDrains: IdleAt reports a horizon while bytes are queued and
-// returns to "now" once the writer drains.
+// IdleAtDrains: IdleAt reports a horizon while bytes are queued, and once
+// the writer drains it answers the caller's stamp — not a later reading
+// of the rail's own clock: every rail a decision compares is measured
+// against one now, or idle rails look busy.
 func IdleAtDrains(t *testing.T, tr Transport) {
 	env, f := tr.Open(t, 1, 0)
 	rail := f.Node(0).Rail(0)
@@ -292,16 +293,21 @@ func IdleAtDrains(t *testing.T, tr Transport) {
 	})
 	waitOrFatal(t, "drain", done)
 	deadline := time.Now().Add(5 * time.Second)
-	for rail.Busy() {
+	for busy(rail) {
 		if time.Now().After(deadline) {
 			t.Fatal("rail never drained")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if at, now := rail.IdleAt(), env.Now(); at > now+time.Millisecond {
-		t.Fatalf("idle rail predicts horizon %v past now %v", at, now)
+	now := env.Now()
+	time.Sleep(time.Millisecond) // the clock moves on; the stamp must not
+	if at := rail.IdleAt(now); at != now {
+		t.Fatalf("drained rail: IdleAt(%v) = %v, want the caller's stamp", now, at)
 	}
 }
+
+// busy reports whether a rail of the core has posted unwritten bytes.
+func busy(r fabric.Rail) bool { return r.(*railcore.Rail).Busy() }
 
 // CloseReleasesSenders: Close is idempotent and leaves no goroutine
 // blocked on a send.

@@ -29,8 +29,6 @@ func (e *LiveEnv) WaitIdle() { e.wg.Wait() }
 //railvet:hotpath
 func (e *LiveEnv) Now() time.Duration { return clock.Since(e.epoch) }
 
-func (e *LiveEnv) IsSim() bool { return false }
-
 func (e *LiveEnv) Go(name string, fn func(Ctx)) {
 	_ = name // names are for simulation traces; goroutines are anonymous
 	e.wg.Add(1)
@@ -69,14 +67,6 @@ func (e *LiveEnv) NewQueue() Queue {
 	q := &liveQueue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-func (e *LiveEnv) NewResource(c int) Resource {
-	if c < 1 {
-		c = 1
-	}
-	r := &liveResource{capacity: c}
-	r.cond = sync.NewCond(&r.mu)
-	return r
 }
 
 type liveCtx struct{ env *LiveEnv }
@@ -292,55 +282,4 @@ func (q *liveQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n
-}
-
-type liveResource struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	capacity int
-	inUse    int
-}
-
-func (r *liveResource) Acquire(Ctx) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.inUse >= r.capacity {
-		r.cond.Wait()
-	}
-	r.inUse++
-}
-
-func (r *liveResource) TryAcquire() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.inUse++
-	return true
-}
-
-func (r *liveResource) Release() {
-	r.mu.Lock()
-	if r.inUse <= 0 {
-		r.mu.Unlock()
-		panic("rt: Resource.Release without matching Acquire")
-	}
-	r.inUse--
-	r.mu.Unlock()
-	r.cond.Signal()
-}
-
-func (r *liveResource) Idle() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inUse < r.capacity
-}
-
-func (r *liveResource) Cap() int { return r.capacity }
-
-func (r *liveResource) InUse() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inUse
 }

@@ -2,9 +2,15 @@
 // engine so that the same engine code runs on two substrates:
 //
 //   - SimEnv: virtual time on the internal/des discrete-event simulator.
-//     Deterministic; used to regenerate the paper's figures.
-//   - LiveEnv: wall-clock time with free-running goroutines; used by the
-//     byte-moving livenet fabric, examples and integration tests.
+//     Deterministic; the clock of the modeled fabric (internal/simnet),
+//     used to regenerate the paper's figures. Its counted resources model
+//     the NIC engines.
+//   - LiveEnv: wall-clock time with free-running goroutines; the clock of
+//     the byte-moving fabrics (livenet, shmnet), examples and integration
+//     tests.
+//
+// Each fabric runs on one of them, never both: the engine above does not
+// know which.
 //
 // The model mirrors how NewMadeleine/PIOMan is structured: most engine
 // logic is reactive (non-blocking handlers triggered when a NIC becomes
@@ -45,11 +51,6 @@ type Env interface {
 	EventAt(slot *LiveEvent) Event
 	// NewQueue returns an unbounded FIFO with blocking Pop.
 	NewQueue() Queue
-	// NewResource returns a counted resource with the given capacity.
-	NewResource(capacity int) Resource
-	// IsSim reports whether time is virtual. Engine code must not branch
-	// on this for logic — it exists for reporting and test assertions.
-	IsSim() bool
 }
 
 // Event is a one-shot completion.
@@ -84,7 +85,8 @@ type Queue interface {
 }
 
 // Resource is a counted resource (a pool of identical servers: NIC
-// engines, cores, ...).
+// engines, cores, ...). Only the simulator has them (SimEnv.NewResource):
+// on the wall clock a NIC or a core serialises its work by itself.
 type Resource interface {
 	// Acquire blocks the actor until a slot is free.
 	Acquire(Ctx)

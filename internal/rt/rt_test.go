@@ -60,8 +60,17 @@ func TestQueueTransfersItems(t *testing.T) {
 	})
 }
 
+// sim runs the scenario on the simulator only: counted resources are
+// virtual-time objects (the modeled NIC engines).
+func sim(t *testing.T, fn func(t *testing.T, env *SimEnv, settle func())) {
+	t.Run("sim", func(t *testing.T) {
+		e := NewSim()
+		fn(t, e, e.Run)
+	})
+}
+
 func TestResourceMutualExclusion(t *testing.T) {
-	both(t, func(t *testing.T, env Env, settle func()) {
+	sim(t, func(t *testing.T, env *SimEnv, settle func()) {
 		r := env.NewResource(1)
 		var inside atomic.Int32
 		var maxInside atomic.Int32
@@ -88,7 +97,7 @@ func TestResourceMutualExclusion(t *testing.T) {
 }
 
 func TestTryAcquireAndIdle(t *testing.T) {
-	both(t, func(t *testing.T, env Env, settle func()) {
+	sim(t, func(t *testing.T, env *SimEnv, settle func()) {
 		r := env.NewResource(2)
 		env.Go("a", func(ctx Ctx) {
 			if !r.TryAcquire() {
@@ -174,9 +183,6 @@ func TestSimTimeIsVirtual(t *testing.T) {
 	if real := time.Since(start); real > time.Second {
 		t.Fatalf("simulated 10h took %v of wall time", real)
 	}
-	if !e.IsSim() {
-		t.Fatal("IsSim")
-	}
 }
 
 func TestLiveNowAdvances(t *testing.T) {
@@ -185,9 +191,6 @@ func TestLiveNowAdvances(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	if e.Now() <= t0 {
 		t.Fatal("live clock did not advance")
-	}
-	if e.IsSim() {
-		t.Fatal("IsSim")
 	}
 }
 
@@ -207,13 +210,13 @@ func TestMismatchedCtxPanics(t *testing.T) {
 	_ = runLive
 }
 
-func TestLiveReleaseWithoutAcquirePanics(t *testing.T) {
+func TestSimReleaseWithoutAcquirePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	NewLive().NewResource(1).Release()
+	NewSim().NewResource(1).Release()
 }
 
 // Regression: an immediate After handler (d <= 0) must be tracked by the

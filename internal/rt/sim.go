@@ -7,17 +7,13 @@ import (
 )
 
 // SimEnv runs actors on a discrete-event simulator. Create one with
-// NewSim, spawn actors, then call Run (or drive the underlying simulator
-// directly through Sim()).
+// NewSim, spawn actors, then call Run.
 type SimEnv struct {
 	sim *des.Simulator
 }
 
 // NewSim returns an environment backed by a fresh simulator.
 func NewSim() *SimEnv { return &SimEnv{sim: des.New()} }
-
-// Sim exposes the underlying simulator (for Run/Close/inspection).
-func (e *SimEnv) Sim() *des.Simulator { return e.sim }
 
 // Run dispatches events until the simulation drains.
 func (e *SimEnv) Run() { e.sim.Run() }
@@ -29,7 +25,6 @@ func (e *SimEnv) RunUntil(t time.Duration) { e.sim.RunUntil(t) }
 func (e *SimEnv) Close() { e.sim.Close() }
 
 func (e *SimEnv) Now() time.Duration { return e.sim.Now() }
-func (e *SimEnv) IsSim() bool        { return true }
 
 func (e *SimEnv) Go(name string, fn func(Ctx)) {
 	e.sim.Go(name, func(p *des.Proc) { fn(simCtx{p}) })
@@ -42,6 +37,9 @@ func (e *SimEnv) NewEvent() Event { return &simEvent{ev: e.sim.NewEvent()} }
 // EventAt ignores the slot: simulated events belong to the simulator.
 func (e *SimEnv) EventAt(*LiveEvent) Event { return e.NewEvent() }
 func (e *SimEnv) NewQueue() Queue          { return &simQueue{q: e.sim.NewQueue()} }
+
+// NewResource returns a counted resource with the given capacity on the
+// virtual clock.
 func (e *SimEnv) NewResource(c int) Resource {
 	return &simResource{r: e.sim.NewResource(c)}
 }

@@ -177,16 +177,11 @@ func (s *pingServer) serve(ctx rt.Ctx, node int) {
 		}
 		switch h.Kind {
 		case wire.KindRTS:
-			// Answer with a clear-to-send on the same rail. The CPU cost
-			// split mirrors the engine: half the handshake cost on each
-			// side.
-			prof := s.f.Node(node).Rail(d.Rail).Profile()
+			// Answer with a clear-to-send on the same rail, as the engine
+			// does (a modeled rail charges the handshake itself).
 			cts := wire.AppendControl(nil, wire.KindCTS, uint8(d.Rail), h.Origin, h.Tag, h.MsgID, h.TotalLen)
-			s.f.Node(node).Rail(d.Rail).SendControl(ctx, d.From, cts,
-				prof.RdvHandshakeCPU/2, prof.RdvHandshakeCPU/2)
-		case wire.KindCTS, wire.KindEager:
-			s.fire(h.MsgID)
-		case wire.KindData:
+			s.f.Node(node).Rail(d.Rail).SendControl(ctx, d.From, cts)
+		case wire.KindCTS, wire.KindEager, wire.KindData:
 			s.fire(h.MsgID)
 		}
 		if d.CopyCPU > 0 {
@@ -222,14 +217,13 @@ func (s *pingServer) measureEager(ctx rt.Ctx, r, n int) time.Duration {
 func (s *pingServer) measureRdv(ctx rt.Ctx, r int, payload []byte) time.Duration {
 	n := len(payload)
 	rail := s.f.Node(0).Rail(r)
-	prof := rail.Profile()
 	ctsID := s.id()
 	dataID := s.id()
 	cts := s.register(ctsID)
 	done := s.register(dataID)
 	t0 := ctx.Now()
 	rts := wire.AppendControl(nil, wire.KindRTS, uint8(r), 0, 0, ctsID, uint64(n))
-	rail.SendControl(ctx, 1, rts, prof.SendOverhead, prof.RecvOverhead)
+	rail.SendControl(ctx, 1, rts)
 	cts.Wait(ctx)
 	head := wire.EncodeDataHeader(nil, uint8(r), 0, 0, dataID, 0, n, n)
 	rail.SendDataV(ctx, 1, head, payload, nil)
@@ -238,7 +232,7 @@ func (s *pingServer) measureRdv(ctx rt.Ctx, r int, payload []byte) time.Duration
 }
 
 func (s *pingServer) sampleRail(ctx rt.Ctx, r int, cfg Config) (*RailProfile, error) {
-	prof := s.f.Node(0).Rail(r).Profile()
+	caps := s.f.Node(0).Rail(r).Caps()
 	// Cooldown between measurements: the receiver's post-completion eager
 	// copy must drain, or it would skew the next point (2 ns/B bounds any
 	// realistic copy rate).
@@ -255,7 +249,7 @@ func (s *pingServer) sampleRail(ctx rt.Ctx, r int, cfg Config) (*RailProfile, er
 	var eager, rdv []Sample
 	payload := make([]byte, cfg.MaxSize)
 	for _, n := range cfg.sizes() {
-		if prof.EagerMax == 0 || n <= prof.EagerMax {
+		if caps.EagerMax == 0 || n <= caps.EagerMax {
 			best := time.Duration(1<<62 - 1)
 			for it := 0; it < cfg.Iters; it++ {
 				if d := s.measureEager(ctx, r, n); d < best {
@@ -274,7 +268,7 @@ func (s *pingServer) sampleRail(ctx rt.Ctx, r int, cfg Config) (*RailProfile, er
 		}
 		rdv = append(rdv, Sample{n, best})
 	}
-	rp := &RailProfile{Rail: r, Name: prof.Name, EagerMax: prof.EagerMax}
+	rp := &RailProfile{Rail: r, Name: caps.Kind, EagerMax: caps.EagerMax}
 	var err error
 	if len(eager) >= 2 {
 		if rp.Eager, err = NewTable(eager); err != nil {

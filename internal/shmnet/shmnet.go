@@ -20,8 +20,6 @@ type Config struct {
 	Nodes int
 	// Rails is the number of parallel shm rails per node pair (default 1).
 	Rails int
-	// CoresPerNode is the core count each node reports (default 4).
-	CoresPerNode int
 	// EagerMax is the largest eager payload a rail accepts; above it the
 	// engine must use the rendezvous path (default 64 KiB — the PIO
 	// regime stretches further on a memory path than on a NIC).
@@ -52,9 +50,6 @@ func (c *Config) defaults() {
 	}
 	if c.Rails == 0 {
 		c.Rails = 1
-	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = 4
 	}
 	if c.EagerMax == 0 {
 		c.EagerMax = 64 << 10
@@ -170,7 +165,7 @@ func newFabric(env *rt.LiveEnv, cfg Config, local int) *Fabric {
 	f := &Fabric{cfg: cfg}
 	f.Fabric = railcore.New(env, railcore.Config{
 		Name: "shmnet", Kind: "shm",
-		Nodes: cfg.Nodes, Rails: cfg.Rails, Cores: cfg.CoresPerNode, EagerMax: cfg.EagerMax,
+		Nodes: cfg.Nodes, Rails: cfg.Rails, EagerMax: cfg.EagerMax,
 		Local: local, Rate: initialRate,
 		LinkLost: func(l *railcore.Link, reason string, _ bool) {
 			l.Report(fabric.RailDown, reason)

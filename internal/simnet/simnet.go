@@ -5,10 +5,11 @@
 // Opteron nodes with Myri-10G and QsNetII rails (DESIGN.md §2);
 // internal/livenet is its real-TCP sibling.
 //
-// The fabric runs on either rt environment. On rt.SimEnv all costs elapse
-// in virtual time and results are deterministic. On rt.LiveEnv the same
-// code moves the same bytes between goroutines, optionally paced by
-// Config.TimeScale.
+// The fabric runs on the virtual clock of rt.SimEnv only: every cost
+// elapses in virtual time, each NIC send engine is one of the simulator's
+// counted resources, and results are deterministic. It is the one fabric
+// that models costs, so it charges them itself — the engine above only
+// posts frames.
 //
 // Cost semantics (matching internal/model):
 //
@@ -22,8 +23,10 @@
 //     post, then the NIC engine streams the payload at WireBandwidth
 //     without consuming CPU; delivery is cut-through (the last byte lands
 //     as DMA completes).
-//   - Control messages (RTS/CTS) cost their caller-specified CPU time and
-//     arrive WireLatency later.
+//   - Control messages arrive WireLatency later and cost what the protocol
+//     costs, read from the frame's wire kind (SendControl): an RTS charges
+//     SendOverhead to its sender and RecvOverhead to its receiver, a CTS
+//     half the RdvHandshakeCPU to each side, an ack nothing.
 //
 // Every rail maintains a busy-until horizon so that strategies can ask
 // "when will this NIC become idle?" — the prediction driving Fig 2.
@@ -38,6 +41,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/railhealth"
 	"repro/internal/rt"
+	"repro/internal/wire"
 )
 
 // Delivery and Stats are the fabric-level types; aliased so existing
@@ -56,10 +60,6 @@ type Config struct {
 	// CoresPerNode is the number of cores each node exposes to the
 	// communication system (the paper's testbed has 4).
 	CoresPerNode int
-	// TimeScale multiplies every modeled duration before it is slept.
-	// Zero means 1.0 in a simulation and "no pacing" (all modeled costs
-	// collapse to zero sleep) on a live environment.
-	TimeScale float64
 }
 
 func (c *Config) validate() error {
@@ -84,27 +84,17 @@ func (c *Config) validate() error {
 type Cluster struct {
 	Nodes []*Node
 
-	env   rt.Env
-	cfg   Config
-	scale float64
-	pace  bool
+	env *rt.SimEnv
+	cfg Config
 }
 
-// New builds a cluster. It returns an error for invalid configurations.
-func New(env rt.Env, cfg Config) (*Cluster, error) {
+// New builds a cluster on the simulator's virtual clock. It returns an
+// error for invalid configurations.
+func New(env *rt.SimEnv, cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	scale := cfg.TimeScale
-	pace := true
-	if scale == 0 {
-		if env.IsSim() {
-			scale = 1
-		} else {
-			pace = false
-		}
-	}
-	c := &Cluster{env: env, cfg: cfg, scale: scale, pace: pace}
+	c := &Cluster{env: env, cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{id: i, cluster: c, recvq: env.NewQueue(),
 			health: railhealth.New(env, i, len(cfg.Rails))}
@@ -129,9 +119,6 @@ func (c *Cluster) NumNodes() int { return len(c.Nodes) }
 
 // Node returns node i as a fabric endpoint.
 func (c *Cluster) Node(i int) fabric.Node { return c.Nodes[i] }
-
-// Cores returns the configured core count per node.
-func (c *Cluster) Cores() int { return c.cfg.CoresPerNode }
 
 // NumRails returns the number of rails (fabric.Fabric).
 func (c *Cluster) NumRails() int { return len(c.cfg.Rails) }
@@ -159,8 +146,8 @@ func (c *Cluster) FailRail(node, rail int, at time.Duration) {
 // ThrottleRail artificially multiplies rail r's modeled transfer costs
 // by `factor` on every node (10 = ten times slower); factor <= 1
 // removes the throttle. The rail stays Up: this is the deterministic
-// congestion chaos hook mirroring livenet's, for testing the adaptive
-// feedback loop in virtual time. Implements fabric.Throttler.
+// congestion chaos hook mirroring the live rails', for testing the
+// adaptive feedback loop in virtual time.
 func (c *Cluster) ThrottleRail(rail int, factor float64) {
 	if factor <= 1 {
 		factor = 0
@@ -173,17 +160,6 @@ func (c *Cluster) ThrottleRail(rail int, factor float64) {
 			r.mu.Unlock()
 		}
 	}
-}
-
-// d scales a modeled duration into slept time.
-func (c *Cluster) d(t time.Duration) time.Duration {
-	if !c.pace {
-		return 0
-	}
-	if c.scale == 1 {
-		return t
-	}
-	return time.Duration(float64(t) * c.scale)
 }
 
 // Node is one cluster node: a set of NICs plus where its deliveries go —
@@ -284,9 +260,6 @@ func (n *Node) Health() fabric.Health { return n.health }
 // Cores returns the node's core count.
 func (n *Node) Cores() int { return n.cluster.cfg.CoresPerNode }
 
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cluster }
-
 // Rail is one NIC: a send engine serialised by a capacity-1 resource and
 // an analytic cost model.
 type Rail struct {
@@ -314,11 +287,11 @@ func (r *Rail) slowFactor() float64 {
 // Index returns the rail number.
 func (r *Rail) Index() int { return r.index }
 
-// Profile returns the rail's performance model.
-func (r *Rail) Profile() *model.Profile { return r.prof }
-
-// Node returns the owning node.
-func (r *Rail) Node() *Node { return r.node }
+// Caps returns the rail's kind — its profile's name — and the profile's
+// limits.
+func (r *Rail) Caps() fabric.Caps {
+	return fabric.Caps{Kind: r.prof.Name, EagerMax: r.prof.EagerMax, MaxMsg: r.prof.MaxMsg}
+}
 
 // State returns the rail's health state.
 func (r *Rail) State() fabric.RailState { return r.node.health.State(r.index) }
@@ -333,19 +306,13 @@ func (r *Rail) Stats() Stats {
 // IdleAt predicts when the NIC's send engine will have drained all posted
 // work: now if idle, otherwise the modeled end of the queued transfers.
 // This is the knowledge Fig 2's NIC selection relies on.
-func (r *Rail) IdleAt() time.Duration {
-	now := r.node.cluster.env.Now()
+func (r *Rail) IdleAt(now time.Duration) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.busyUntil < now {
 		return now
 	}
 	return r.busyUntil
-}
-
-// Busy reports whether the send engine currently has work.
-func (r *Rail) Busy() bool {
-	return r.IdleAt() > r.node.cluster.env.Now()
 }
 
 // note reserves the send engine's model time for a transfer of the given
@@ -377,7 +344,6 @@ func own(head []byte) []byte {
 func (r *Rail) deliver(to int, d *Delivery, after time.Duration) {
 	c := r.node.cluster
 	dst := c.Nodes[to]
-	d.SentAt = c.env.Now()
 
 	// The frame lands only if the lane is still alive when the last byte
 	// arrives: a NIC that dies (FailRail) or is unplugged mid-flight —
@@ -401,17 +367,16 @@ func (r *Rail) deliver(to int, d *Delivery, after time.Duration) {
 // schedules delivery one wire latency later. The payload slice is aliased,
 // not copied; callers must not reuse it before completion.
 func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
-	c := r.node.cluster
 	p := r.prof
 	if p.MaxMsg > 0 && len(data) > p.MaxMsg {
 		panic(fmt.Sprintf("simnet: eager message of %d bytes exceeds %s MaxMsg %d", len(data), p.Name, p.MaxMsg))
 	}
 	cpu := time.Duration(float64(p.SendCPUTime(model.Eager, len(data))) * r.slowFactor())
 	// Reserve the engine's model time before queueing on it so that
-	// IdleAt() sees posted-but-not-yet-started work.
+	// IdleAt sees posted-but-not-yet-started work.
 	r.note(cpu, len(data))
 	r.engine.Acquire(ctx)
-	ctx.Sleep(c.d(cpu))
+	ctx.Sleep(cpu)
 	r.engine.Release()
 	r.deliver(to, &Delivery{
 		From:    r.node.id,
@@ -419,23 +384,41 @@ func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
 		Data:    own(data),
 		RecvCPU: p.RecvOverhead,
 		CopyCPU: durPerByte(len(data), p.RecvCopyRate),
-	}, c.d(p.WireLatency))
-	r.node.observe(to, r.index, len(data), c.d(cpu)+c.d(p.WireLatency))
+	}, p.WireLatency)
+	r.node.observe(to, r.index, len(data), cpu+p.WireLatency)
 }
 
-// SendControl transmits a small control message (RTS/CTS/Ack). The caller
-// is charged cpuCost on its core; the receiver will be charged recvCost
-// before its handler runs. Control messages do not occupy the send engine
-// measurably (they ride the NIC's command queue).
-func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte, cpuCost, recvCost time.Duration) {
-	c := r.node.cluster
-	ctx.Sleep(c.d(cpuCost))
+// SendControl transmits a small control message (RTS/CTS/Ack), charging
+// the protocol costs of the frame's wire kind: the caller's core is
+// occupied for the send side, and the receiver is charged the receive
+// side before its handler runs. Control messages do not occupy the send
+// engine measurably (they ride the NIC's command queue).
+func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte) {
+	send, recv := r.controlCosts(data)
+	ctx.Sleep(send)
 	r.deliver(to, &Delivery{
 		From:    r.node.id,
 		Rail:    r.index,
 		Data:    own(data),
-		RecvCPU: recvCost,
-	}, c.d(r.prof.WireLatency))
+		RecvCPU: recv,
+	}, r.prof.WireLatency)
+}
+
+// controlCosts returns what a control frame costs its sender's core and
+// its receiver's: an RTS is a message post on each side, the CTS answer
+// splits the handshake's CPU cost between them, an ack rides for free.
+func (r *Rail) controlCosts(frame []byte) (send, recv time.Duration) {
+	if len(frame) == 0 {
+		return 0, 0
+	}
+	p := r.prof
+	switch wire.Kind(frame[0]) {
+	case wire.KindRTS:
+		return p.SendOverhead, p.RecvOverhead
+	case wire.KindCTS:
+		return p.RdvHandshakeCPU / 2, p.RdvHandshakeCPU / 2
+	}
+	return 0, 0
 }
 
 // SendData streams a rendezvous chunk via DMA. The calling core is blocked
@@ -461,12 +444,12 @@ func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Comp
 	}
 	c := r.node.cluster
 	p := r.prof
-	ctx.Sleep(c.d(p.SendOverhead))
+	ctx.Sleep(p.SendOverhead)
 	dma := time.Duration(float64(durPerByte(len(data), p.WireBandwidth)) * r.slowFactor())
 	r.note(dma, len(data))
 	c.env.Go(fmt.Sprintf("dma-n%d-r%d", r.node.id, r.index), func(dctx rt.Ctx) {
 		r.engine.Acquire(dctx)
-		dctx.Sleep(c.d(dma))
+		dctx.Sleep(dma)
 		r.engine.Release()
 		r.deliver(to, &Delivery{
 			From: r.node.id,
@@ -479,7 +462,7 @@ func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Comp
 		// One-way cost of the DMA path: descriptor post plus the
 		// (cut-through) transfer — matching what the sampled priors
 		// measure, and consistent with the eager path's cpu+latency.
-		r.node.observe(to, r.index, len(data), c.d(p.SendOverhead)+c.d(dma))
+		r.node.observe(to, r.index, len(data), p.SendOverhead+dma)
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/rt"
+	"repro/internal/wire"
 )
 
 func twoNodeSim(t *testing.T, rails []*model.Profile) (*rt.SimEnv, *Cluster) {
@@ -28,6 +29,9 @@ func recvOne(ctx rt.Ctx, n *Node) (*Delivery, time.Duration) {
 	return d, ctx.Now()
 }
 
+// prof returns the analytic profile a modeled rail runs on.
+func prof(r fabric.Rail) *model.Profile { return r.(*Rail).prof }
+
 func TestConfigValidation(t *testing.T) {
 	env := rt.NewSim()
 	cases := []Config{
@@ -45,13 +49,13 @@ func TestConfigValidation(t *testing.T) {
 
 func TestClusterShape(t *testing.T) {
 	_, c := twoNodeSim(t, model.PaperTestbed())
-	if len(c.Nodes) != 2 || c.NumRails() != 2 || c.Cores() != 4 {
-		t.Fatalf("cluster shape: %d nodes, %d rails, %d cores", len(c.Nodes), c.NumRails(), c.Cores())
+	if len(c.Nodes) != 2 || c.NumRails() != 2 || c.Nodes[1].Cores() != 4 {
+		t.Fatalf("cluster shape: %d nodes, %d rails, %d cores", len(c.Nodes), c.NumRails(), c.Nodes[1].Cores())
 	}
-	if c.Nodes[1].Rail(0).Profile().Name != "Myri-10G" {
-		t.Fatal("rail 0 should be Myri-10G")
+	if caps := c.Nodes[1].Rail(0).Caps(); caps != (fabric.Caps{Kind: "Myri-10G", EagerMax: 32 << 10}) {
+		t.Fatalf("rail 0 caps %+v, want the Myri-10G profile's name and limits", caps)
 	}
-	if c.Nodes[0].Rails[1].Node().ID() != 0 {
+	if c.Nodes[0].Rails[1].node.ID() != 0 {
 		t.Fatal("rail back-pointer")
 	}
 }
@@ -70,7 +74,7 @@ func TestEagerOneWayMatchesModel(t *testing.T) {
 			rail.SendEager(ctx, 1, make([]byte, size))
 		})
 		env.Run()
-		want := rail.Profile().EagerOneWay(size)
+		want := prof(rail).EagerOneWay(size)
 		if done != want {
 			t.Fatalf("size %d: one-way %v, want %v", size, done, want)
 		}
@@ -89,7 +93,7 @@ func TestEagerBlocksCoreForCPUTime(t *testing.T) {
 	})
 	env.Go("drain", func(ctx rt.Ctx) { c.Nodes[1].RecvQ().Pop(ctx) })
 	env.Run()
-	want := rail.Profile().SendCPUTime(model.Eager, 8192)
+	want := prof(rail).SendCPUTime(model.Eager, 8192)
 	if coreFree != want {
 		t.Fatalf("core freed at %v, want %v", coreFree, want)
 	}
@@ -117,7 +121,7 @@ func TestEagerSerializesOnSingleCore(t *testing.T) {
 		quad.SendEager(ctx, 1, make([]byte, size))
 	})
 	env.Run()
-	m, q := myri.Profile(), quad.Profile()
+	m, q := prof(myri), prof(quad)
 	// Second send starts only after the first PIO copy completes.
 	want := m.SendCPUTime(model.Eager, size) + q.EagerOneWay(size)
 	if last != want {
@@ -148,7 +152,7 @@ func TestEagerParallelOnTwoCores(t *testing.T) {
 		})
 	}
 	env.Run()
-	m, q := c.Nodes[0].Rail(0).Profile(), c.Nodes[0].Rail(1).Profile()
+	m, q := prof(c.Nodes[0].Rail(0)), prof(c.Nodes[0].Rail(1))
 	want := m.EagerOneWay(size)
 	if w := q.EagerOneWay(size); w > want {
 		want = w
@@ -184,7 +188,7 @@ func TestEagerSerializesOnNICEngine(t *testing.T) {
 		})
 	}
 	env.Run()
-	p := rail0.Profile()
+	p := prof(rail0)
 	want := 2*p.SendCPUTime(model.Eager, size) + p.WireLatency + p.RecvOverhead
 	if last != want {
 		t.Fatalf("NIC-serialized completion %v, want %v", last, want)
@@ -210,7 +214,7 @@ func TestDataDMATiming(t *testing.T) {
 		dmaDone = ctx.Now()
 	})
 	env.Run()
-	p := rail.Profile()
+	p := prof(rail)
 	if coreFree != p.SendOverhead {
 		t.Fatalf("core freed at %v, want %v (descriptor post only)", coreFree, p.SendOverhead)
 	}
@@ -243,7 +247,7 @@ func TestDataDMAContention(t *testing.T) {
 		end = ctx.Now()
 	})
 	env.Run()
-	p := rail.Profile()
+	p := prof(rail)
 	dma := time.Duration(float64(size) / p.WireBandwidth * 1e9)
 	// The second descriptor post overlaps the first DMA; the DMAs
 	// themselves serialise on the NIC engine.
@@ -259,60 +263,74 @@ func TestIdleAtPrediction(t *testing.T) {
 	env, c := twoNodeSim(t, model.PaperTestbed())
 	rail := c.Nodes[0].Rail(0)
 	size := 4 << 20
-	p := rail.Profile()
+	p := prof(rail)
 	dma := time.Duration(float64(size) / p.WireBandwidth * 1e9)
 	env.Go("recv", func(ctx rt.Ctx) { c.Nodes[1].RecvQ().Pop(ctx) })
 	env.Go("send", func(ctx rt.Ctx) {
-		if rail.Busy() {
+		if now := ctx.Now(); rail.IdleAt(now) > now {
 			t.Error("fresh rail busy")
 		}
-		if rail.IdleAt() != 0 {
-			t.Errorf("fresh rail IdleAt = %v", rail.IdleAt())
+		if at := rail.IdleAt(ctx.Now()); at != 0 {
+			t.Errorf("fresh rail IdleAt = %v", at)
 		}
 		rail.SendData(ctx, 1, make([]byte, size), nil)
 		// After the descriptor post, the rail must predict the DMA end.
 		want := p.SendOverhead + dma
-		if got := rail.IdleAt(); got != want {
+		if got := rail.IdleAt(ctx.Now()); got != want {
 			t.Errorf("IdleAt = %v, want %v", got, want)
 		}
-		if !rail.Busy() {
+		if now := ctx.Now(); rail.IdleAt(now) <= now {
 			t.Error("rail with queued DMA not busy")
 		}
 		ctx.Sleep(dma + dma)
-		if rail.Busy() {
+		if now := ctx.Now(); rail.IdleAt(now) > now {
 			t.Error("rail still busy after drain")
 		}
-		if got := rail.IdleAt(); got != ctx.Now() {
+		if got := rail.IdleAt(ctx.Now()); got != ctx.Now() {
 			t.Errorf("drained IdleAt = %v, want now %v", got, ctx.Now())
 		}
 	})
 	env.Run()
 }
 
+// A control frame costs what its wire kind costs in the protocol: an RTS
+// is a message post on each side, a CTS carries half the handshake's CPU
+// cost on each side, an ack costs no CPU at all. All three arrive one
+// wire latency after the sender's core is free.
 func TestControlCosts(t *testing.T) {
-	env, c := twoNodeSim(t, model.PaperTestbed())
-	rail := c.Nodes[0].Rail(1)
-	cpu := 700 * time.Nanosecond
-	recv := 900 * time.Nanosecond
-	var coreFree, handled time.Duration
-	env.Go("recv", func(ctx rt.Ctx) {
-		d := c.Nodes[1].RecvQ().Pop(ctx).(*Delivery)
-		ctx.Sleep(d.RecvCPU)
-		handled = ctx.Now()
-		if d.RecvCPU != recv {
-			t.Errorf("RecvCPU = %v, want %v", d.RecvCPU, recv)
-		}
-	})
-	env.Go("send", func(ctx rt.Ctx) {
-		rail.SendControl(ctx, 1, []byte{1}, cpu, recv)
-		coreFree = ctx.Now()
-	})
-	env.Run()
-	if coreFree != cpu {
-		t.Fatalf("control core time %v, want %v", coreFree, cpu)
-	}
-	if want := cpu + rail.Profile().WireLatency + recv; handled != want {
-		t.Fatalf("control handled at %v, want %v", handled, want)
+	p := model.QsNetII()
+	for _, tc := range []struct {
+		kind       wire.Kind
+		send, recv time.Duration
+	}{
+		{wire.KindRTS, p.SendOverhead, p.RecvOverhead},
+		{wire.KindCTS, p.RdvHandshakeCPU / 2, p.RdvHandshakeCPU / 2},
+		{wire.KindAck, 0, 0},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			env, c := twoNodeSim(t, model.PaperTestbed())
+			rail := c.Nodes[0].Rail(1)
+			var coreFree, handled time.Duration
+			env.Go("recv", func(ctx rt.Ctx) {
+				d := c.Nodes[1].RecvQ().Pop(ctx).(*Delivery)
+				ctx.Sleep(d.RecvCPU)
+				handled = ctx.Now()
+				if d.RecvCPU != tc.recv {
+					t.Errorf("RecvCPU = %v, want %v", d.RecvCPU, tc.recv)
+				}
+			})
+			env.Go("send", func(ctx rt.Ctx) {
+				rail.SendControl(ctx, 1, wire.AppendControl(nil, tc.kind, 1, 0, 7, 9, 1<<20))
+				coreFree = ctx.Now()
+			})
+			env.Run()
+			if coreFree != tc.send {
+				t.Fatalf("control core time %v, want %v", coreFree, tc.send)
+			}
+			if want := tc.send + p.WireLatency + tc.recv; handled != want {
+				t.Fatalf("control handled at %v, want %v", handled, want)
+			}
+		})
 	}
 }
 
@@ -359,78 +377,6 @@ func TestEagerRejectsOversizedMessage(t *testing.T) {
 	}
 }
 
-// The same fabric code runs on a live environment and actually moves the
-// bytes.
-func TestLiveEnvMovesBytes(t *testing.T) {
-	env := rt.NewLive()
-	c, err := New(env, Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("multirail")
-	gotc := make(chan []byte, 1)
-	env.Go("recv", func(ctx rt.Ctx) {
-		d := c.Nodes[1].RecvQ().Pop(ctx).(*Delivery)
-		gotc <- d.Data
-	})
-	env.Go("send", func(ctx rt.Ctx) {
-		c.Nodes[0].Rail(0).SendEager(ctx, 1, payload)
-	})
-	env.WaitIdle()
-	got := <-gotc
-	if string(got) != "multirail" {
-		t.Fatalf("received %q", got)
-	}
-}
-
-// TimeScale=0 on a live env disables pacing: a 4MB DMA completes without
-// the modeled multi-millisecond sleep.
-func TestLiveEnvNoPacingIsFast(t *testing.T) {
-	env := rt.NewLive()
-	c, err := New(env, Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	done := env.NewEvent()
-	env.Go("recv", func(ctx rt.Ctx) { c.Nodes[1].RecvQ().Pop(ctx) })
-	env.Go("send", func(ctx rt.Ctx) {
-		c.Nodes[0].Rail(0).SendData(ctx, 1, make([]byte, 4<<20), done)
-		done.Wait(ctx)
-	})
-	env.WaitIdle()
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("unpaced 4MB DMA took %v", el)
-	}
-}
-
-// TimeScale scales modeled durations on the simulator too (useful for
-// what-if experiments).
-func TestTimeScaleOnSim(t *testing.T) {
-	env := rt.NewSim()
-	c, err := New(env, Config{Nodes: 2, Rails: model.PaperTestbed(), CoresPerNode: 1, TimeScale: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done time.Duration
-	env.Go("recv", func(ctx rt.Ctx) {
-		d := c.Nodes[1].RecvQ().Pop(ctx).(*Delivery)
-		ctx.Sleep(d.RecvCPU)
-		done = ctx.Now()
-	})
-	env.Go("send", func(ctx rt.Ctx) {
-		c.Nodes[0].Rail(0).SendEager(ctx, 1, make([]byte, 1024))
-	})
-	env.Run()
-	p := c.Nodes[0].Rail(0).Profile()
-	// Everything except the receiver's own unscaled RecvCPU sleep doubles;
-	// RecvCPU is delivered unscaled, so scale it in the expectation.
-	want := 2*(p.SendCPUTime(model.Eager, 1024)+p.WireLatency) + p.RecvOverhead
-	if done != want {
-		t.Fatalf("scaled one-way %v, want %v", done, want)
-	}
-}
-
 // Property: after posting any sequence of DMA transfers, IdleAt equals
 // the sum of their occupancies (FIFO drain), and after that horizon the
 // rail reports idle.
@@ -449,7 +395,7 @@ func TestPropertyIdleAtAccumulates(t *testing.T) {
 		}()
 		defer env.Close()
 		rail := c.Nodes[0].Rail(0)
-		p := rail.Profile()
+		p := prof(rail)
 		okc := make(chan bool, 1)
 		env.Go("post", func(ctx rt.Ctx) {
 			var want time.Duration
@@ -458,7 +404,7 @@ func TestPropertyIdleAtAccumulates(t *testing.T) {
 				rail.SendData(ctx, 1, make([]byte, n), nil)
 				want += time.Duration(float64(n+0) / p.WireBandwidth * 1e9)
 			}
-			got := rail.IdleAt()
+			got := rail.IdleAt(ctx.Now())
 			// Posting also slept SendOverhead per message; the horizon is
 			// measured from each post, so compare with tolerance of the
 			// accumulated overheads.

@@ -20,8 +20,6 @@ func (e *fakeEnv) After(time.Duration, func())    { panic("unused") }
 func (e *fakeEnv) NewEvent() rt.Event             { panic("unused") }
 func (e *fakeEnv) EventAt(*rt.LiveEvent) rt.Event { panic("unused") }
 func (e *fakeEnv) NewQueue() rt.Queue             { panic("unused") }
-func (e *fakeEnv) NewResource(int) rt.Resource    { panic("unused") }
-func (e *fakeEnv) IsSim() bool                    { return true }
 
 // linEst is a linear prior: alpha + beta*n.
 type linEst struct {

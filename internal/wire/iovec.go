@@ -1,8 +1,7 @@
 package wire
 
 // IOVec is a gather/scatter vector: an ordered list of buffers treated as
-// one logical contiguous payload, as supported by MX and Elan NICs
-// (Profile.GatherScatter).
+// one logical contiguous payload, as supported by MX and Elan NICs.
 type IOVec [][]byte
 
 // Len returns the total byte length of the vector.

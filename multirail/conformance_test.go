@@ -116,12 +116,15 @@ func TestConformanceSendRecvIntegrity(t *testing.T) {
 //   - a replay overlapping an already received range is declined as
 //     partially covered and copies only the missing bytes;
 //   - a replay of a completed message is dropped.
+//
+// An unannounced message is an eager one, so the injected message stays
+// within every fabric's eager limit (32 KiB on the simulator and TCP).
 func TestConformanceRendezvousPlacement(t *testing.T) {
 	forEachFabric(t, func(t *testing.T, c *multirail.Cluster) {
 		exchange(t, c, 0, 1, 0x6400, 1<<20, 31)
 		exchange(t, c, 1, 0, 0x6401, 3<<20, 32)
 
-		const n, tag, msgID = 192 << 10, 0x6402, 1 << 40
+		const n, tag, msgID = 24 << 10, 0x6402, 1 << 40
 		payload := make([]byte, n)
 		rand.New(rand.NewSource(33)).Read(payload)
 		buf := make([]byte, n)
@@ -133,15 +136,15 @@ func TestConformanceRendezvousPlacement(t *testing.T) {
 		}
 		fail := make(chan string, 1)
 		c.Go("conf-place", func(ctx multirail.Ctx) {
-			inject(ctx, 0, 0, 64<<10)       // unknown message
-			inject(ctx, 1, 128<<10, n)      // sibling
-			inject(ctx, 2, 32<<10, 160<<10) // replay: overlaps both, completes the message
+			inject(ctx, 0, 0, 8<<10)      // unknown message
+			inject(ctx, 1, 16<<10, n)     // sibling
+			inject(ctx, 2, 4<<10, 20<<10) // replay: overlaps both, completes the message
 			rr := c.Node(1).Irecv(0, tag, buf)
 			if got, err := rr.Wait(ctx); err != nil || got != n {
 				fail <- fmt.Sprintf("recv of injected chunks: n=%d err=%v", got, err)
 				return
 			}
-			inject(ctx, 0, 0, 64<<10) // late replay of the completed message
+			inject(ctx, 0, 0, 8<<10) // late replay of the completed message
 			fail <- ""
 		})
 		c.Run()

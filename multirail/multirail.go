@@ -36,7 +36,6 @@ import (
 	"io"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,8 +56,8 @@ import (
 
 // Fabric kinds for Config.Fabric.
 const (
-	// FabricSim is the modeled fabric: analytic NIC profiles, virtual
-	// time (or paced wall-clock time when Live is set).
+	// FabricSim is the modeled fabric: analytic NIC profiles on the
+	// simulator's virtual clock, never on the wall clock.
 	FabricSim = "sim"
 	// FabricTCP is the live fabric: one real TCP connection per
 	// (node pair, rail), always on the wall clock. With ShmRails > 0 it
@@ -145,16 +144,20 @@ type Config struct {
 	Nodes int
 	// Rails lists the rail profiles (default Myri-10G + QsNetII).
 	Rails []*Profile
-	// CoresPerNode is the per-node core count (default 4, the paper's
-	// dual dual-core Opterons).
+	// CoresPerNode is the per-node core count of the simulated fabric
+	// (default 4, the paper's dual dual-core Opterons). Live fabrics
+	// ignore it: their nodes report the host's cores
+	// (runtime.GOMAXPROCS).
 	CoresPerNode int
 	// Live selects wall-clock execution instead of the deterministic
-	// virtual-time simulation. Unless Fabric says otherwise, a live
-	// cluster runs on the TCP fabric and moves real bytes.
+	// virtual-time simulation: a live cluster runs on the TCP fabric
+	// unless Fabric names FabricShm, and moves real bytes. Live with
+	// Fabric = FabricSim is refused — the modeled fabric runs on virtual
+	// time only.
 	Live bool
-	// Fabric selects the byte-moving substrate: FabricSim or FabricTCP.
-	// Empty means FabricSim, or FabricTCP when Live is set. FabricTCP
-	// implies Live.
+	// Fabric selects the substrate: FabricSim, FabricTCP or FabricShm.
+	// Empty means FabricSim, or FabricTCP when Live is set. FabricTCP and
+	// FabricShm imply Live.
 	Fabric string
 	// ListenAddr is the TCP fabric's accept address (default
 	// "127.0.0.1:0", an ephemeral loopback port).
@@ -194,9 +197,6 @@ type Config struct {
 	// process calibrates its strategies on a loopback twin of the rails,
 	// which misstates real cross-host links.
 	Peers map[int]string
-	// TimeScale multiplies modeled durations (0: 1x in simulation, no
-	// pacing live).
-	TimeScale float64
 	// Splitter overrides the large-message strategy (default
 	// HeteroSplit). It decides single rail vs striped itself, from the
 	// sampled estimates — or, under AdaptiveTelemetry, the live ones.
@@ -228,7 +228,8 @@ type Config struct {
 	// eager packets (§III-D).
 	EagerParallel bool
 	// Workers is the per-node multicore progression worker count
-	// (default CoresPerNode): the engine's progress pool that flushes
+	// (default: the node's cores — CoresPerNode on the simulator, the
+	// host's GOMAXPROCS on a live fabric): the engine's progress pool that flushes
 	// submit queues and processes deliveries in parallel, on every
 	// fabric — distinct flows, and the striped chunks of one message,
 	// are received on distinct cores. More workers help when many
@@ -314,6 +315,9 @@ func New(cfg Config) (*Cluster, error) {
 	if kind == FabricShm && cfg.ShmRails == 0 {
 		cfg.ShmRails = 2
 	}
+	if cfg.Live && kind == FabricSim {
+		return nil, fmt.Errorf("multirail: the %q fabric runs on virtual time only; Live needs %q or %q", FabricSim, FabricTCP, FabricShm)
+	}
 	if cfg.Distributed && kind == FabricSim {
 		return nil, fmt.Errorf("multirail: distributed mode requires a live fabric (%q or %q)", FabricTCP, FabricShm)
 	}
@@ -336,11 +340,10 @@ func New(cfg Config) (*Cluster, error) {
 	var err error
 	switch kind {
 	case FabricSim:
-		c.fab, err = simnet.New(c.env, simnet.Config{
+		c.fab, err = simnet.New(c.sim, simnet.Config{
 			Nodes:        cfg.Nodes,
 			Rails:        cfg.Rails,
 			CoresPerNode: cfg.CoresPerNode,
-			TimeScale:    cfg.TimeScale,
 		})
 	case FabricTCP, FabricShm:
 		// A stalling shm ring is backpressure worth a flight-recorder
@@ -358,11 +361,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	hosted := c.fab.Node(max(c.Local(), 0))
 	for r := 0; r < c.fab.NumRails(); r++ {
-		name := hosted.Rail(r).Profile().Name
-		if kind != FabricSim {
-			name, _, _ = strings.Cut(name, "-r") // a live rail's profile is "<kind>-r<index>"
-		}
-		c.kinds = append(c.kinds, name)
+		c.kinds = append(c.kinds, hosted.Rail(r).Caps().Kind)
 	}
 	if c.profiles, err = c.sampleProfiles(kind); err != nil {
 		c.fab.Close()
@@ -468,11 +467,10 @@ func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail
 	}
 	if kind == FabricShm || cfg.ShmRails > 0 {
 		scfg := shmnet.Config{
-			Nodes:        cfg.Nodes,
-			Rails:        cfg.ShmRails,
-			CoresPerNode: cfg.CoresPerNode,
-			Dir:          cfg.ShmDir,
-			OnStall:      onStall,
+			Nodes:   cfg.Nodes,
+			Rails:   cfg.ShmRails,
+			Dir:     cfg.ShmDir,
+			OnStall: onStall,
 		}
 		var shmF *shmnet.Fabric
 		if cfg.Distributed {
@@ -487,11 +485,10 @@ func buildLiveFabric(env *rt.LiveEnv, cfg Config, kind string, onStall func(rail
 	}
 	if kind == FabricTCP {
 		lcfg := livenet.Config{
-			Nodes:        cfg.Nodes,
-			Rails:        cfg.TCPRails,
-			CoresPerNode: cfg.CoresPerNode,
-			ListenAddr:   cfg.ListenAddr,
-			Peers:        cfg.Peers,
+			Nodes:      cfg.Nodes,
+			Rails:      cfg.TCPRails,
+			ListenAddr: cfg.ListenAddr,
+			Peers:      cfg.Peers,
 		}
 		var tcpF *livenet.Fabric
 		if cfg.Distributed {
@@ -624,9 +621,9 @@ func (c *Cluster) FabricKind() string {
 	return c.kind
 }
 
-// RailKind returns what rail r is made of, as its profile says: "shm",
-// "tcp", or the modeled profile's name on the simulated fabric. On the
-// mixed fabric the shm rails come first.
+// RailKind returns what rail r is made of, as the rail says
+// (fabric.Caps): "shm", "tcp", or the modeled profile's name on the
+// simulated fabric. On the mixed fabric the shm rails come first.
 func (c *Cluster) RailKind(rail int) string { return c.kinds[rail] }
 
 // Err returns the first transport error the fabric observed (TCP read
@@ -727,9 +724,10 @@ func (c *Cluster) engine(node int) *core.Engine {
 }
 
 // RailIdleAt returns the predicted idle time of a node's rail (Fig 2's
-// input).
+// input), measured from the cluster clock's now: an idle rail answers
+// that stamp.
 func (c *Cluster) RailIdleAt(node, rail int) time.Duration {
-	return c.fab.Node(node).Rail(rail).IdleAt()
+	return c.fab.Node(node).Rail(rail).IdleAt(c.env.Now())
 }
 
 // RailStats returns the fabric traffic counters of every rail of a
@@ -781,9 +779,7 @@ func (c *Cluster) EnableRail(rail int) {
 // measurements and new plans migrate off the rail without any health
 // transition or restart.
 func (c *Cluster) ThrottleRail(rail int, factor float64) {
-	if t, ok := c.fab.(fabric.Throttler); ok {
-		t.ThrottleRail(rail, factor)
-	}
+	c.fab.ThrottleRail(rail, factor)
 }
 
 // LiveEstimate returns `node`'s current one-way transfer estimate for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -159,9 +160,16 @@ func TestSamplingFileRailCountMismatch(t *testing.T) {
 }
 
 func TestLiveClusterRuns(t *testing.T) {
-	c, err := multirail.New(multirail.Config{Live: true, CoresPerNode: 2})
+	c, err := multirail.New(multirail.Config{Live: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A live node has the host's cores, so a default engine runs one
+	// progress worker per core the Go scheduler uses.
+	for n := 0; n < 2; n++ {
+		if w := len(c.EngineStats(n).Workers); w != runtime.GOMAXPROCS(0) {
+			t.Errorf("node %d: %d progress workers, want GOMAXPROCS %d", n, w, runtime.GOMAXPROCS(0))
+		}
 	}
 	payload := []byte("wall-clock bytes")
 	var got []byte
@@ -185,6 +193,15 @@ func TestLiveClusterRuns(t *testing.T) {
 	c.Close()
 	if string(got) != string(payload) {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// The modeled fabric runs on virtual time only: asking for it on the wall
+// clock is refused rather than silently run unpaced.
+func TestLiveSimFabricRefused(t *testing.T) {
+	if c, err := multirail.New(multirail.Config{Live: true, Fabric: multirail.FabricSim}); err == nil {
+		c.Close()
+		t.Fatal("a live cluster on the simulated fabric was accepted")
 	}
 }
 
