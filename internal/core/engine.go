@@ -168,9 +168,9 @@ type Engine struct {
 
 	healthQ rt.Queue // rail state transitions (nil = stop nudge)
 
-	pool *progress.Pool                    // per-core workers: all engine work
-	sub  *progress.Submitter[*SendRequest] // per-destination submit queues
-	seen *progress.Dedup                   // receiver-side duplicate window
+	pool *progress.Pool                                 // per-core workers: all engine work
+	sub  *progress.Submitter[*SendRequest, destScratch] // per-destination submit queues and flush scratch
+	seen *progress.Dedup                                // receiver-side duplicate window
 
 	// Adaptive telemetry (nil/empty when Config.Telemetry is nil).
 	tele       *telemetry.Tracker
@@ -209,9 +209,7 @@ type Engine struct {
 	workMu     sync.Mutex
 	workFree   *work // recycled work items, linked through next
 	workFreeN  int
-	scratchMu  sync.RWMutex
-	scratch    map[int]*destScratch // per-destination flush scratch
-	sendFrames fabric.FramePool     // eager container frames, recycled on ack
+	sendFrames fabric.FramePool // eager container frames, recycled on ack
 	// recycle is set when the node's transport copies every frame off the
 	// sender's buffer before the peer sees it — a rail that can post a frame
 	// without waiting (fabric.TrySender) writes it into a ring or a socket:
@@ -385,7 +383,6 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 		unitMask: uint32(shards - 1),
 		units:    make([]unitShard, shards),
 		seen:     progress.NewDedup(shards, seenCap),
-		scratch:  make(map[int]*destScratch),
 	}
 	for i := range e.flows {
 		s := &e.flows[i]
@@ -430,7 +427,7 @@ func NewEngine(env rt.Env, node fabric.Node, profiles []*sampling.RailProfile, c
 	if cfg.Metrics != nil {
 		e.initMetrics(cfg.Metrics) // after the pool it reports on, before the first delivery
 	}
-	e.sub = progress.NewSubmitter[*SendRequest](e.pool, e.flushDest)
+	e.sub = progress.NewSubmitter(e.pool, e.flushDest)
 	_, e.recycle = node.Rail(0).(fabric.TrySender)
 	// Rendezvous chunks land in the posted buffer straight from the
 	// transport reader where the fabric can place them; everything else

@@ -20,14 +20,9 @@ type gateFabric struct {
 }
 
 type gateNode struct {
-	f      *gateFabric
-	id     int
-	recvq  rt.Queue
-	health *railhealth.Tracker
-	rails  []*gateRail
-
-	mu   sync.Mutex
-	sink func(*fabric.Delivery)
+	fabric.Inbox
+	f     *gateFabric
+	rails []*gateRail
 }
 
 type gateRail struct {
@@ -41,7 +36,8 @@ type gateRail struct {
 func newGateFabric(env rt.Env, nodes, rails int) *gateFabric {
 	f := &gateFabric{env: env}
 	for i := 0; i < nodes; i++ {
-		n := &gateNode{f: f, id: i, recvq: env.NewQueue(), health: railhealth.New(env, i, rails)}
+		n := &gateNode{f: f}
+		n.Init(i, env.NewQueue(), railhealth.New(env, i, rails))
 		for r := 0; r < rails; r++ {
 			n.rails = append(n.rails, &gateRail{n: n, idx: r})
 		}
@@ -56,37 +52,15 @@ func (f *gateFabric) NumRails() int          { return len(f.nodes[0].rails) }
 func (f *gateFabric) Node(i int) fabric.Node { return f.nodes[i] }
 func (f *gateFabric) Close() error           { return nil }
 
-func (n *gateNode) ID() int                       { return n.id }
-func (n *gateNode) NumRails() int                 { return len(n.rails) }
-func (n *gateNode) Rail(i int) fabric.Rail        { return n.rails[i] }
-func (n *gateNode) RecvQ() rt.Queue               { return n.recvq }
-func (n *gateNode) Health() fabric.Health         { return n.health }
-func (n *gateNode) Cores() int                    { return 2 }
-func (n *gateNode) SetPlacer(fabric.Placer)       {}
-func (n *gateNode) SetTelemetry(fabric.Telemetry) {}
-func (n *gateNode) SetSink(fn func(*fabric.Delivery)) {
-	n.mu.Lock()
-	n.sink = fn
-	n.mu.Unlock()
-}
-
-// deliver hands d to the node's engine, or parks it once the engine stopped.
-func (n *gateNode) deliver(d *fabric.Delivery) {
-	n.mu.Lock()
-	sink := n.sink
-	n.mu.Unlock()
-	if sink == nil {
-		n.recvq.Push(d)
-		return
-	}
-	sink(d)
-}
+func (n *gateNode) NumRails() int          { return len(n.rails) }
+func (n *gateNode) Rail(i int) fabric.Rail { return n.rails[i] }
+func (n *gateNode) Cores() int             { return 2 }
 
 func (r *gateRail) Index() int                             { return r.idx }
 func (r *gateRail) Caps() fabric.Caps                      { return fabric.Caps{Kind: "gate", EagerMax: 32 << 10} }
 func (r *gateRail) IdleAt(now time.Duration) time.Duration { return now }
 func (r *gateRail) Busy() bool                             { return false }
-func (r *gateRail) State() fabric.RailState                { return r.n.health.State(r.idx) }
+func (r *gateRail) State() fabric.RailState                { return r.n.Health().State(r.idx) }
 func (r *gateRail) Stats() (s fabric.Stats)                { return }
 func (r *gateRail) setGate(fn func(to int)) {
 	r.mu.Lock()
@@ -104,7 +78,7 @@ func (r *gateRail) send(to int, data []byte) {
 	if len(data) <= fabric.PlaceHeadMax {
 		data = append([]byte(nil), data...) // the Rail contract: short frames are copied
 	}
-	r.n.f.nodes[to].deliver(&fabric.Delivery{From: r.n.id, Rail: r.idx, Data: data})
+	r.n.f.nodes[to].Deliver(&fabric.Delivery{From: r.n.ID(), Rail: r.idx, Data: data})
 }
 
 func (r *gateRail) SendEager(ctx rt.Ctx, to int, data []byte)   { r.send(to, data) }

@@ -171,13 +171,12 @@ func TestParallelEagerChunkPostsAfterSyncCost(t *testing.T) {
 	if decided < 0 {
 		t.Fatal("no parallel eager decision traced")
 	}
-	for r := 0; r < eng[0].node.NumRails(); r++ {
-		st := eng[0].node.Rail(r).Stats()
-		if st.Messages != 1 {
+	for r, rail := range eng[0].node.(*simnet.Node).Rails {
+		if st := rail.Stats(); st.Messages != 1 {
 			t.Fatalf("rail %d carried %d chunks, want 1", r, st.Messages)
 		}
-		if want := decided + model.OffloadSyncCost; st.LastStart != want {
-			t.Fatalf("rail %d chunk posted at %v, want %v (decision at %v + %v)", r, st.LastStart, want, decided, model.OffloadSyncCost)
+		if want, got := decided+model.OffloadSyncCost, rail.LastStart(); got != want {
+			t.Fatalf("rail %d chunk posted at %v, want %v (decision at %v + %v)", r, got, want, decided, model.OffloadSyncCost)
 		}
 	}
 }

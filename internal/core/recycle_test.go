@@ -36,15 +36,10 @@ type stepFabric struct {
 }
 
 type stepNode struct {
+	fabric.Inbox
 	f      *stepFabric
-	id     int
-	recvq  rt.Queue
-	health *railhealth.Tracker
 	rails  []*stepRail
 	frames fabric.FramePool
-
-	mu   sync.Mutex
-	sink func(*fabric.Delivery)
 }
 
 type stepRail struct {
@@ -66,7 +61,8 @@ type stepFrame struct {
 func newStepFabric(env *rt.LiveEnv, rails int) *stepFabric {
 	f := &stepFabric{env: env}
 	for i := 0; i < 2; i++ {
-		n := &stepNode{f: f, id: i, recvq: env.NewQueue(), health: railhealth.New(env, i, rails)}
+		n := &stepNode{f: f}
+		n.Init(i, env.NewQueue(), railhealth.New(env, i, rails))
 		for r := 0; r < rails; r++ {
 			rl := &stepRail{n: n, idx: r}
 			rl.room = sync.NewCond(&rl.mu)
@@ -77,19 +73,9 @@ func newStepFabric(env *rt.LiveEnv, rails int) *stepFabric {
 	return f
 }
 
-func (n *stepNode) ID() int                       { return n.id }
-func (n *stepNode) NumRails() int                 { return len(n.rails) }
-func (n *stepNode) Rail(i int) fabric.Rail        { return n.rails[i] }
-func (n *stepNode) RecvQ() rt.Queue               { return n.recvq }
-func (n *stepNode) Health() fabric.Health         { return n.health }
-func (n *stepNode) Cores() int                    { return 2 }
-func (n *stepNode) SetPlacer(fabric.Placer)       {}
-func (n *stepNode) SetTelemetry(fabric.Telemetry) {}
-func (n *stepNode) SetSink(fn func(*fabric.Delivery)) {
-	n.mu.Lock()
-	n.sink = fn
-	n.mu.Unlock()
-}
+func (n *stepNode) NumRails() int          { return len(n.rails) }
+func (n *stepNode) Rail(i int) fabric.Rail { return n.rails[i] }
+func (n *stepNode) Cores() int             { return 2 }
 
 // deliver hands data to the node's engine the way a reader does: copied
 // into a frame of the node's pool. It returns the frame so a test can
@@ -98,14 +84,7 @@ func (n *stepNode) deliver(from, rail int, data []byte) *fabric.Delivery {
 	d := n.frames.Get(len(data))
 	copy(d.Data, data)
 	d.From, d.Rail = from, rail
-	n.mu.Lock()
-	sink := n.sink
-	n.mu.Unlock()
-	if sink == nil {
-		n.recvq.Push(d) // engine stopped
-	} else {
-		sink(d)
-	}
+	n.Deliver(d)
 	return d
 }
 
@@ -113,7 +92,7 @@ func (r *stepRail) Index() int                             { return r.idx }
 func (r *stepRail) Caps() fabric.Caps                      { return fabric.Caps{Kind: "step", EagerMax: 32 << 10} }
 func (r *stepRail) IdleAt(now time.Duration) time.Duration { return now }
 func (r *stepRail) Busy() bool                             { return false }
-func (r *stepRail) State() fabric.RailState                { return r.n.health.State(r.idx) }
+func (r *stepRail) State() fabric.RailState                { return r.n.Health().State(r.idx) }
 func (r *stepRail) Stats() (s fabric.Stats)                { return }
 
 func (r *stepRail) SendEager(ctx rt.Ctx, to int, data []byte) { r.SendDataV(ctx, to, data, nil, nil) }
@@ -171,7 +150,7 @@ func (r *stepRail) step(t *testing.T) []byte {
 	r.room.Broadcast()
 	r.mu.Unlock()
 	wire := append(append([]byte(nil), fr.head.Bytes()...), fr.body...)
-	r.n.f.nodes[fr.to].deliver(r.n.id, r.idx, wire)
+	r.n.f.nodes[fr.to].deliver(r.n.ID(), r.idx, wire)
 	return wire
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/railhealth"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
@@ -350,7 +351,7 @@ func TestAckOfOriginalDoesNotRecycleQueuedReplay(t *testing.T) {
 
 	// Rail 0 dies under the sender before the ack crosses: the unit is
 	// replayed onto rail 1, where the frame waits in the queue.
-	tx.health.Report(0, fabric.RailDown, "test")
+	tx.Health().(*railhealth.Tracker).Report(0, fabric.RailDown, "test")
 	tx.rails[1].queued(t, 1)
 	if st := eng[0].Stats(); st.FailedOver != 1 {
 		t.Fatalf("stats %+v, want one failed-over unit", st)

@@ -49,17 +49,16 @@ func (e *Engine) IsendV(to int, tag uint32, v wire.IOVec) *SendRequest {
 }
 
 // flushDest drains one destination's submit queue on a progress worker:
-// eager packets become one aggregation batch, large messages start
-// their rendezvous handshakes. It runs with no queue or shard lock held
-// — a rail write that blocks inside stalls only this destination's
-// worker, never the callers and never other destinations (see the
-// slow-rail regression test). Flushes of one destination are serialised,
-// which is what lets every slice it needs come from the destination's
-// scratch.
+// eager packets become one batch, sent by the configured policy, and large
+// messages start their rendezvous handshakes. It runs with no queue or
+// shard lock held — a rail write that blocks inside stalls only this
+// destination's worker, never the callers and never other destinations
+// (see the slow-rail regression test). Flushes of one destination are
+// serialised, which is what lets every slice it needs come from sc, the
+// scratch the submitter keeps with the destination's queue.
 //
 //railvet:hotpath
-func (e *Engine) flushDest(ctx rt.Ctx, to int, batch []*SendRequest) {
-	sc := e.scratchFor(to)
+func (e *Engine) flushDest(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
 	thr := e.EagerThresholdTo(to)
 	eagers := sc.eagers[:0]
 	for _, r := range batch {
@@ -69,66 +68,37 @@ func (e *Engine) flushDest(ctx rt.Ctx, to int, batch []*SendRequest) {
 		}
 		e.startRendezvous(ctx, r, sc)
 	}
-	if len(eagers) > 0 {
-		e.sendEagerBatch(ctx, to, eagers, sc)
+	switch {
+	case len(eagers) == 0:
+	case e.cfg.Eager == PolicyGreedy:
+		e.sendEagerGreedy(ctx, to, eagers, sc)
+	default:
+		e.sendEagerAggregate(ctx, to, eagers, sc)
 	}
 	clear(eagers) // scratch must not keep requests alive
 	sc.eagers = eagers[:0]
 }
 
-// sendEagerBatch emits a batch of eager packets for one destination
-// according to the configured policy.
-func (e *Engine) sendEagerBatch(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
-	switch e.cfg.Eager {
-	case PolicyGreedy:
-		e.sendEagerGreedy(ctx, to, batch)
-	default:
-		e.sendEagerAggregate(ctx, to, batch, sc)
-	}
-}
-
-// sendEagerGreedy is the Fig 3 baseline: each packet goes, whole, to the
-// rail predicted idle first; PIO copies serialise on this core. Like the
-// aggregate path it reads the clock once before each send and once after
-// it, the latter being the next packet's decision stamp.
-func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest) {
+// sendEagerGreedy is the Fig 3 baseline: each packet goes, whole, in a
+// container of its own to the rail predicted idle first; PIO copies
+// serialise on this core.
+func (e *Engine) sendEagerGreedy(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
 	sizes := make([]int, len(batch))
 	for i, r := range batch {
 		sizes[i] = len(r.Data)
 	}
 	at := e.env.Now()
-	assign := strategy.AssignGreedy(sizes, at, e.railViewsFor(to, at))
-	for i, r := range batch {
-		rail := assign[i]
-		e.noteDecision(r, at)
-		cid := e.newID()
-		frame := wire.EncodeEagerID(e.origin(), cid, uint8(rail), []wire.Packet{{Tag: r.Tag, MsgID: r.msgID, Payload: r.Data}})
-		r.addPending(1)
-		e.registerContainer(cid, to, rail, nil, frame, []*SendRequest{r}, at)
-		e.trace(at, trace.EagerSent, r.msgID, rail, len(r.Data), "greedy")
-		// Stats before the transport enqueue: the receiver's ack can fire
-		// RemoteDone before this worker resumes, and a counter that lags
-		// remote completion reads as a lost message to an observer.
-		e.bumpEager(1, 0, 0, len(r.Data))
-		e.node.Rail(rail).SendEager(ctx, to, frame)
-		e.settle(ctx, rail)
-		at = e.env.Now()
-		e.noteEnqueued(r, at)
-		if r.chunkDone() {
-			e.noteCompleted(r, at)
-		}
+	sc.views = e.appendRailViews(sc.views[:0], to, at)
+	assign := strategy.AssignGreedy(sizes, at, sc.views)
+	for i := range batch {
+		at = e.emitContainer(ctx, to, assign[i], batch[i:i+1], at, sc)
 	}
 }
 
 // sendEagerAggregate is the paper's strategy: pack the batch into
 // containers on the fastest available rail; a single medium-sized packet
 // may instead be split across rails and submitted from parallel cores.
-//
-// The flush reads the clock once before each container's send — the
-// decision, the unit's send stamp and the EagerSent event share it — and
-// once after, for the enqueue and completion stages; that post-send stamp
-// is also the next container's pre-send stamp. Rails are picked against
-// the flush's first stamp, now.
+// Rails are picked against the flush's first stamp, now.
 //
 //railvet:hotpath
 func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc *destScratch) {
@@ -163,48 +133,58 @@ func (e *Engine) sendEagerAggregate(ctx rt.Ctx, to int, batch []*SendRequest, sc
 			e.trace(at, trace.Decision, 0, rail, pickSize, "probe: eager rail")
 		}
 		limit := e.profiles[rail].EagerMax
-		pkts := sc.pkts[:0]
-		total, size := 0, wire.HeaderSize
-		for i < len(batch) {
-			r := batch[i]
-			sz := size + wire.EntrySize(len(r.Data))
-			if limit > 0 && sz > limit && len(pkts) > 0 {
+		for size := wire.HeaderSize; i < len(batch); i++ {
+			size += wire.EntrySize(len(batch[i].Data))
+			if limit > 0 && size > limit && i > first {
 				break
 			}
-			pkts = append(pkts, wire.Packet{Tag: r.Tag, MsgID: r.msgID, Payload: r.Data})
-			total, size = total+len(r.Data), sz
-			i++
 		}
-		group := batch[first:i]
-		cid := e.newID()
-		buf, frame := e.newFrame(size)
-		frame = wire.AppendEagerID(frame, e.origin(), cid, uint8(rail), pkts)
-		clear(pkts) // scratch must not keep payloads alive
-		sc.pkts = pkts[:0]
-		for _, r := range group {
-			r.addPending(1)
-			e.noteDecision(r, at)
-		}
-		e.registerContainer(cid, to, rail, buf, frame, group, at)
-		agg, note := 0, ""
-		if len(group) > 1 {
-			agg, note = len(group), "aggregated"
-		}
-		e.trace(at, trace.EagerSent, group[0].msgID, rail, total, note)
-		// Stats before the transport enqueue: the receiver's ack can fire
-		// RemoteDone before this worker resumes, and a counter that lags
-		// remote completion reads as a lost message to an observer.
-		e.bumpEager(len(group), agg, 0, total)
-		e.node.Rail(rail).SendEager(ctx, to, frame)
-		e.settle(ctx, rail)
-		at = e.env.Now()
-		for _, r := range group {
-			e.noteEnqueued(r, at)
-			if r.chunkDone() {
-				e.noteCompleted(r, at)
-			}
+		at = e.emitContainer(ctx, to, rail, batch[first:i], at, sc)
+	}
+}
+
+// emitContainer sends group's packets to `to` as one eager container on
+// rail, decided at `at` — the stamp the decision, the unit's send time and
+// the EagerSent event share — and returns the clock reading it takes after
+// the send: the stamp of the group's enqueue and completion stages, and
+// the next container's decision stamp. Both eager policies send through it.
+func (e *Engine) emitContainer(ctx rt.Ctx, to, rail int, group []*SendRequest, at time.Duration, sc *destScratch) time.Duration {
+	pkts := sc.pkts[:0]
+	size, total := wire.HeaderSize, 0
+	for _, r := range group {
+		pkts = append(pkts, wire.Packet{Tag: r.Tag, MsgID: r.msgID, Payload: r.Data})
+		size += wire.EntrySize(len(r.Data))
+		total += len(r.Data)
+	}
+	cid := e.newID()
+	buf, frame := e.newFrame(size)
+	frame = wire.AppendEagerID(frame, e.origin(), cid, uint8(rail), pkts)
+	clear(pkts) // scratch must not keep payloads alive
+	sc.pkts = pkts[:0]
+	for _, r := range group {
+		r.addPending(1)
+		e.noteDecision(r, at)
+	}
+	e.registerContainer(cid, to, rail, buf, frame, group, at)
+	agg, note := 0, ""
+	if len(group) > 1 {
+		agg, note = len(group), "aggregated"
+	}
+	e.trace(at, trace.EagerSent, group[0].msgID, rail, total, note)
+	// Stats before the transport enqueue: the receiver's ack can fire
+	// RemoteDone before this worker resumes, and a counter that lags
+	// remote completion reads as a lost message to an observer.
+	e.bumpEager(len(group), agg, 0, total)
+	e.node.Rail(rail).SendEager(ctx, to, frame)
+	e.settle(ctx, rail)
+	at = e.env.Now()
+	for _, r := range group {
+		e.noteEnqueued(r, at)
+		if r.chunkDone() {
+			e.noteCompleted(r, at)
 		}
 	}
+	return at
 }
 
 // pickEagerRail chooses an eager container's rail: normally the single
@@ -279,8 +259,8 @@ func (e *Engine) sendEagerParallel(r *SendRequest, to int, plan strategy.EagerPl
 	e.trace(at, trace.Decision, r.msgID, -1, len(r.Data),
 		fmt.Sprintf("parallel eager: %d chunks, predicted %v", len(plan.Chunks), plan.Predicted))
 	// Stats before the chunks can be posted: an offloaded chunk's ack can
-	// fire RemoteDone before this worker resumes (same ordering as the
-	// greedy and aggregate paths).
+	// fire RemoteDone before this worker resumes (the same ordering as
+	// emitContainer's).
 	e.bumpEager(1, 0, 1, len(r.Data))
 	for i, c := range plan.Chunks {
 		frame := wire.EncodeData(uint8(c.Rail), e.origin(), r.Tag, r.msgID, c.Offset,

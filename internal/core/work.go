@@ -173,30 +173,15 @@ func (w *work) Do(ctx rt.Ctx) {
 	e.putWork(w)
 }
 
-// destScratch is the scratch of one destination's flush. Flushes of one
-// destination are serialised on one worker (progress.Submitter), so
-// nothing here needs a lock and nothing here outlives the flush.
+// destScratch is the scratch of one destination's flush: the state the
+// submitter keeps with the destination's queue (progress.Submitter).
+// Flushes of one destination are serialised on one worker, so nothing
+// here needs a lock and nothing here outlives the flush.
 type destScratch struct {
 	views, fit []strategy.RailView
 	eagers     []*SendRequest
 	pkts       []wire.Packet
 	hdr        [wire.HeaderSize]byte // an RTS on its way to the fabric
-}
-
-func (e *Engine) scratchFor(to int) *destScratch {
-	e.scratchMu.RLock()
-	sc := e.scratch[to]
-	e.scratchMu.RUnlock()
-	if sc != nil {
-		return sc
-	}
-	e.scratchMu.Lock()
-	defer e.scratchMu.Unlock()
-	if sc = e.scratch[to]; sc == nil {
-		sc = &destScratch{}
-		e.scratch[to] = sc
-	}
-	return sc
 }
 
 // newFrame returns an n-byte buffer for an eager container and, on

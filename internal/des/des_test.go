@@ -352,8 +352,8 @@ func TestResourceTryAcquireRespectsWaiters(t *testing.T) {
 		s.Go("w", func(p *Proc) { r.Acquire(p); r.Release() })
 	})
 	s.At(us(2), func() {
-		if r.TryAcquire() {
-			t.Error("TryAcquire barged past a queued waiter")
+		if r.tryAcquire() {
+			t.Error("tryAcquire barged past a queued waiter")
 		}
 	})
 	s.Run()
@@ -651,8 +651,8 @@ func TestCloseWhileHoldingResource(t *testing.T) {
 		q.Pop(p) // blocks forever
 	})
 	s.RunUntil(us(1))
-	if r.Idle() || r.InUse() != 1 {
-		t.Fatalf("holder should hold the slot: idle=%v inUse=%d", r.Idle(), r.InUse())
+	if r.inUse != 1 {
+		t.Fatalf("holder should hold the slot: inUse=%d", r.inUse)
 	}
 	s.Close()
 	if s.Procs() != 0 {

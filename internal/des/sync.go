@@ -159,20 +159,8 @@ func (s *Simulator) NewResource(capacity int) *Resource {
 	return &Resource{sim: s, cap: capacity}
 }
 
-// Cap returns the capacity.
-func (r *Resource) Cap() int { return r.cap }
-
-// InUse returns the number of held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Idle reports whether at least one slot is free.
-func (r *Resource) Idle() bool { return r.inUse < r.cap }
-
-// Waiting returns the number of parked acquirers.
-func (r *Resource) Waiting() int { return len(r.waiters) }
-
-// TryAcquire takes a slot if one is free and no one is queued before us.
-func (r *Resource) TryAcquire() bool {
+// tryAcquire takes a slot if one is free and no one is queued before us.
+func (r *Resource) tryAcquire() bool {
 	if r.inUse < r.cap && len(r.waiters) == 0 {
 		r.inUse++
 		return true
@@ -182,7 +170,7 @@ func (r *Resource) TryAcquire() bool {
 
 // Acquire blocks the calling process until a slot is available.
 func (r *Resource) Acquire(p *Proc) {
-	if r.TryAcquire() {
+	if r.tryAcquire() {
 		return
 	}
 	w := &waiter{p: p}

@@ -19,6 +19,12 @@
 //     side on one node. They carry no cost model: real costs elapse on
 //     the wall clock.
 //
+// What every node shares. Whatever moves its bytes, a node's other half
+// is the same: its id and health, the sink its deliveries go to (RecvQ
+// while none is installed, drained into the sink when one is) and the
+// telemetry its transfers are reported to. Inbox is that half, written
+// once and embedded by every fabric's node.
+//
 // The split mirrors the paper's own layering (NewMadeleine's
 // optimizer/scheduler above, Madeleine's network drivers below): the
 // scheduler only ever asks a rail "when will you be idle?", posts eager
@@ -107,10 +113,9 @@ type Delivery struct {
 
 // Stats aggregates per-rail traffic counters.
 type Stats struct {
-	Messages  uint64
-	Bytes     uint64
-	BusyTime  time.Duration
-	LastStart time.Duration
+	Messages uint64
+	Bytes    uint64
+	BusyTime time.Duration
 	// Reconnects counts link re-establishments on the rail (livenet: a
 	// replacement connection registered over a dead one). Zero on
 	// fabrics without reconnection.

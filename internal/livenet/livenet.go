@@ -58,6 +58,10 @@ const helloSize = 4 + 2 + 2 + 1
 // real writes calibrate it.
 const initialRate = float64(1 << 30)
 
+// dialTimeout bounds connection establishment, including retries while a
+// peer's listener is still coming up.
+const dialTimeout = 10 * time.Second
+
 // Config describes a live TCP fabric.
 type Config struct {
 	// Nodes is the total number of nodes in the system (default 2).
@@ -78,9 +82,6 @@ type Config struct {
 	// Peers maps lower-id node ids to their listen addresses
 	// (distributed mode only; node i dials every j < i).
 	Peers map[int]string
-	// DialTimeout bounds connection establishment, including retries
-	// while a peer's listener is still coming up (default 10s).
-	DialTimeout time.Duration
 	// ReconnectAttempts bounds how often a dead link is re-established
 	// before its rail is declared Down (default 3; negative disables
 	// reconnection entirely). While attempts run the rail is Suspect and
@@ -103,9 +104,6 @@ func (c *Config) defaults() {
 	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
 	}
 	if c.ReconnectAttempts == 0 {
 		c.ReconnectAttempts = 3
@@ -357,16 +355,16 @@ func (f *Fabric) waitAccepts(accepted chan error, expect int) error {
 	select {
 	case err := <-accepted:
 		return err
-	case <-time.After(f.cfg.DialTimeout):
+	case <-time.After(dialTimeout):
 		return errors.New("livenet: timed out waiting for rail connections")
 	}
 }
 
 // dialLink connects src's rail r to dst at addr and registers the local
-// endpoint on the hosted src node. It retries until DialTimeout so the
+// endpoint on the hosted src node. It retries until dialTimeout so the
 // dialer may start before the listener.
 func (f *Fabric) dialLink(addr string, src, dst, r int) error {
-	deadline := time.Now().Add(f.cfg.DialTimeout)
+	deadline := time.Now().Add(dialTimeout)
 	var err error
 	for {
 		remain := time.Until(deadline)
@@ -409,7 +407,7 @@ func (f *Fabric) dialOnce(addr string, src, dst, r int, timeout time.Duration) e
 // acceptLink reads the hello and registers the connection on the hosted
 // destination node.
 func (f *Fabric) acceptLink(conn net.Conn) error {
-	conn.SetReadDeadline(time.Now().Add(f.cfg.DialTimeout))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	var hello [helloSize]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
 		return fmt.Errorf("livenet: reading hello: %w", err)

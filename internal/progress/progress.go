@@ -17,7 +17,10 @@
 //     optimizer (flush callback) runs on a worker, aggregating whatever
 //     accumulated, and never on the caller's goroutine. The flush
 //     callback runs with no queue lock held, so a rail write that blocks
-//     stalls only its own destination's worker.
+//     stalls only its own destination's worker. Each destination also
+//     carries a state of the caller's type, handed to each of its flushes
+//     — which never overlap — so what a flush reuses needs no lock and no
+//     registry of its own.
 //   - Dedup: a striped bounded window of recently seen transfer-unit
 //     ids (the receiver-side replay filter of the failover protocol),
 //     lock-striped so concurrent flows never contend on one mutex.

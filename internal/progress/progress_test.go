@@ -1,6 +1,7 @@
 package progress
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,7 +176,7 @@ func TestSubmitterBatchesAndNeverBlocksPut(t *testing.T) {
 	var batches [][]int
 	inFlush := make(chan struct{}, 16)
 	release := make(chan struct{})
-	s := NewSubmitter[int](p, func(ctx rt.Ctx, to int, batch []int) {
+	s := NewSubmitter[int, struct{}](p, func(ctx rt.Ctx, to int, batch []int, _ *struct{}) {
 		mu.Lock()
 		batches = append(batches, append([]int(nil), batch...))
 		first := len(batches) == 1
@@ -224,7 +225,7 @@ func TestSubmitterDestinationsIndependent(t *testing.T) {
 	release := make(chan struct{})
 	blocked := make(chan struct{})
 	flushed2 := make(chan struct{})
-	s := NewSubmitter[int](p, func(ctx rt.Ctx, to int, batch []int) {
+	s := NewSubmitter[int, struct{}](p, func(ctx rt.Ctx, to int, batch []int, _ *struct{}) {
 		switch to {
 		case 1:
 			close(blocked)
@@ -242,6 +243,30 @@ func TestSubmitterDestinationsIndependent(t *testing.T) {
 		t.Fatal("dest 2 flush stalled behind dest 1's blocked rail write")
 	}
 	close(release)
+}
+
+// Each destination's flushes share one state that no other destination
+// sees: a flush finds what the previous flush of its destination left.
+func TestSubmitterKeepsStatePerDestination(t *testing.T) {
+	env := rt.NewSim()
+	p := NewPool(env, "test", 2)
+	seen := map[int][]int{}
+	s := NewSubmitter(p, func(_ rt.Ctx, to int, batch []int, st *[]int) {
+		*st = append(*st, batch...)
+		seen[to] = append([]int(nil), *st...)
+	})
+	env.Go("app", func(ctx rt.Ctx) {
+		s.Put(1, 10)
+		s.Put(2, 20)
+		ctx.Sleep(time.Microsecond)
+		s.Put(1, 11)
+		ctx.Sleep(time.Microsecond)
+		p.Stop()
+	})
+	env.Run()
+	if fmt.Sprint(seen[1]) != "[10 11]" || fmt.Sprint(seen[2]) != "[20]" {
+		t.Fatalf("states after the flushes: %v, want 1:[10 11] 2:[20]", seen)
+	}
 }
 
 // Idle counts the workers with nothing queued — the cores an offloaded

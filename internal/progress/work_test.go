@@ -145,7 +145,7 @@ func TestSubmitterSteadyStateAllocs(t *testing.T) {
 	p := NewPool(env, "test", 1)
 	defer p.Stop()
 	flushed := make(chan []*int, 1)
-	s := NewSubmitter[*int](p, func(_ rt.Ctx, _ int, batch []*int) { flushed <- batch })
+	s := NewSubmitter[*int, struct{}](p, func(_ rt.Ctx, _ int, batch []*int, _ *struct{}) { flushed <- batch })
 	item := new(int)
 	round := func() []*int {
 		s.Put(1, item)

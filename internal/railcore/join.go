@@ -60,7 +60,7 @@ func (c *Fabric) Join(local int, parts ...fabric.Fabric) (fabric.Fabric, error) 
 	cfg.Name = strings.Join(names, "+")
 	j.Fabric = newCore(c.env, cfg)
 	for i, n := range j.nodes {
-		if !n.hosted {
+		if !n.Hosted() {
 			continue
 		}
 		for _, core := range j.cores {
@@ -80,7 +80,7 @@ func (n *Node) join(old *Node) {
 	off := len(n.rails)
 	old.SetSink(func(d *fabric.Delivery) {
 		d.Rail += off
-		n.deliver(d)
+		n.Deliver(d)
 	})
 	for r, rail := range old.rails {
 		n.adopt(rail)

@@ -395,7 +395,7 @@ func (c *Fabric) readLoop(l *Link) {
 			continue
 		}
 		d.From, d.Rail = l.peer, h.index
-		n.deliver(d)
+		n.Deliver(d)
 	}
 }
 
@@ -598,7 +598,6 @@ func (r *Rail) post(to int, head, body []byte, done fabric.Completion, wait bool
 	// Messages/Bytes are counted when the frame is actually written
 	// (noteWritten), so traffic dropped at shutdown is not overstated.
 	r.pending += int64(size) + prefixSize
-	r.stats.LastStart = r.c.env.Now()
 	r.mu.Unlock()
 	if direct {
 		took, ok := r.writeNow(l, head)

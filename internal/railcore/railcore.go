@@ -20,7 +20,8 @@
 //     placer's ask/commit/abort;
 //   - the write-rate EWMA behind IdleAt and Busy, the chaos throttle, and
 //     the kill flags (discard, report Down, revive on traffic);
-//   - Stats, telemetry, and delivery to the sink or RecvQ.
+//   - Stats, and the reports to the node's fabric.Inbox: telemetry, and
+//     delivery to the sink or RecvQ.
 //
 // One node may hold rails of several transports. Every rail has an owner
 // and a home. The owner is the core that built it, for good: its
@@ -245,10 +246,10 @@ type Fabric struct {
 func New(env *rt.LiveEnv, cfg Config) *Fabric {
 	c := newCore(env, cfg)
 	for _, n := range c.nodes {
-		for r := 0; n.hosted && r < cfg.Rails; r++ {
+		for r := 0; n.Hosted() && r < cfg.Rails; r++ {
 			n.adopt(&Rail{
 				c:     c,
-				node:  n.id,
+				node:  n.ID(),
 				index: r,
 				rate:  cfg.Rate,
 				links: make([]*Link, cfg.Nodes),
@@ -263,17 +264,19 @@ func New(env *rt.LiveEnv, cfg Config) *Fabric {
 func newCore(env *rt.LiveEnv, cfg Config) *Fabric {
 	c := &Fabric{env: env, cfg: cfg, closing: make(chan struct{})}
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{c: c, id: i, hosted: cfg.Local < 0 || i == cfg.Local}
-		if n.hosted {
-			n.recvq = env.NewQueue()
-			n.health = railhealth.New(env, i, cfg.Rails)
-			n.health.SetOnEnable(func(rail int) {
-				r := n.rails[rail]
-				r.killed.Store(false)
-				r.c.cfg.RailEnabled(r)
-			})
-		}
+		n := &Node{c: c}
 		c.nodes = append(c.nodes, n)
+		if cfg.Local >= 0 && i != cfg.Local {
+			n.Init(i, nil, nil) // a remote stub
+			continue
+		}
+		n.health = railhealth.New(env, i, cfg.Rails)
+		n.Init(i, env.NewQueue(), n.health)
+		n.health.SetOnEnable(func(rail int) {
+			r := n.rails[rail]
+			r.killed.Store(false)
+			r.c.cfg.RailEnabled(r)
+		})
 	}
 	return c
 }
@@ -402,7 +405,7 @@ func (c *Fabric) AddLink(owner, peer, r int, t Transport) (prev *Link, ok bool) 
 // added, and on a non-hosted node).
 func (c *Fabric) Link(node, r, peer int) *Link {
 	n := c.nodes[node]
-	if !n.hosted {
+	if !n.Hosted() {
 		return nil
 	}
 	return n.rails[r].link(peer)
@@ -421,7 +424,7 @@ func (c *Fabric) Links(r int) []*Link {
 func (c *Fabric) rails(r int) []*Rail {
 	var rs []*Rail
 	for _, n := range c.nodes {
-		if n.hosted && r >= 0 && r < len(n.rails) {
+		if n.Hosted() && r >= 0 && r < len(n.rails) {
 			rs = append(rs, n.rails[r])
 		}
 	}
@@ -481,27 +484,23 @@ func (c *Fabric) MoveRefused(node, r int, reason string) {
 
 // Node is one endpoint of a live fabric: its core's rails, by their index
 // (a node Join built holds every part's rails, in part order). It is their
-// home — sink, placer, telemetry, frame pool, tracker — until Join moves
-// them; its core keeps addressing them by their index here.
+// home — inbox (sink, telemetry), placer, frame pool, tracker — until Join
+// moves them; its core keeps addressing them by their index here. A node
+// another process hosts is a remote stub: ID works, and everything else
+// panics.
 type Node struct {
+	fabric.Inbox
+
 	c      *Fabric
-	id     int
-	hosted bool
 	rails  []*Rail
-	recvq  rt.Queue
 	health *railhealth.Tracker
 
 	// frames recycles the contiguous receive frames consumers release.
 	frames fabric.FramePool
 
-	sinkMu sync.RWMutex
-	sink   func(*fabric.Delivery)
 	// placer is read once per frame by every link reader; a pointer swap
 	// keeps SetPlacer from waiting behind a body still arriving.
 	placer atomic.Pointer[fabric.Placer]
-
-	teleMu sync.RWMutex
-	tele   fabric.Telemetry
 }
 
 // SetPlacer installs (or, with nil, removes) the placement hook for
@@ -517,78 +516,17 @@ func (n *Node) SetPlacer(fn fabric.Placer) {
 	n.placer.Store(&fn)
 }
 
-// SetTelemetry installs (or, with nil, detaches) the node's telemetry
-// sink: every sufficiently large frame written is reported with its real
-// write duration, feeding the live per-(peer, rail) bandwidth estimates.
-// Small frames are skipped — they measure latency, not the rail (the
-// engine's ack path supplies the latency observations). Panics on a
-// non-hosted node.
-func (n *Node) SetTelemetry(t fabric.Telemetry) {
-	n.mustHost()
-	n.teleMu.Lock()
-	n.tele = t
-	n.teleMu.Unlock()
-}
-
 // observeWrite reports one completed frame write of the rail to its
-// home's telemetry sink, if one is installed and the frame is in the
-// bandwidth regime.
+// home's telemetry sink, if the frame is in the bandwidth regime: small
+// frames measure latency, not the rail (the engine's ack path supplies the
+// latency observations).
 func (r *Rail) observeWrite(peer, bytes int, d time.Duration) {
-	if bytes < rateCalibMin || d <= 0 {
+	if bytes < rateCalibMin {
 		return
 	}
 	h := r.home.Load()
-	h.node.teleMu.RLock()
-	t := h.node.tele
-	h.node.teleMu.RUnlock()
-	if t != nil {
-		t.ObserveTransfer(peer, h.index, bytes, d)
-	}
+	h.node.Observe(peer, h.index, bytes, d)
 }
-
-// SetSink installs a direct delivery consumer (fabric.DirectNode):
-// subsequent deliveries are handed to fn on the link reader that decoded
-// them, bypassing RecvQ — how the engine's progress workers are fed.
-// Deliveries already queued in RecvQ are drained through fn first,
-// atomically with the handoff: in a distributed deployment the peer can
-// start sending while this process is still sampling, and those early
-// frames must be neither stranded in the queue nor overtaken by later
-// direct deliveries. fn must not block. SetSink(nil) restores queue
-// delivery. Panics on a non-hosted node.
-func (n *Node) SetSink(fn func(*fabric.Delivery)) {
-	n.mustHost()
-	n.sinkMu.Lock()
-	defer n.sinkMu.Unlock()
-	n.sink = fn
-	if fn == nil {
-		return
-	}
-	for {
-		item, ok := n.recvq.TryPop()
-		if !ok {
-			return
-		}
-		if d, isD := item.(*fabric.Delivery); isD && d != nil {
-			fn(d)
-		}
-	}
-}
-
-// deliver routes one decoded frame to the sink, or to the receive queue
-// when no sink is installed. The queue push happens under the sink read
-// lock so it cannot race SetSink's drain and strand a frame.
-func (n *Node) deliver(d *fabric.Delivery) {
-	n.sinkMu.RLock()
-	defer n.sinkMu.RUnlock()
-	if n.sink != nil {
-		n.sink(d)
-		return
-	}
-	n.recvq.Push(d)
-}
-
-// ID returns the node's index.
-func (n *Node) ID() int { return n.id }
 
 // NumRails returns the rail count.
 func (n *Node) NumRails() int { return n.c.cfg.Rails }
@@ -599,23 +537,11 @@ func (n *Node) Rail(i int) fabric.Rail {
 	return n.rails[i]
 }
 
-// RecvQ returns the delivery queue. It panics on a non-hosted node.
-func (n *Node) RecvQ() rt.Queue {
-	n.mustHost()
-	return n.recvq
-}
-
-// Health returns the rail-health tracker. It panics on a non-hosted node.
-func (n *Node) Health() fabric.Health {
-	n.mustHost()
-	return n.health
-}
-
 // Cores returns the host's core count, as the Go scheduler uses it.
 func (n *Node) Cores() int { return runtime.GOMAXPROCS(0) }
 
 func (n *Node) mustHost() {
-	if !n.hosted {
-		n.c.panicf("node %d is not hosted by this process", n.id)
+	if !n.Hosted() {
+		n.c.panicf("node %d is not hosted by this process", n.ID())
 	}
 }

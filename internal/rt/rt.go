@@ -84,24 +84,6 @@ type Queue interface {
 	Len() int
 }
 
-// Resource is a counted resource (a pool of identical servers: NIC
-// engines, cores, ...). Only the simulator has them (SimEnv.NewResource):
-// on the wall clock a NIC or a core serialises its work by itself.
-type Resource interface {
-	// Acquire blocks the actor until a slot is free.
-	Acquire(Ctx)
-	// TryAcquire takes a slot if immediately available.
-	TryAcquire() bool
-	// Release frees a slot taken by Acquire or TryAcquire.
-	Release()
-	// Idle reports whether a slot is immediately available.
-	Idle() bool
-	// Cap returns the capacity.
-	Cap() int
-	// InUse returns the number of held slots.
-	InUse() int
-}
-
 // WaitAll blocks the actor until every event has fired.
 func WaitAll(ctx Ctx, events ...Event) {
 	for _, e := range events {

@@ -96,35 +96,6 @@ func TestResourceMutualExclusion(t *testing.T) {
 	})
 }
 
-func TestTryAcquireAndIdle(t *testing.T) {
-	sim(t, func(t *testing.T, env *SimEnv, settle func()) {
-		r := env.NewResource(2)
-		env.Go("a", func(ctx Ctx) {
-			if !r.TryAcquire() {
-				t.Error("first TryAcquire failed")
-			}
-			if !r.Idle() {
-				t.Error("capacity-2 resource with one holder should be idle")
-			}
-			if !r.TryAcquire() {
-				t.Error("second TryAcquire failed")
-			}
-			if r.Idle() {
-				t.Error("full resource reported idle")
-			}
-			if r.TryAcquire() {
-				t.Error("third TryAcquire succeeded on capacity 2")
-			}
-			if r.InUse() != 2 || r.Cap() != 2 {
-				t.Errorf("InUse=%d Cap=%d", r.InUse(), r.Cap())
-			}
-			r.Release()
-			r.Release()
-		})
-		settle()
-	})
-}
-
 func TestAfterRunsLater(t *testing.T) {
 	both(t, func(t *testing.T, env Env, settle func()) {
 		ev := env.NewEvent()

@@ -40,8 +40,8 @@ func (e *SimEnv) NewQueue() Queue          { return &simQueue{q: e.sim.NewQueue(
 
 // NewResource returns a counted resource with the given capacity on the
 // virtual clock.
-func (e *SimEnv) NewResource(c int) Resource {
-	return &simResource{r: e.sim.NewResource(c)}
+func (e *SimEnv) NewResource(c int) *Resource {
+	return &Resource{r: e.sim.NewResource(c)}
 }
 
 // simCtx adapts a des.Proc to Ctx.
@@ -77,11 +77,14 @@ func (q *simQueue) Pop(ctx Ctx) any     { return q.q.Pop(proc(ctx)) }
 func (q *simQueue) TryPop() (any, bool) { return q.q.TryPop() }
 func (q *simQueue) Len() int            { return q.q.Len() }
 
-type simResource struct{ r *des.Resource }
+// Resource is a counted resource (a pool of identical servers: the
+// modeled NIC engines) on the virtual clock, granted first come, first
+// served. Only the simulator has them: on the wall clock a NIC or a core
+// serialises its work by itself.
+type Resource struct{ r *des.Resource }
 
-func (r *simResource) Acquire(ctx Ctx)  { r.r.Acquire(proc(ctx)) }
-func (r *simResource) TryAcquire() bool { return r.r.TryAcquire() }
-func (r *simResource) Release()         { r.r.Release() }
-func (r *simResource) Idle() bool       { return r.r.Idle() }
-func (r *simResource) Cap() int         { return r.r.Cap() }
-func (r *simResource) InUse() int       { return r.r.InUse() }
+// Acquire blocks the actor until a slot is free.
+func (r *Resource) Acquire(ctx Ctx) { r.r.Acquire(proc(ctx)) }
+
+// Release frees a slot taken by Acquire.
+func (r *Resource) Release() { r.r.Release() }

@@ -14,6 +14,10 @@ import (
 // memory-bandwidth-class path) until real writes calibrate it.
 const initialRate = float64(8 << 30)
 
+// attachTimeout bounds how long a distributed node waits for its peer's
+// ring files to appear.
+const attachTimeout = 10 * time.Second
+
 // Config describes a shared-memory fabric.
 type Config struct {
 	// Nodes is the total number of nodes in the system (default 2).
@@ -32,9 +36,6 @@ type Config struct {
 	// (distributed mode only). Both processes must name the same
 	// directory, which must not hold ring files of a previous session.
 	Dir string
-	// AttachTimeout bounds how long a distributed node waits for its
-	// peer's ring files to appear (default 10s).
-	AttachTimeout time.Duration
 	// OnStall, when set, fires once per ring-full backpressure episode
 	// on any of a hosted node's send rings, with the rail index — the ring
 	// path's only: a moved body never occupies the ring. It is
@@ -60,9 +61,6 @@ func (c *Config) defaults() {
 	// Ring regions are laid out back to back (in the mmap files too), so
 	// the payload size must preserve the header atomics' 8-byte alignment.
 	c.RingBytes = (c.RingBytes + 7) &^ 7
-	if c.AttachTimeout <= 0 {
-		c.AttachTimeout = 10 * time.Second
-	}
 }
 
 func (c *Config) validate() error {
@@ -118,7 +116,7 @@ func NewHosted(env *rt.LiveEnv, cfg Config) (*Fabric, error) {
 // process, attached to its peers through mmap-backed ring files in
 // cfg.Dir (all processes must run on one host). The lower-id side of
 // each pair creates the file; the higher-id side attaches, waiting up
-// to cfg.AttachTimeout for it to appear.
+// to attachTimeout for it to appear.
 func NewDistributed(env *rt.LiveEnv, local int, cfg Config) (*Fabric, error) {
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
@@ -140,7 +138,7 @@ func NewDistributed(env *rt.LiveEnv, local int, cfg Config) (*Fabric, error) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			m, err := attachPair(cfg.Dir, lo, hi, r, cfg.RingBytes, local == lo, cfg.AttachTimeout)
+			m, err := attachPair(cfg.Dir, lo, hi, r, cfg.RingBytes, local == lo, attachTimeout)
 			if err != nil {
 				f.Close()
 				return nil, err

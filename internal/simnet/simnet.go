@@ -44,13 +44,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Delivery and Stats are the fabric-level types; aliased so existing
-// call sites keep reading naturally.
-type (
-	Delivery = fabric.Delivery
-	Stats    = fabric.Stats
-)
-
 // Config describes a cluster.
 type Config struct {
 	// Nodes is the number of nodes (>= 2 for any communication).
@@ -96,8 +89,8 @@ func New(env *rt.SimEnv, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{env: env, cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{id: i, cluster: c, recvq: env.NewQueue(),
-			health: railhealth.New(env, i, len(cfg.Rails))}
+		n := &Node{cluster: c, health: railhealth.New(env, i, len(cfg.Rails))}
+		n.Init(i, env.NewQueue(), n.health)
 		for r, prof := range cfg.Rails {
 			n.Rails = append(n.Rails, &Rail{
 				node:   n,
@@ -162,100 +155,25 @@ func (c *Cluster) ThrottleRail(rail int, factor float64) {
 	}
 }
 
-// Node is one cluster node: a set of NICs plus where its deliveries go —
-// the consumer installed with SetSink (the engine's dispatch onto its
-// progress workers) or, without one, the delivery queue.
+// Node is one cluster node: a set of NICs and its fabric.Inbox — the
+// sink its frames land in at the virtual instant they arrive (the engine's
+// dispatch onto its progress workers) and the telemetry their modeled
+// timings feed, so the adaptive-telemetry subsystem sees the same
+// deterministic timings the estimates were sampled from. SetPlacer is the
+// inbox's no-op: the model moves every frame whole.
 type Node struct {
+	fabric.Inbox
 	Rails []*Rail
 
-	id      int
-	recvq   rt.Queue
 	cluster *Cluster
 	health  *railhealth.Tracker
-
-	sinkMu sync.RWMutex
-	sink   func(*Delivery)
-
-	teleMu sync.RWMutex
-	tele   fabric.Telemetry
 }
-
-// SetSink installs a direct delivery consumer (fabric.DirectNode): every
-// later delivery is handed to fn at the virtual instant it lands, instead
-// of being queued. Deliveries already queued are drained through fn first,
-// in order. SetSink(nil) restores queue delivery.
-func (n *Node) SetSink(fn func(*Delivery)) {
-	n.sinkMu.Lock()
-	defer n.sinkMu.Unlock()
-	n.sink = fn
-	if fn == nil {
-		return
-	}
-	for {
-		item, ok := n.recvq.TryPop()
-		if !ok {
-			return
-		}
-		if d, isD := item.(*Delivery); isD && d != nil {
-			fn(d)
-		}
-	}
-}
-
-// SetPlacer is a no-op (fabric.DirectNode): the model moves every frame
-// whole, so a chunk reaches the sink as one contiguous delivery and the
-// engine copies it into place from there.
-func (n *Node) SetPlacer(fabric.Placer) {}
-
-// land hands one arrived frame to the sink, or queues it when none is
-// installed. The push happens under the sink lock, so it cannot race
-// SetSink's drain and strand a frame.
-func (n *Node) land(d *Delivery) {
-	n.sinkMu.RLock()
-	defer n.sinkMu.RUnlock()
-	if n.sink != nil {
-		n.sink(d)
-		return
-	}
-	n.recvq.Push(d)
-}
-
-// SetTelemetry installs (or, with nil, detaches) the node's telemetry
-// sink: every eager and DMA transfer reports its modeled one-way
-// duration, so on the simulator the adaptive-telemetry subsystem is fed
-// the same deterministic timings the estimates were sampled from — and
-// tests of the feedback loop are reproducible.
-func (n *Node) SetTelemetry(t fabric.Telemetry) {
-	n.teleMu.Lock()
-	n.tele = t
-	n.teleMu.Unlock()
-}
-
-// observe reports one modeled transfer to the telemetry sink, if any.
-func (n *Node) observe(peer, rail, bytes int, d time.Duration) {
-	n.teleMu.RLock()
-	t := n.tele
-	n.teleMu.RUnlock()
-	if t != nil && d > 0 {
-		t.ObserveTransfer(peer, rail, bytes, d)
-	}
-}
-
-// ID returns the node's index in the cluster.
-func (n *Node) ID() int { return n.id }
 
 // NumRails returns the number of NICs of the node.
 func (n *Node) NumRails() int { return len(n.Rails) }
 
 // Rail returns the i-th NIC of the node.
 func (n *Node) Rail(i int) fabric.Rail { return n.Rails[i] }
-
-// RecvQ returns the queue *Delivery items are pushed to while no sink is
-// installed.
-func (n *Node) RecvQ() rt.Queue { return n.recvq }
-
-// Health returns the node's rail-health tracker.
-func (n *Node) Health() fabric.Health { return n.health }
 
 // Cores returns the node's core count.
 func (n *Node) Cores() int { return n.cluster.cfg.CoresPerNode }
@@ -266,11 +184,12 @@ type Rail struct {
 	node   *Node
 	index  int
 	prof   *model.Profile
-	engine rt.Resource
+	engine *rt.Resource
 
 	mu        sync.Mutex
 	busyUntil time.Duration
-	stats     Stats
+	lastStart time.Duration
+	stats     fabric.Stats
 	slow      float64 // throttle factor; 0 or 1 = none (chaos hook)
 }
 
@@ -297,10 +216,18 @@ func (r *Rail) Caps() fabric.Caps {
 func (r *Rail) State() fabric.RailState { return r.node.health.State(r.index) }
 
 // Stats returns a snapshot of the traffic counters.
-func (r *Rail) Stats() Stats {
+func (r *Rail) Stats() fabric.Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
+}
+
+// LastStart returns the modeled instant the NIC's send engine starts the
+// transfer posted last.
+func (r *Rail) LastStart() time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastStart
 }
 
 // IdleAt predicts when the NIC's send engine will have drained all posted
@@ -323,7 +250,7 @@ func (r *Rail) note(occupancy time.Duration, bytes int) {
 	if r.busyUntil < now {
 		r.busyUntil = now
 	}
-	r.stats.LastStart = r.busyUntil
+	r.lastStart = r.busyUntil
 	r.busyUntil += occupancy
 	r.stats.Messages++
 	r.stats.Bytes += uint64(bytes)
@@ -341,7 +268,7 @@ func own(head []byte) []byte {
 	return append([]byte(nil), head...)
 }
 
-func (r *Rail) deliver(to int, d *Delivery, after time.Duration) {
+func (r *Rail) deliver(to int, d *fabric.Delivery, after time.Duration) {
 	c := r.node.cluster
 	dst := c.Nodes[to]
 
@@ -353,7 +280,7 @@ func (r *Rail) deliver(to int, d *Delivery, after time.Duration) {
 		if r.State() == fabric.RailDown || dst.health.State(r.index) == fabric.RailDown {
 			return
 		}
-		dst.land(d)
+		dst.Deliver(d)
 	}
 	if after <= 0 {
 		push()
@@ -378,14 +305,14 @@ func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
 	r.engine.Acquire(ctx)
 	ctx.Sleep(cpu)
 	r.engine.Release()
-	r.deliver(to, &Delivery{
-		From:    r.node.id,
+	r.deliver(to, &fabric.Delivery{
+		From:    r.node.ID(),
 		Rail:    r.index,
 		Data:    own(data),
 		RecvCPU: p.RecvOverhead,
 		CopyCPU: durPerByte(len(data), p.RecvCopyRate),
 	}, p.WireLatency)
-	r.node.observe(to, r.index, len(data), cpu+p.WireLatency)
+	r.node.Observe(to, r.index, len(data), cpu+p.WireLatency)
 }
 
 // SendControl transmits a small control message (RTS/CTS/Ack), charging
@@ -396,8 +323,8 @@ func (r *Rail) SendEager(ctx rt.Ctx, to int, data []byte) {
 func (r *Rail) SendControl(ctx rt.Ctx, to int, data []byte) {
 	send, recv := r.controlCosts(data)
 	ctx.Sleep(send)
-	r.deliver(to, &Delivery{
-		From:    r.node.id,
+	r.deliver(to, &fabric.Delivery{
+		From:    r.node.ID(),
 		Rail:    r.index,
 		Data:    own(data),
 		RecvCPU: recv,
@@ -447,12 +374,12 @@ func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Comp
 	ctx.Sleep(p.SendOverhead)
 	dma := time.Duration(float64(durPerByte(len(data), p.WireBandwidth)) * r.slowFactor())
 	r.note(dma, len(data))
-	c.env.Go(fmt.Sprintf("dma-n%d-r%d", r.node.id, r.index), func(dctx rt.Ctx) {
+	c.env.Go(fmt.Sprintf("dma-n%d-r%d", r.node.ID(), r.index), func(dctx rt.Ctx) {
 		r.engine.Acquire(dctx)
 		dctx.Sleep(dma)
 		r.engine.Release()
-		r.deliver(to, &Delivery{
-			From: r.node.id,
+		r.deliver(to, &fabric.Delivery{
+			From: r.node.ID(),
 			Rail: r.index,
 			Data: data,
 		}, 0)
@@ -462,7 +389,7 @@ func (r *Rail) SendDataV(ctx rt.Ctx, to int, head, body []byte, done fabric.Comp
 		// One-way cost of the DMA path: descriptor post plus the
 		// (cut-through) transfer — matching what the sampled priors
 		// measure, and consistent with the eager path's cpu+latency.
-		r.node.observe(to, r.index, len(data), p.SendOverhead+dma)
+		r.node.Observe(to, r.index, len(data), p.SendOverhead+dma)
 	})
 }
 

@@ -23,8 +23,8 @@ func twoNodeSim(t *testing.T, rails []*model.Profile) (*rt.SimEnv, *Cluster) {
 
 // recvOne pops one delivery, charges its receive cost and returns the
 // completion time (what an engine handler would observe).
-func recvOne(ctx rt.Ctx, n *Node) (*Delivery, time.Duration) {
-	d := n.RecvQ().Pop(ctx).(*Delivery)
+func recvOne(ctx rt.Ctx, n *Node) (*fabric.Delivery, time.Duration) {
+	d := n.RecvQ().Pop(ctx).(*fabric.Delivery)
 	ctx.Sleep(d.RecvCPU)
 	return d, ctx.Now()
 }
@@ -312,7 +312,7 @@ func TestControlCosts(t *testing.T) {
 			rail := c.Nodes[0].Rail(1)
 			var coreFree, handled time.Duration
 			env.Go("recv", func(ctx rt.Ctx) {
-				d := c.Nodes[1].RecvQ().Pop(ctx).(*Delivery)
+				d := c.Nodes[1].RecvQ().Pop(ctx).(*fabric.Delivery)
 				ctx.Sleep(d.RecvCPU)
 				handled = ctx.Now()
 				if d.RecvCPU != tc.recv {
@@ -433,7 +433,7 @@ func TestFailRailDropsInFlightFrames(t *testing.T) {
 	// Rail 0 dies 1ns into the run: the eager frame posted at t=0 is
 	// still crossing the wire (host copy + latency take microseconds).
 	c.FailRail(0, 0, time.Nanosecond)
-	var got []*Delivery
+	var got []*fabric.Delivery
 	env.Go("recv", func(ctx rt.Ctx) {
 		for i := 0; i < 1; i++ {
 			d, _ := recvOne(ctx, c.Nodes[1])

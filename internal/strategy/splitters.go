@@ -90,10 +90,11 @@ type HeteroSplit struct {
 	// MinChunk suppresses chunks smaller than this (0 = 1 byte). Tiny
 	// slivers cost more in per-chunk overhead than they save.
 	MinChunk int
-	// MaxIter bounds the bisection (0 = 64, enough for nanosecond
-	// precision over any practical horizon).
-	MaxIter int
 }
+
+// splitIters bounds HeteroSplit's bisection: 64 halvings reach nanosecond
+// precision over any practical horizon.
+const splitIters = 64
 
 // Name implements Splitter.
 func (h HeteroSplit) Name() string { return "hetero-split" }
@@ -136,11 +137,7 @@ func (h HeteroSplit) AppendSplit(dst []Chunk, n int, now time.Duration, rails []
 		return append(dst, Chunk{Rail: BestRail(n, now, rails), Size: n})
 	}
 	lo := time.Duration(0)
-	iters := h.MaxIter
-	if iters <= 0 {
-		iters = 64
-	}
-	for it := 0; it < iters && hi-lo > 1; it++ {
+	for it := 0; it < splitIters && hi-lo > 1; it++ {
 		mid := lo + (hi-lo)/2
 		if capacity(mid) >= n {
 			hi = mid
